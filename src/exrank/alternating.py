@@ -12,7 +12,7 @@ from pathlib import Path
 from . import retriever as retriever_mod
 from . import scorer as scorer_mod
 from .config import substream
-from .contrastive import train_retriever
+from .contrastive import check_label_sizes, train_retriever
 from .corpus import Task, serialize_label
 from .evaluation import AblationMode, run_inference
 from .retriever import build_index, init_retriever, retrieve
@@ -79,6 +79,7 @@ def finetune_lm(scorer, retriever, train, cfg, templates=None, seed_tag="finetun
     index = build_index(retriever, train)
     opt = AdamW(scorer.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     for epoch in range(cfg.epochs_lm):
+        epoch_loss = 0.0
         rng = substream(cfg.seed, f"{seed_tag}/epoch{epoch}")
         for i in rng.permutation(len(train.samples)):
             s = train.samples[i]
@@ -93,7 +94,11 @@ def finetune_lm(scorer, retriever, train, cfg, templates=None, seed_tag="finetun
             _, loss = finetune_step(
                 scorer, prompt, serialize_label(s, train.task), cfg.lr, optimizer=opt
             )
-        logger.info("lm epoch %d done (last loss %.4f)", epoch, loss)
+            epoch_loss += loss
+        logger.info(
+            "lm epoch %d done (mean loss %.4f)",
+            epoch, epoch_loss / max(1, len(train.samples)),
+        )
     return scorer
 
 
@@ -131,6 +136,7 @@ def run_schedule(train, dev, cfg, out_dir, templates=None, resume_step=None):
     """
     if cfg.t < 1:
         raise ValueError("t must be at least 1")
+    check_label_sizes(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     templates = templates or load_templates(cfg.template_dir)

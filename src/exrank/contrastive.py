@@ -16,7 +16,7 @@ import numpy as np
 from . import scorer as scorer_mod
 from .config import substream
 from .corpus import Dataset, serialize_label
-from .optim import AdamW
+from .optim import AdamW, check_finite
 from .retriever import (
     ScoredCandidate,
     build_index,
@@ -49,6 +49,16 @@ def label_candidates(query, cands, scorer, definition, k, task, templates=None):
         scored.append(ScoredCandidate(candidate=c, delta=delta))
     scored.sort(key=lambda sc: (-sc.delta, sc.id))
     return scored[:k], scored[-k:]
+
+
+def check_label_sizes(cfg):
+    """Reject a k or m that label_candidates would refuse, before training starts."""
+    if cfg.k < 1:
+        raise ValueError(f"k must be at least 1 for training, got {cfg.k}")
+    if cfg.m < 2 * cfg.k:
+        raise ValueError(
+            f"m must be at least 2k = {2 * cfg.k} for training, got m={cfg.m}"
+        )
 
 
 def sample_training_subset(train, r, seed, name="subset"):
@@ -123,6 +133,7 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
     retriever has nothing useful to say); later epochs retrieve with the
     current retriever against an index rebuilt once per epoch.
     """
+    check_label_sizes(cfg)
     definition = definition_for(train.task, templates)
     # step-dependent name: each alternating step labels a fresh subset
     subset = sample_training_subset(train, cfg.r, cfg.seed, name=f"{seed_tag}/subset")
@@ -167,6 +178,7 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
                         negs.extend([other_pos, other_neg])
                 items.append((q_render, pos_render, negs))
             loss, grads = _batch_loss_and_grads(retr, items)
+            check_finite(loss, grads, f"retriever epoch {epoch} batch {n_batches}")
             opt.step(retr.params, grads)
             retr.version += 1
             epoch_loss += loss

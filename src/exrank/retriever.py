@@ -138,18 +138,19 @@ def retrieve(state, index, query, m, query_input=None, allow_stale=False):
             f"index built at version {index.version}, state is at {state.version}"
         )
     q = encode_query(state, query_input if query_input is not None else query.text)
-    sims = index.matrix @ q
-    keep = index.ids != query.id
+    keep = np.flatnonzero(index.ids != query.id)
     ids = index.ids[keep]
-    sims = sims[keep]
-    cands = [c for c, k in zip(index.candidates, keep) if k]
+    sims = (index.matrix @ q)[keep]
     if m > len(ids):
         logger.warning(
             "requested m=%d exceeds pool minus self (%d); returning all", m, len(ids)
         )
         m = len(ids)
     order = np.lexsort((ids, -sims))[:m]
-    return [ScoredCandidate(candidate=cands[i], similarity=float(sims[i])) for i in order]
+    return [
+        ScoredCandidate(candidate=index.candidates[keep[i]], similarity=float(sims[i]))
+        for i in order
+    ]
 
 
 def save_retriever(state, path):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import AdamW
+from .optim import AdamW, check_finite
 from .vocab import BOS_ID, EOS_ID, Vocabulary
 
 POS_DIM = 16
@@ -121,8 +121,13 @@ def score(state, prompt, target):
 
 def step_logits(state, prompt, prefix):
     """Softmax-normalized next-token distribution after a target prefix."""
-    p = state.params
     h, _, _ = _encode_prompt(state, prompt)
+    return _next_token_dist(state, h, prefix)
+
+
+def _next_token_dist(state, h, prefix):
+    """step_logits for an already encoded prompt ``h``."""
+    p = state.params
     prev = prefix[-1] if prefix else BOS_ID
     pos = position_codes(len(prefix) + 1)[len(prefix)]
     f = np.concatenate([h, p["emb"][prev], pos])
@@ -138,10 +143,10 @@ def generate(state, prompt, max_len=None):
         max_len = state.max_len
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    h, _, _ = _encode_prompt(state, prompt)
     out = []
     for _ in range(max_len):
-        dist = step_logits(state, prompt, out)
-        nxt = int(np.argmax(dist))
+        nxt = int(np.argmax(_next_token_dist(state, h, out)))
         if nxt == EOS_ID:
             break
         out.append(nxt)
@@ -192,11 +197,7 @@ def finetune_step(state, prompt, target, lr, weight_decay=0.0, optimizer=None):
     if lr < 0:
         raise ValueError("lr must be non-negative")
     loss, grads = nll_and_grads(state, prompt, target)
-    for key, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(
-                f"non-finite gradient in {key!r} (loss={loss}, prompt={prompt[:60]!r})"
-            )
+    check_finite(loss, grads, f"prompt={prompt[:60]!r}")
     opt = optimizer
     if opt is None:
         opt = AdamW(state.params, lr=lr, weight_decay=weight_decay)

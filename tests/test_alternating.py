@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from exrank import alternating
 from exrank.alternating import (
     build_vocabulary,
     finetune_lm,
@@ -9,7 +12,7 @@ from exrank.alternating import (
 )
 from exrank.config import Config
 from exrank.contrastive import train_retriever
-from exrank.corpus import generate_synthetic, serialize_label
+from exrank.corpus import Dataset, generate_synthetic, serialize_label
 from exrank.retriever import init_retriever, load_retriever
 from exrank.scorer import init_scorer, load_scorer, score
 from exrank.template import definition_for, render, task_input
@@ -77,6 +80,38 @@ class TestFinetuneLM:
         finetune_lm(scorer, retr, train, cfg)
         for k in before:
             assert np.array_equal(before[k], scorer.params[k])
+
+    def test_empty_training_set(self):
+        train, _ = generate_synthetic(40, 5, 0)
+        cfg = _cfg(epochs_lm=2)
+        vocab = build_vocabulary(train, cfg)
+        scorer = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=0)
+        retr = init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=0)
+        before = {k: v.copy() for k, v in scorer.params.items()}
+        empty = Dataset(samples=[], task=train.task, split=train.split)
+        finetune_lm(scorer, retr, empty, cfg)
+        for k in before:
+            assert np.array_equal(before[k], scorer.params[k])
+
+    def test_logs_epoch_mean_loss(self, monkeypatch, caplog):
+        train, _ = generate_synthetic(20, 5, 0)
+        cfg = _cfg(epochs_lm=1)
+        vocab = build_vocabulary(train, cfg)
+        scorer = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=0)
+        retr = init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=0)
+        losses = []
+        step = alternating.finetune_step
+
+        def recording_step(*args, **kwargs):
+            state, loss = step(*args, **kwargs)
+            losses.append(loss)
+            return state, loss
+
+        monkeypatch.setattr(alternating, "finetune_step", recording_step)
+        with caplog.at_level(logging.INFO, logger="exrank.alternating"):
+            finetune_lm(scorer, retr, train, cfg)
+        assert len(losses) == len(train.samples)
+        assert caplog.messages == [f"lm epoch 0 done (mean loss {np.mean(losses):.4f})"]
 
     def test_improves_mean_dev_score_over_seeds(self):
         wins = 0
@@ -170,6 +205,19 @@ class TestSchedule:
         train, test = generate_synthetic(40, 8, 0)
         with pytest.raises(ValueError):
             run_schedule(train, test, _cfg(t=0), tmp_path)
+
+    @pytest.mark.parametrize("k, m", [(4, 5), (0, 8), (2, 3)])
+    def test_k_and_m_rejected_before_any_checkpoint(self, tmp_path, k, m):
+        train, test = generate_synthetic(40, 8, 0)
+        cfg = _cfg(k=k, m=m)
+        with pytest.raises(ValueError, match="k must be at least 1|m must be at least"):
+            run_schedule(train, test, cfg, tmp_path / "out")
+        assert not list(tmp_path.rglob("*.ckpt.npz"))
+        vocab = build_vocabulary(train, cfg)
+        scorer = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=0)
+        retr = init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=0)
+        with pytest.raises(ValueError, match="k must be at least 1|m must be at least"):
+            train_retriever(retr, train, scorer, cfg)
 
     def test_resume_step_validation(self, tmp_path):
         train, test = generate_synthetic(40, 8, 0)

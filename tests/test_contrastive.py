@@ -188,6 +188,15 @@ class TestTrainRetriever:
         train_retriever(retr, train, scorer, cfg)
         assert any(not np.array_equal(before[k], retr.params[k]) for k in before)
 
+    def test_nonfinite_loss_raises_before_update(self):
+        train, _, cfg, scorer, retr = _prepped(3)
+        retr.params["emb"][:, 0] = np.nan
+        before = {k: v.copy() for k, v in retr.params.items()}
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            train_retriever(retr, train, scorer, cfg)
+        for k in before:
+            assert np.array_equal(before[k], retr.params[k], equal_nan=True), k
+
     def test_separation_positive_over_seeds(self):
         # the training objective's literal target, on held-out queries
         wins = 0

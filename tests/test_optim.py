@@ -1,0 +1,105 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from exrank.optim import AdamW, check_finite
+
+
+class _ReferenceAdamW:
+    """The out-of-place AdamW formula, kept as the bit-exact oracle."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+        self.lr = lr
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for key, g in grads.items():
+            m = self.m[key]
+            v = self.v[key]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** self.t)
+            v_hat = v / (1.0 - b2 ** self.t)
+            params[key] -= self.lr * (
+                m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * params[key]
+            )
+
+
+def _params(seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return {
+        "emb": rng.normal(0.0, scale, size=(37, 8)),
+        "w": rng.normal(0.0, scale, size=(8, 8)),
+        "b": np.array([0.0, -0.0, 1e-300, -1e-300, 3.0, -2.0, 0.5, 1e-9]),
+    }
+
+
+def _grads(rng, params):
+    grads = {k: rng.normal(0.0, 1.0, size=v.shape) for k, v in params.items()}
+    grads["b"][:2] = [0.0, -0.0]  # signed zeros must survive exactly too
+    grads["w"][0, :] *= 1e-12  # tiny gradients stress the eps term
+    return grads
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_bit_identical_to_reference_over_20_steps(weight_decay):
+    ours, ref = _params(0), _params(0)
+    opt = AdamW(ours, lr=3e-3, weight_decay=weight_decay)
+    oracle = _ReferenceAdamW(ref, lr=3e-3, weight_decay=weight_decay)
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        grads = _grads(rng, ours)
+        opt.step(ours, grads)
+        oracle.step(ref, {k: g.copy() for k, g in grads.items()})
+        for key in ours:
+            assert ours[key].tobytes() == ref[key].tobytes(), key
+            assert opt.m[key].tobytes() == oracle.m[key].tobytes(), key
+            assert opt.v[key].tobytes() == oracle.v[key].tobytes(), key
+
+
+def test_missing_grad_key_leaves_parameter_untouched():
+    params = _params(2)
+    before = {k: v.copy() for k, v in params.items()}
+    opt = AdamW(params, lr=1e-2, weight_decay=0.01)
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        grads = _grads(rng, params)
+        del grads["w"]
+        opt.step(params, grads)
+    assert params["w"].tobytes() == before["w"].tobytes()
+    assert not np.any(opt.m["w"]) and not np.any(opt.v["w"])
+    assert not np.array_equal(params["emb"], before["emb"])
+
+
+def test_step_allocates_no_parameter_sized_temporaries():
+    rng = np.random.default_rng(4)
+    params = {"emb": rng.normal(size=(300, 40)), "b": rng.normal(size=300)}
+    grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+    opt = AdamW(params, lr=1e-3, weight_decay=0.01)
+    opt.step(params, grads)  # warm any lazy interpreter state
+    param_bytes = sum(v.nbytes for v in params.values())
+    tracemalloc.start()
+    try:
+        opt.step(params, grads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < param_bytes / 4, (peak, param_bytes)
+
+
+def test_check_finite_names_the_bad_key():
+    check_finite(1.0, {"a": np.ones(3)}, "ctx")
+    with pytest.raises(FloatingPointError, match="'b'"):
+        check_finite(1.0, {"a": np.ones(3), "b": np.array([0.0, np.inf])}, "ctx")
+    with pytest.raises(FloatingPointError, match="non-finite loss"):
+        check_finite(float("nan"), {"a": np.ones(3)}, "ctx")

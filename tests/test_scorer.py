@@ -129,6 +129,24 @@ class TestGenerate:
         state = _micro_scorer(seed=2)
         assert generate(state, "beta gamma") == generate(state, "beta gamma")
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_encodes_prompt_once_and_matches_step_logits_loop(self, seed, monkeypatch):
+        state = _micro_scorer(seed=seed)
+        prompt = "alpha beta gamma"
+        out = []
+        for _ in range(6):
+            nxt = int(np.argmax(step_logits(state, prompt, out)))
+            if nxt == EOS_ID:
+                break
+            out.append(nxt)
+        encoded = []
+        encode = state.vocab.encode
+        monkeypatch.setattr(
+            state.vocab, "encode", lambda text: encoded.append(text) or encode(text)
+        )
+        assert generate(state, prompt, max_len=6) == state.vocab.decode(out)
+        assert encoded == [prompt]
+
 
 class TestFinetune:
     def test_loss_decreases_over_200_steps(self):
