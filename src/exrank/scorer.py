@@ -73,14 +73,15 @@ def init_scorer(vocab, d=64, max_len=128, seed=0, rng=None):
 def _prompt_ids(state, prompt):
     ids = state.vocab.encode(prompt)
     # keep the tail so the target input survives truncation
-    return ids[-state.max_len:]
+    return np.array(ids[-state.max_len:], dtype=np.intp)
 
 
 def _encode_prompt(state, prompt):
     ids = _prompt_ids(state, prompt)
     p = state.params
-    if ids:
-        mean = p["emb"][ids].mean(axis=0)
+    if len(ids):
+        # equal bit for bit to emb[ids].mean(axis=0)
+        mean = np.add.reduce(p["emb"].take(ids, axis=0), axis=0) / len(ids)
     else:
         mean = np.zeros(state.d)
     pre = p["w_enc"] @ mean + p["b_enc"]
@@ -91,32 +92,43 @@ def _target_ids(state, target):
     ids = state.vocab.encode(target)
     if not ids:
         raise ValueError("target is empty after tokenization")
-    return ids + [EOS_ID]
+    ids.append(EOS_ID)
+    return np.array(ids, dtype=np.intp)
 
 
-def _features(state, h, target_ids):
+def _forward(state, prompt, target):
+    """Teacher-forced forward pass shared by score and nll_and_grads.
+
+    Returns (shift, lse, tids, F, prev, h, prompt_ids, mean): the max-shifted
+    logits (L, V) and their row log-sum-exp (L,), so that
+    log p(tids[l]) = shift[l, tids[l]] - lse[l]; the target ids with the end
+    token; and what the backward pass needs.  Every step keeps the operation
+    order of the plain formula, so the results are bit-identical to it.
+    """
     p = state.params
-    L = len(target_ids)
-    prev = np.array([BOS_ID] + list(target_ids[:-1]))
-    return np.concatenate(
-        [np.tile(h, (L, 1)), p["emb"][prev], position_codes(max(L, 1))[:L]], axis=1
-    ), prev
-
-
-def _log_softmax(z):
-    shift = z - z.max(axis=-1, keepdims=True)
-    return shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
+    d = state.d
+    tids = _target_ids(state, target)
+    L = len(tids)
+    h, prompt_ids, mean = _encode_prompt(state, prompt)
+    prev = np.empty(L, dtype=np.intp)
+    prev[0] = BOS_ID
+    prev[1:] = tids[:-1]
+    F = np.empty((L, 2 * d + POS_DIM))  # rows [h ; emb[prev token] ; pos_l]
+    F[:, :d] = h
+    F[:, d:2 * d] = p["emb"].take(prev, axis=0)
+    F[:, 2 * d:] = position_codes(L)
+    shift = F @ p["w_out"].T
+    shift += p["b_out"]
+    shift -= shift.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shift).sum(axis=1))
+    return shift, lse, tids, F, prev, h, prompt_ids, mean
 
 
 def score(state, prompt, target):
     """Teacher-forced log-likelihood of target (plus end token) given prompt."""
-    tids = _target_ids(state, target)
-    h, _, _ = _encode_prompt(state, prompt)
-    F, _ = _features(state, h, tids)
-    Z = F @ state.params["w_out"].T + state.params["b_out"]
-    logp = _log_softmax(Z)
-    per = logp[np.arange(len(tids)), tids]
-    return LogLikelihood(total=float(per.sum()), per_token=[float(x) for x in per])
+    shift, lse, tids, *_ = _forward(state, prompt, target)
+    per = shift[np.arange(len(tids)), tids] - lse
+    return LogLikelihood(total=float(per.sum()), per_token=per.tolist())
 
 
 def step_logits(state, prompt, prefix):
@@ -156,35 +168,31 @@ def generate(state, prompt, max_len=None):
 def nll_and_grads(state, prompt, target):
     """Negative log-likelihood and its analytic gradients for every parameter."""
     p = state.params
-    tids = _target_ids(state, target)
-    L = len(tids)
-    h, prompt_ids, mean = _encode_prompt(state, prompt)
-    F, prev = _features(state, h, tids)
-    Z = F @ p["w_out"].T + p["b_out"]
-    logp = _log_softmax(Z)
-    loss = -float(logp[np.arange(L), tids].sum())
+    d = state.d
+    logp, lse, tids, F, prev, h, prompt_ids, mean = _forward(state, prompt, target)
+    logp -= lse[:, None]  # the shifted logits become log-probabilities in place
+    rows = np.arange(len(tids))
+    loss = -float(logp[rows, tids].sum())
 
-    dZ = np.exp(logp)  # softmax rows
-    dZ[np.arange(L), tids] -= 1.0
+    dZ = np.exp(logp, out=logp)  # softmax rows
+    dZ[rows, tids] -= 1.0
 
+    g_emb = np.zeros_like(p["emb"])
+    dF = dZ @ p["w_out"]  # (L, 2d+POS_DIM)
+    dh = dF[:, :d].sum(axis=0)
+    np.add.at(g_emb, prev, dF[:, d:2 * d])
+
+    da = dh * (1.0 - h * h)
+    if len(prompt_ids):
+        dmean = p["w_enc"].T @ da
+        np.add.at(g_emb, prompt_ids, dmean / len(prompt_ids))
     grads = {
         "w_out": dZ.T @ F,
         "b_out": dZ.sum(axis=0),
-        "emb": np.zeros_like(p["emb"]),
-        "w_enc": np.zeros_like(p["w_enc"]),
-        "b_enc": np.zeros_like(p["b_enc"]),
+        "emb": g_emb,
+        "w_enc": np.outer(da, mean),
+        "b_enc": da,
     }
-    dF = dZ @ p["w_out"]  # (L, 2d+POS_DIM)
-    d = state.d
-    dh = dF[:, :d].sum(axis=0)
-    np.add.at(grads["emb"], prev, dF[:, d:2 * d])
-
-    da = dh * (1.0 - h * h)
-    grads["w_enc"] = np.outer(da, mean)
-    grads["b_enc"] = da
-    if prompt_ids:
-        dmean = p["w_enc"].T @ da
-        np.add.at(grads["emb"], prompt_ids, dmean / len(prompt_ids))
     return loss, grads
 
 

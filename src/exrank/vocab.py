@@ -1,5 +1,7 @@
 """Whitespace tokenizer and the vocabulary shared by scorer and retriever."""
 
+from itertools import repeat
+
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
@@ -36,7 +38,7 @@ class Vocabulary:
         return len(self.tokens)
 
     def encode(self, text):
-        return [self.index.get(t, UNK_ID) for t in tokenize(text)]
+        return list(map(self.index.get, tokenize(text), repeat(UNK_ID)))
 
     def decode(self, ids):
         return " ".join(

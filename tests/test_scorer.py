@@ -10,10 +10,11 @@ from exrank.scorer import (
     load_scorer,
     nll_and_grads,
     save_scorer,
+    position_codes,
     score,
     step_logits,
 )
-from exrank.vocab import EOS_ID, Vocabulary
+from exrank.vocab import BOS_ID, EOS_ID, Vocabulary
 
 RNG = np.random.default_rng(20240817)
 
@@ -228,3 +229,118 @@ class TestCheckpoint:
         np.savez(path, format=np.array("something-else"))
         with pytest.raises(ValueError):
             load_scorer(path)
+
+
+# The plain forward and backward formulas, kept as the bit-exact oracle for
+# the preallocated, in-place versions in exrank.scorer.
+def _reference_prompt(state, prompt):
+    p = state.params
+    ids = state.vocab.encode(prompt)[-state.max_len:]
+    mean = p["emb"][ids].mean(axis=0) if ids else np.zeros(state.d)
+    return np.tanh(p["w_enc"] @ mean + p["b_enc"]), ids, mean
+
+
+def _reference_logp(state, prompt, target):
+    p = state.params
+    tids = state.vocab.encode(target) + [EOS_ID]
+    L = len(tids)
+    h, ids, mean = _reference_prompt(state, prompt)
+    prev = np.array([BOS_ID] + tids[:-1])
+    F = np.concatenate(
+        [np.tile(h, (L, 1)), p["emb"][prev], position_codes(L)[:L]], axis=1
+    )
+    z = F @ p["w_out"].T + p["b_out"]
+    shift = z - z.max(axis=-1, keepdims=True)
+    logp = shift - np.log(np.exp(shift).sum(axis=-1, keepdims=True))
+    return logp, tids, F, prev, h, ids, mean
+
+
+def _reference_score(state, prompt, target):
+    logp, tids, *_ = _reference_logp(state, prompt, target)
+    per = logp[np.arange(len(tids)), tids]
+    return float(per.sum()), [float(x) for x in per]
+
+
+def _reference_nll_and_grads(state, prompt, target):
+    p, d = state.params, state.d
+    logp, tids, F, prev, h, ids, mean = _reference_logp(state, prompt, target)
+    L = len(tids)
+    loss = -float(logp[np.arange(L), tids].sum())
+    dZ = np.exp(logp)
+    dZ[np.arange(L), tids] -= 1.0
+    grads = {"w_out": dZ.T @ F, "b_out": dZ.sum(axis=0),
+             "emb": np.zeros_like(p["emb"])}
+    dF = dZ @ p["w_out"]
+    np.add.at(grads["emb"], prev, dF[:, d:2 * d])
+    da = dF[:, :d].sum(axis=0) * (1.0 - h * h)
+    grads["w_enc"] = np.outer(da, mean)
+    grads["b_enc"] = da
+    if ids:
+        np.add.at(grads["emb"], ids, (p["w_enc"].T @ da) / len(ids))
+    return loss, grads
+
+
+def _reference_step_logits(state, prompt, prefix):
+    p = state.params
+    h, _, _ = _reference_prompt(state, prompt)
+    prev = prefix[-1] if prefix else BOS_ID
+    f = np.concatenate([h, p["emb"][prev], position_codes(len(prefix) + 1)[len(prefix)]])
+    z = p["w_out"] @ f + p["b_out"]
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def _oracle_scorer(seed):
+    words = [f"w{i}" for i in range(30)]
+    state = init_scorer(Vocabulary.build(words), d=8, max_len=12, seed=seed)
+    rng = np.random.default_rng(seed + 7)
+    state.params["w_out"] = rng.normal(0.0, 0.5, state.params["w_out"].shape)
+    state.params["b_out"] = rng.normal(0.0, 0.5, state.params["b_out"].shape)
+    state.params["b_enc"] = rng.normal(0.0, 0.5, state.params["b_enc"].shape)
+    return state
+
+
+ORACLE_CASES = {
+    "truncated": (" ".join(f"w{i % 30}" for i in range(41)), "w3 w4 w5"),
+    "empty-prompt": ("", "w1 w2"),
+    "whitespace-prompt": ("  \t \n ", "w7"),
+    "unknown-tokens": ("w1 zz w2 ?? w1", "qq w4"),
+    "unknown-target": ("w5 w6", "zz"),
+    "one-token-target": ("w1 w2 w3", "w9"),
+    "multi-token-target": ("w9 w8 w7 w6", "w1 w2 w1 w2 w3 w29"),
+    "repeated-ids": ("w2 w2 w2", "w2 w2"),  # prompt and prev ids share emb rows
+}
+
+
+def _assert_matches_oracle(state):
+    for name, (prompt, target) in ORACLE_CASES.items():
+        ll = score(state, prompt, target)
+        assert (ll.total, ll.per_token) == _reference_score(state, prompt, target), name
+        assert all(type(x) is float for x in ll.per_token), name
+        loss, grads = nll_and_grads(state, prompt, target)
+        ref_loss, ref_grads = _reference_nll_and_grads(state, prompt, target)
+        assert loss == ref_loss, name
+        assert list(grads) == list(ref_grads), name
+        for key, g in grads.items():
+            assert g.shape == ref_grads[key].shape, (name, key)
+            assert g.tobytes() == ref_grads[key].tobytes(), (name, key)
+        tids = state.vocab.encode(target) + [EOS_ID]
+        for i in range(len(tids)):
+            got = step_logits(state, prompt, tids[:i])
+            assert got.tobytes() == _reference_step_logits(state, prompt, tids[:i]).tobytes()
+
+
+class TestBitExactAgainstOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fresh_scorer(self, seed):
+        _assert_matches_oracle(_oracle_scorer(seed))
+
+    def test_after_finetune_steps(self):
+        state = _oracle_scorer(3)
+        opt = AdamW(state.params, lr=0.05)
+        for prompt, target in list(ORACLE_CASES.values()) * 2:
+            finetune_step(state, prompt, target, 0.05, optimizer=opt)
+        _assert_matches_oracle(state)
+
+    def test_untrained_zero_output_weights(self, small_scorer):
+        _assert_matches_oracle(small_scorer)

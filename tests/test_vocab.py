@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from exrank.vocab import (
     BOS_ID,
@@ -45,3 +47,20 @@ def test_duplicate_tokens_rejected():
 
 def test_tokenize_is_whitespace_split():
     assert tokenize("a  b\tc") == ["a", "b", "c"]
+
+
+_WORDS = ["the", "food", "was", "good", "<unk>", "<eos>", "Food", "bad"]
+
+
+@given(st.lists(
+    st.one_of(st.sampled_from(_WORDS), st.text(min_size=1, max_size=6),
+              st.sampled_from([" ", "  ", "\t", "\n", "\r\n", "\u00a0", "\u3000"])),
+    max_size=30,
+))
+def test_encode_equals_the_plain_lookup(pieces):
+    v = Vocabulary.build(["the food was good bad"])
+    text = "".join(pieces)
+    expected = [v.index.get(t, UNK_ID) for t in tokenize(text)]
+    got = v.encode(text)
+    assert type(got) is list
+    assert got == expected
