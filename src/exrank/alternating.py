@@ -11,6 +11,7 @@ from pathlib import Path
 
 from . import retriever as retriever_mod
 from . import scorer as scorer_mod
+from .atomic import replacing
 from .config import substream
 from .contrastive import check_label_sizes, train_retriever
 from .corpus import Task, serialize_label
@@ -116,7 +117,7 @@ def _metrics_row(step, dataset, metrics):
 
 
 def _write_metrics(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=METRIC_COLUMNS, delimiter="\t")
         writer.writeheader()
         for row in rows:
@@ -180,19 +181,18 @@ def run_schedule(train, dev, cfg, out_dir, templates=None, resume_step=None):
             retr = init_retriever(
                 retr.vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed + step
             )
-        step_cfg = cfg
         retr = train_retriever(
             retr,
             train,
             scorer,
-            step_cfg,
+            cfg,
             bootstrap_first_epoch=(step == 1),
             templates=templates,
             seed_tag=f"step{step}/retriever-train",
         )
         retriever_mod.save_retriever(retr, retr_path(step))
         scorer = finetune_lm(
-            scorer, retr, train, step_cfg, templates, seed_tag=f"step{step}/finetune-lm"
+            scorer, retr, train, cfg, templates, seed_tag=f"step{step}/finetune-lm"
         )
         scorer_mod.save_scorer(scorer, scor_path(step))
         metrics, _ = run_inference(

@@ -19,6 +19,7 @@ from .alternating import (
     run_schedule,
     warmup_scorer,
 )
+from .atomic import replacing
 from .config import Config, read_config_file
 from .contrastive import separation, train_retriever
 from .corpus import (
@@ -98,12 +99,8 @@ def _write_manifest(out_dir, command, cfg, extra=None):
     }
     if extra:
         manifest.update(extra)
-    with open(out / "run.json", "w", encoding="utf-8") as fh:
+    with replacing(out / "run.json") as tmp, open(tmp, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
-def _load_split(path, task, split):
-    return load_dataset(path, task, split=split)
 
 
 def _load_data(args, cfg):

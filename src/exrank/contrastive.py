@@ -111,7 +111,7 @@ def _batch_loss_and_grads(state, items):
     return total * scale, grads
 
 
-def _candidates_for_query(state, index, query, query_input, m, pool, bootstrap_rng):
+def _candidates_for_query(state, index, query, query_input, m, bootstrap_rng):
     if bootstrap_rng is not None:
         eligible = [c for c in index.candidates if c.id != query.id]
         take = min(m, len(eligible))
@@ -160,7 +160,7 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
                 query = subset.samples[i]
                 q_input = task_input(query, train.task)
                 cands = _candidates_for_query(
-                    retr, index, query, q_input, cfg.m, train, boot_rng
+                    retr, index, query, q_input, cfg.m, boot_rng
                 )
                 c_plus, c_minus = label_candidates(
                     query, cands, scorer, definition, cfg.k, train.task, templates

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import atomic
 from .template import candidate_text, make_candidate, query_text
 from .vocab import Vocabulary
 
@@ -154,7 +155,7 @@ def retrieve(state, index, query, m, query_input=None, allow_stale=False):
 
 
 def save_retriever(state, path):
-    np.savez(
+    atomic.savez(
         path,
         format=np.array(CHECKPOINT_FORMAT),
         d_r=np.array(state.d_r),

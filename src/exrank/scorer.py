@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import atomic
 from .optim import AdamW, check_finite
 from .vocab import BOS_ID, EOS_ID, Vocabulary
 
@@ -215,7 +216,7 @@ def finetune_step(state, prompt, target, lr, weight_decay=0.0, optimizer=None):
 
 
 def save_scorer(state, path):
-    np.savez(
+    atomic.savez(
         path,
         format=np.array(CHECKPOINT_FORMAT),
         d=np.array(state.d),
