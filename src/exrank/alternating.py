@@ -88,7 +88,8 @@ def finetune_lm(scorer, retriever, train, cfg, templates=None, seed_tag="finetun
             examples = []
             if cfg.finetune_k > 0:
                 top = retrieve(
-                    retriever, index, s, cfg.finetune_k, query_input=q_input
+                    retriever, index, s, cfg.finetune_k, query_input=q_input,
+                    exclude_id=s.id,
                 )
                 examples = [t.candidate for t in top]
             prompt = render(definition, examples, q_input, len(examples), templates)

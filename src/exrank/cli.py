@@ -205,7 +205,7 @@ def _cmd_retrieve(args):
     query = train.by_id(int(args.query_id))
     results = retrieve(
         retr, index, query, int(args.m_results or cfg.m),
-        query_input=task_input(query, cfg.task),
+        query_input=task_input(query, cfg.task), exclude_id=query.id,
     )
     for sc in results:
         print(f"{sc.id}\t{sc.similarity:.6f}\t{sc.candidate.input} -> {sc.candidate.output}")

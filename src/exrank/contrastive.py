@@ -120,7 +120,8 @@ def _candidates_for_query(state, index, query, query_input, m, bootstrap_rng):
     return [
         sc.candidate
         for sc in retrieve(
-            state, index, query, m, query_input=query_input, allow_stale=True
+            state, index, query, m, query_input=query_input, allow_stale=True,
+            exclude_id=query.id,
         )
     ]
 
@@ -194,7 +195,9 @@ def separation(retr, queries, scorer, cfg, train, templates=None, seed_tag="sepa
     """Mean sim(query, C+ pick) minus mean sim(query, C- pick) over queries.
 
     The training objective's literal target; positive means the retriever
-    agrees with the scorer's labeling.
+    agrees with the scorer's labeling.  label_candidates refuses a candidate
+    that shares the query's id, so that candidate is excluded from retrieval
+    whether or not the query belongs to ``train``.
     """
     definition = definition_for(train.task, templates)
     index = build_index(retr, train)
@@ -205,7 +208,8 @@ def separation(retr, queries, scorer, cfg, train, templates=None, seed_tag="sepa
         q_input = task_input(query, train.task)
         cands = [
             sc.candidate
-            for sc in retrieve(retr, index, query, cfg.m, query_input=q_input)
+            for sc in retrieve(retr, index, query, cfg.m, query_input=q_input,
+                               exclude_id=query.id)
         ]
         if len(cands) < 2 * cfg.k:
             continue

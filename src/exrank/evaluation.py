@@ -109,7 +109,10 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg, templates=None):
     """Generate and score predictions for one split under one ablation mode.
 
     For frozen_lm the caller passes the never-fine-tuned scorer; the prompt
-    construction is the same as full.  Returns (Metrics, prediction dump).
+    construction is the same as full.  A query excludes the pool candidate
+    with its own id only when ``test`` and ``pool`` are the same split, since
+    each split numbers its samples independently.  Returns (Metrics,
+    prediction dump).
     """
     mode = AblationMode(mode)
     task = test.task
@@ -120,6 +123,7 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg, templates=None):
         AblationMode.FROZEN_LM,
     ) and k > 0
     index = build_index(retriever, pool) if use_retrieval else None
+    same_split = test.split == pool.split
     fixed = (
         _fixed_examples(pool, k, cfg.seed) if mode == AblationMode.NO_RETRIEVER else []
     )
@@ -132,7 +136,8 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg, templates=None):
         if use_retrieval:
             examples = [
                 sc.candidate
-                for sc in retrieve(retriever, index, s, k, query_input=q_input)
+                for sc in retrieve(retriever, index, s, k, query_input=q_input,
+                                   exclude_id=s.id if same_split else None)
             ]
         elif mode == AblationMode.NO_RETRIEVER:
             examples = fixed

@@ -125,9 +125,13 @@ def build_index(state, pool):
     )
 
 
-def retrieve(state, index, query, m, query_input=None, allow_stale=False):
-    """Top-m candidates by similarity, self-excluded, ties by ascending id.
+def retrieve(state, index, query, m, query_input=None, allow_stale=False,
+             exclude_id=None):
+    """Top-m candidates by similarity, ties by ascending id.
 
+    ``exclude_id`` drops the candidate with that id: pass the query's own id
+    when the query is a member of the indexed pool.  Ids are unique only
+    within one split, so a query from another split must exclude nothing.
     ``query_input`` overrides the query text (e.g. the ATSC splice); default
     is query.text.  ``allow_stale`` is for the contrastive training loop,
     which refreshes its index once per epoch by design.
@@ -139,12 +143,16 @@ def retrieve(state, index, query, m, query_input=None, allow_stale=False):
             f"index built at version {index.version}, state is at {state.version}"
         )
     q = encode_query(state, query_input if query_input is not None else query.text)
-    keep = np.flatnonzero(index.ids != query.id)
+    if exclude_id is None:
+        keep = np.arange(len(index.ids))
+    else:
+        keep = np.flatnonzero(index.ids != exclude_id)
     ids = index.ids[keep]
     sims = (index.matrix @ q)[keep]
     if m > len(ids):
         logger.warning(
-            "requested m=%d exceeds pool minus self (%d); returning all", m, len(ids)
+            "requested m=%d exceeds pool of %d eligible candidates; returning all",
+            m, len(ids),
         )
         m = len(ids)
     order = np.lexsort((ids, -sims))[:m]

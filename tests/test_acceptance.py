@@ -166,11 +166,12 @@ def test_acceptance_3_ranking_oracle(monkeypatch, capsys):
         qid = int(rng.integers(n))
         m = int(rng.integers(1, min(n, 20) + 1))
         query = type("Q", (), {"id": qid, "text": "alpha beta"})()
-        got = [sc.id for sc in retrieve(state, index, query, m)]
+        exclude = qid if trial % 4 < 2 else None  # in-pool and cross-split queries
+        got = [sc.id for sc in retrieve(state, index, query, m, exclude_id=exclude)]
         q = encode_query(state, "alpha beta")
         sims = matrix @ q
-        want = sorted((i for i in range(n) if i != qid),
-                      key=lambda i: (-sims[i], i))[:min(m, n - 1)]
+        want = sorted((i for i in range(n) if i != exclude),
+                      key=lambda i: (-sims[i], i))[:m]
         if got != want:
             mismatches += 1
 

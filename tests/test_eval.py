@@ -162,6 +162,15 @@ class TestRunInference:
         for rec in dump:
             assert rec["id"] not in rec["example_ids"]
 
+    def test_test_split_examples_may_share_the_query_id(self, trained_small):
+        train, test, cfg, scorer, retr = trained_small
+        k = len(train)
+        _, dump = run_inference(scorer, retr, test, k, AblationMode.FULL, train, cfg)
+        pool_ids = sorted(s.id for s in train.samples)
+        assert {rec["id"] for rec in dump} <= set(pool_ids)  # the ids do collide
+        for rec in dump:
+            assert sorted(rec["example_ids"]) == pool_ids
+
     def test_no_instruction_prompt_shape(self, trained_small):
         train, test, cfg, scorer, retr = trained_small
         _, dump = run_inference(

@@ -134,36 +134,47 @@ class TestRetrieve:
         state = _micro_retriever(" ".join(s.text for s in train.samples))
         index = build_index(state, train)
         query = train.samples[3]
-        out = retrieve(state, index, query, 2)
+        out = retrieve(state, index, query, 2, exclude_id=query.id)
         assert len(out) == 2
         assert all(sc.id != query.id for sc in out)
+
+    def test_cross_split_query_keeps_the_candidate_sharing_its_id(self):
+        train, test = generate_synthetic(20, 5, 0)
+        state = _micro_retriever(" ".join(s.text for s in train.samples))
+        index = build_index(state, train)
+        query = test.samples[0]
+        assert query.id in index.ids  # each split numbers its samples from 0
+        out = retrieve(state, index, query, len(train))
+        assert sorted(sc.id for sc in out) == sorted(index.ids.tolist())
 
     def test_matches_exhaustive_sort(self):
         state = _micro_retriever(d_r=6)
         index = _synthetic_index(state, 50)
         query = type("Q", (), {"id": 7, "text": "alpha beta"})()
-        got = [sc.id for sc in retrieve(state, index, query, 10)]
         q = encode_query(state, "alpha beta")
         sims = index.matrix @ q
-        order = sorted(
-            (i for i in range(50) if i != 7), key=lambda i: (-sims[i], i)
-        )
-        assert got == order[:10]
+        for exclude in (7, None):
+            got = [sc.id for sc in retrieve(state, index, query, 10, exclude_id=exclude)]
+            order = sorted(
+                (i for i in range(50) if i != exclude), key=lambda i: (-sims[i], i)
+            )
+            assert got == order[:10]
 
     def test_all_equal_embeddings_tie_rule(self):
         state = _micro_retriever()
         index = _synthetic_index(state, 10)
         index.matrix = np.ones_like(index.matrix)
         query = type("Q", (), {"id": 4, "text": "alpha"})()
-        got = [sc.id for sc in retrieve(state, index, query, 5)]
+        got = [sc.id for sc in retrieve(state, index, query, 5, exclude_id=query.id)]
         assert got == [0, 1, 2, 3, 5]
+        assert [sc.id for sc in retrieve(state, index, query, 5)] == [0, 1, 2, 3, 4]
 
     def test_m_larger_than_pool_warns_and_clamps(self, caplog):
         state = _micro_retriever()
         index = _synthetic_index(state, 4)
         query = type("Q", (), {"id": 0, "text": "alpha"})()
         with caplog.at_level("WARNING"):
-            out = retrieve(state, index, query, 99)
+            out = retrieve(state, index, query, 99, exclude_id=query.id)
         assert len(out) == 3
         assert any("exceeds pool" in rec.message for rec in caplog.records)
 
