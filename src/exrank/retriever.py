@@ -66,17 +66,27 @@ def init_retriever(vocab, d_r=64, max_len=128, seed=0, rng=None):
 
 
 def _text_ids(state, text):
-    return state.vocab.encode(text)[-state.max_len:]
+    return np.array(state.vocab.encode(text)[-state.max_len:], dtype=np.intp)
+
+
+def _token_outputs(state, ids):
+    """Token embeddings e and encoder outputs u = tanh(e @ w.T + b), each (n, d_r)."""
+    p = state.params
+    e = p["emb"].take(ids, axis=0)
+    u = e @ p["w"].T
+    u += p["b"]
+    np.tanh(u, out=u)
+    return e, u
 
 
 def encode_text(state, text):
     """Mean of per-token encoder outputs; zero vector for empty input."""
     ids = _text_ids(state, text)
-    if not ids:
+    if not len(ids):
         return np.zeros(state.d_r)
-    p = state.params
-    u = np.tanh(p["emb"][ids] @ p["w"].T + p["b"])
-    return u.mean(axis=0)
+    _, u = _token_outputs(state, ids)
+    # equal bit for bit to u.mean(axis=0)
+    return np.add.reduce(u, axis=0) / len(ids)
 
 
 def encode_candidate(state, candidate):
@@ -90,15 +100,13 @@ def encode_query(state, x):
 def encode_text_backward(state, text, dh, grads):
     """Accumulate parameter gradients for d(loss)/d(encode_text(text)) = dh."""
     ids = _text_ids(state, text)
-    if not ids:
+    if not len(ids):
         return
-    p = state.params
-    e = p["emb"][ids]
-    u = np.tanh(e @ p["w"].T + p["b"])
+    e, u = _token_outputs(state, ids)
     da = (1.0 - u * u) * (dh / len(ids))  # (n, d_r)
     grads["w"] += da.T @ e
     grads["b"] += da.sum(axis=0)
-    np.add.at(grads["emb"], ids, da @ p["w"])
+    np.add.at(grads["emb"], ids, da @ state.params["w"])
 
 
 def similarity(h_s, h_i):
@@ -143,23 +151,39 @@ def retrieve(state, index, query, m, query_input=None, allow_stale=False,
             f"index built at version {index.version}, state is at {state.version}"
         )
     q = encode_query(state, query_input if query_input is not None else query.text)
-    if exclude_id is None:
-        keep = np.arange(len(index.ids))
-    else:
-        keep = np.flatnonzero(index.ids != exclude_id)
-    ids = index.ids[keep]
-    sims = (index.matrix @ q)[keep]
+    sims = index.matrix @ q
+    ids = index.ids
+    keep = None
+    if exclude_id is not None:
+        keep = np.flatnonzero(ids != exclude_id)
+        ids, sims = ids[keep], sims[keep]
     if m > len(ids):
         logger.warning(
             "requested m=%d exceeds pool of %d eligible candidates; returning all",
             m, len(ids),
         )
         m = len(ids)
-    order = np.lexsort((ids, -sims))[:m]
+    rows = index.candidates
     return [
-        ScoredCandidate(candidate=index.candidates[keep[i]], similarity=float(sims[i]))
-        for i in order
+        ScoredCandidate(candidate=rows[i if keep is None else keep[i]],
+                        similarity=float(sims[i]))
+        for i in _top_m(sims, ids, m)
     ]
+
+
+def _top_m(sims, ids, m):
+    """Positions of the m highest ``sims``, ties by ascending id.
+
+    Equal to ``np.lexsort((ids, -sims))[:m]``, but only the rows at or above
+    the m-th highest similarity are sorted.
+    """
+    neg = -sims
+    if 0 < m < len(neg):
+        cut = np.partition(neg, m - 1)[m - 1]
+        if not np.isnan(cut):  # NaN sorts last; the full sort handles it
+            near = np.flatnonzero(neg <= cut)  # every tie at the cut
+            return near[np.lexsort((ids[near], neg[near]))[:m]]
+    return np.lexsort((ids, neg))[:m]
 
 
 def save_retriever(state, path):

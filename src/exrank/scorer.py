@@ -135,19 +135,32 @@ def score(state, prompt, target):
 def step_logits(state, prompt, prefix):
     """Softmax-normalized next-token distribution after a target prefix."""
     h, _, _ = _encode_prompt(state, prompt)
-    return _next_token_dist(state, h, prefix)
+    return _next_token_dist(state, _decoder_input(state, h), prefix)
 
 
-def _next_token_dist(state, h, prefix):
-    """step_logits for an already encoded prompt ``h``."""
+def _decoder_input(state, h):
+    """The decoder input [h ; emb[prev token] ; pos] with h filled in."""
+    f = np.empty(2 * state.d + POS_DIM)
+    f[:state.d] = h
+    return f
+
+
+def _next_token_dist(state, f, prefix):
+    """step_logits for a decoder input ``f`` that holds the encoded prompt.
+
+    Refills the prev-token and position slices of ``f`` in place.
+    """
     p = state.params
-    prev = prefix[-1] if prefix else BOS_ID
-    pos = position_codes(len(prefix) + 1)[len(prefix)]
-    f = np.concatenate([h, p["emb"][prev], pos])
-    z = p["w_out"] @ f + p["b_out"]
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    d = state.d
+    n = len(prefix)
+    f[d:2 * d] = p["emb"][prefix[-1] if prefix else BOS_ID]
+    f[2 * d:] = position_codes(n + 1)[n]
+    z = p["w_out"] @ f
+    z += p["b_out"]
+    z -= z.max()
+    np.exp(z, out=z)
+    z /= z.sum()
+    return z
 
 
 def generate(state, prompt, max_len=None):
@@ -157,9 +170,10 @@ def generate(state, prompt, max_len=None):
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     h, _, _ = _encode_prompt(state, prompt)
+    f = _decoder_input(state, h)
     out = []
     for _ in range(max_len):
-        nxt = int(np.argmax(_next_token_dist(state, h, out)))
+        nxt = int(_next_token_dist(state, f, out).argmax())
         if nxt == EOS_ID:
             break
         out.append(nxt)

@@ -1,5 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exrank.corpus import generate_synthetic
 from exrank.retriever import (
@@ -231,3 +235,164 @@ class TestCheckpoint:
         np.savez(path, format=np.array("nope"))
         with pytest.raises(ValueError):
             load_retriever(path)
+
+
+# The plain encoder and retrieval formulas, kept as the bit-exact oracle for
+# the in-place encoder and the partition-based top-m in exrank.retriever.
+def _reference_encode_text(state, text):
+    ids = state.vocab.encode(text)[-state.max_len:]
+    if not ids:
+        return np.zeros(state.d_r)
+    p = state.params
+    u = np.tanh(p["emb"][ids] @ p["w"].T + p["b"])
+    return u.mean(axis=0)
+
+
+def _reference_encode_text_backward(state, text, dh, grads):
+    ids = state.vocab.encode(text)[-state.max_len:]
+    if not ids:
+        return
+    p = state.params
+    e = p["emb"][ids]
+    u = np.tanh(e @ p["w"].T + p["b"])
+    da = (1.0 - u * u) * (dh / len(ids))
+    grads["w"] += da.T @ e
+    grads["b"] += da.sum(axis=0)
+    np.add.at(grads["emb"], ids, da @ p["w"])
+
+
+def _reference_retrieve(state, index, query, m, exclude_id=None):
+    q = _reference_encode_text(state, query_text(query.text))
+    if exclude_id is None:
+        keep = np.arange(len(index.ids))
+    else:
+        keep = np.flatnonzero(index.ids != exclude_id)
+    ids = index.ids[keep]
+    sims = (index.matrix @ q)[keep]
+    order = np.lexsort((ids, -sims))[:min(m, len(ids))]
+    return [(index.candidates[keep[i]].id, float(sims[i])) for i in order]
+
+
+def _oracle_retriever(seed, max_len=6):
+    words = [f"w{i}" for i in range(20)]
+    state = init_retriever(Vocabulary.build(words), d_r=5, max_len=max_len, seed=seed)
+    state.params["b"] = np.random.default_rng(seed + 3).normal(0.0, 0.5, 5)
+    return state
+
+
+ENCODE_CASES = {
+    "empty": "",
+    "whitespace": "  \t \n ",
+    "longer-than-max-len": " ".join(f"w{i % 20}" for i in range(17)),
+    "unknown-tokens": "w1 zz w2 ?? w1",
+    "repeated-ids": "w4 w4 w4 w4",
+    "one-token": "w9",
+}
+
+
+def _permuted_index(state, n, seed, quantize=True):
+    """Rows in shuffled id order; integer-valued rows when ``quantize``."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(n, state.d_r))
+    if quantize:
+        matrix = np.round(matrix)
+    ids = rng.permutation(3 * n)[:n]
+    cands = [Candidate(id=int(i), input=f"c{i}", output="y") for i in ids]
+    return CandidateIndex(matrix=matrix, ids=ids, candidates=cands,
+                          version=state.version)
+
+
+class TestBitExactAgainstOracle:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_encode_text(self, seed):
+        state = _oracle_retriever(seed)
+        for name, text in ENCODE_CASES.items():
+            got = encode_text(state, text)
+            want = _reference_encode_text(state, text)
+            assert got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_encode_text_backward(self, seed):
+        state = _oracle_retriever(seed)
+        dh = np.random.default_rng(seed).normal(size=state.d_r)
+        got = {k: np.zeros_like(v) for k, v in state.params.items()}
+        want = {k: np.zeros_like(v) for k, v in state.params.items()}
+        for name, text in ENCODE_CASES.items():  # accumulates across cases
+            encode_text_backward(state, text, dh, got)
+            _reference_encode_text_backward(state, text, dh, want)
+            for key in want:
+                assert got[key].tobytes() == want[key].tobytes(), (name, key)
+
+    @pytest.mark.parametrize("quantize", [True, False])
+    @pytest.mark.parametrize("exclude", ["absent", "present", "missing-id"])
+    def test_retrieve(self, quantize, exclude):
+        state = _oracle_retriever(2)
+        n = 40
+        index = _permuted_index(state, n, 5, quantize)
+        for text in ENCODE_CASES.values():
+            query = type("Q", (), {"id": int(index.ids[7]), "text": text})()
+            exclude_id = {"absent": None, "present": query.id, "missing-id": -1}[exclude]
+            for m in (1, 2, 5, n - 2, n - 1, n):
+                got = retrieve(state, index, query, m, exclude_id=exclude_id)
+                assert [(sc.id, sc.similarity) for sc in got] == _reference_retrieve(
+                    state, index, query, m, exclude_id), (text, m)
+
+    def test_retrieve_m_at_and_past_pool(self, caplog):
+        state = _oracle_retriever(3)
+        index = _permuted_index(state, 12, 6)
+        query = type("Q", (), {"id": int(index.ids[0]), "text": "w1 w2"})()
+        for exclude_id, eligible in ((None, 12), (query.id, 11)):
+            for m in (eligible, eligible + 1, eligible + 5):
+                caplog.clear()
+                with caplog.at_level(logging.WARNING):
+                    got = retrieve(state, index, query, m, exclude_id=exclude_id)
+                assert [(sc.id, sc.similarity) for sc in got] == _reference_retrieve(
+                    state, index, query, m, exclude_id)
+                assert len(got) == eligible
+                warned = any("exceeds pool" in r.message for r in caplog.records)
+                assert warned == (m > eligible)
+
+    def test_retrieve_all_similarities_tied(self):
+        state = _oracle_retriever(4)
+        index = _permuted_index(state, 30, 7)
+        index.matrix = np.ones_like(index.matrix)
+        query = type("Q", (), {"id": 0, "text": "w3"})()
+        for m in (1, 4, 29, 30):
+            got = [sc.id for sc in retrieve(state, index, query, m)]
+            assert got == sorted(index.ids.tolist())[:m]
+            assert got == [i for i, _ in _reference_retrieve(state, index, query, m)]
+
+    def test_retrieve_nan_similarities_follow_lexsort(self):
+        state = _oracle_retriever(5)
+        index = _permuted_index(state, 10, 8)
+        index.matrix[[2, 5, 6]] = np.nan
+        query = type("Q", (), {"id": 0, "text": "w3 w4"})()
+        for m in range(1, 11):
+            got = [sc.id for sc in retrieve(state, index, query, m)]
+            assert got == [i for i, _ in _reference_retrieve(state, index, query, m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                  min_size=1, max_size=25),
+    m=st.integers(1, 27),
+    exclude=st.one_of(st.none(), st.integers(0, 30)),
+    text=st.sampled_from(["w1", "w2 w3", "", "w5 w5 zz"]),
+)
+def test_retrieve_equals_brute_force_sort(rows, m, exclude, text):
+    words = [f"w{i}" for i in range(8)]
+    state = init_retriever(Vocabulary.build(words), d_r=3, max_len=8, seed=0)
+    n = len(rows)
+    ids = np.arange(n)[::-1] * 2  # descending ids, so row order is not id order
+    index = CandidateIndex(
+        matrix=np.array(rows, dtype=float), ids=ids,
+        candidates=[Candidate(id=int(i), input=f"c{i}", output="y") for i in ids],
+        version=0,
+    )
+    query = type("Q", (), {"id": -1, "text": text})()
+    sims = index.matrix @ encode_query(state, text)
+    brute = sorted((-sims[r], int(ids[r])) for r in range(n) if ids[r] != exclude)[:m]
+    got = retrieve(state, index, query, m, exclude_id=exclude)
+    assert [(sc.id, -sc.similarity) for sc in got] == [(i, s) for s, i in brute]

@@ -290,6 +290,17 @@ def _reference_step_logits(state, prompt, prefix):
     return e / e.sum()
 
 
+def _reference_generate(state, prompt, max_len):
+    """Greedy decoding as argmax of the oracle's normalised distribution."""
+    out = []
+    for _ in range(max_len):
+        nxt = int(np.argmax(_reference_step_logits(state, prompt, out)))
+        if nxt == EOS_ID:
+            break
+        out.append(nxt)
+    return state.vocab.decode(out)
+
+
 def _oracle_scorer(seed):
     words = [f"w{i}" for i in range(30)]
     state = init_scorer(Vocabulary.build(words), d=8, max_len=12, seed=seed)
@@ -328,6 +339,9 @@ def _assert_matches_oracle(state):
         for i in range(len(tids)):
             got = step_logits(state, prompt, tids[:i])
             assert got.tobytes() == _reference_step_logits(state, prompt, tids[:i]).tobytes()
+        for max_len in (1, 3, 40):
+            assert generate(state, prompt, max_len) == _reference_generate(
+                state, prompt, max_len), (name, max_len)
 
 
 class TestBitExactAgainstOracle:
@@ -344,3 +358,19 @@ class TestBitExactAgainstOracle:
 
     def test_untrained_zero_output_weights(self, small_scorer):
         _assert_matches_oracle(small_scorer)
+
+    def test_generate_breaks_ties_like_the_normalised_argmax(self):
+        # equal top logits: argmax takes the first, after normalisation too
+        state = _oracle_scorer(4)
+        state.params["w_out"][:] = 0.0
+        state.params["b_out"][:] = 0.0
+        state.params["b_out"][[9, 5, 20]] = 1.5
+        assert generate(state, "w1 w2", 4) == _reference_generate(state, "w1 w2", 4)
+        assert state.vocab.decode([5] * 4) == generate(state, "w1 w2", 4)
+
+    def test_step_logits_returns_a_fresh_array(self):
+        state = _oracle_scorer(5)
+        first = step_logits(state, "w1 w2", [])
+        kept = first.copy()
+        step_logits(state, "w1 w2", [7, 8])
+        assert first.tobytes() == kept.tobytes()
