@@ -33,6 +33,8 @@ def label_candidates(query, cands, scorer, definition, k, task, templates=None):
     """Split candidates into (C_plus, C_minus) by scorer log-likelihood.
 
     Returns two lists of ScoredCandidate with delta filled in, each of size k.
+    A candidate that is the query itself (same id and same input) is refused;
+    one that only shares the query's id comes from another split and is kept.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -42,7 +44,7 @@ def label_candidates(query, cands, scorer, definition, k, task, templates=None):
     q_input = task_input(query, task)
     scored = []
     for c in cands:
-        if c.id == query.id:
+        if c.id == query.id and c.input == q_input:
             raise ValueError("query must not appear among its own candidates")
         prompt = render(definition, [c], q_input, 1, templates=templates)
         delta = scorer_mod.score(scorer, prompt, target).total
@@ -195,21 +197,23 @@ def separation(retr, queries, scorer, cfg, train, templates=None, seed_tag="sepa
     """Mean sim(query, C+ pick) minus mean sim(query, C- pick) over queries.
 
     The training objective's literal target; positive means the retriever
-    agrees with the scorer's labeling.  label_candidates refuses a candidate
-    that shares the query's id, so that candidate is excluded from retrieval
-    whether or not the query belongs to ``train``.
+    agrees with the scorer's labeling.  A query that is a member of ``train``
+    (a pool candidate with its id and input) excludes itself from retrieval;
+    a held-out query keeps the train candidate that merely shares its id.
     """
     definition = definition_for(train.task, templates)
     index = build_index(retr, train)
+    pool_inputs = {c.id: c.input for c in index.candidates}
     pos_rng = substream(cfg.seed, f"{seed_tag}/positive-choice")
     neg_rng = substream(cfg.seed, f"{seed_tag}/negative-choice")
     diffs = []
     for query in queries:
         q_input = task_input(query, train.task)
+        member = pool_inputs.get(query.id) == q_input
         cands = [
             sc.candidate
             for sc in retrieve(retr, index, query, cfg.m, query_input=q_input,
-                               exclude_id=query.id)
+                               exclude_id=query.id if member else None)
         ]
         if len(cands) < 2 * cfg.k:
             continue

@@ -77,10 +77,19 @@ class TestLabelCandidates:
             label_candidates(_query(), cands, None, "D", 1, Task.ASPE)
 
     def test_query_among_candidates_rejected(self, monkeypatch):
+        query = _query()
+        cands = [Candidate(id=99, input=query.text, output="y"),
+                 Candidate(id=1, input="cand1", output="y")]
+        _stub_scores(monkeypatch, {"cand1": 0.0})
+        with pytest.raises(ValueError, match="own candidates"):
+            label_candidates(query, cands, None, "D", 1, Task.ASPE)
+
+    def test_same_id_from_another_split_is_labeled(self, monkeypatch):
+        # ids are unique only within a split: same id, other text is not the query
         cands = [Candidate(id=i, input=f"cand{i}", output="y") for i in (99, 1)]
-        _stub_scores(monkeypatch, {"cand99": 0.0, "cand1": 0.0})
-        with pytest.raises(ValueError):
-            label_candidates(_query(), cands, None, "D", 1, Task.ASPE)
+        _stub_scores(monkeypatch, {"cand99": -1.0, "cand1": -2.0})
+        c_plus, c_minus = label_candidates(_query(), cands, None, "D", 1, Task.ASPE)
+        assert [sc.id for sc in c_plus + c_minus] == [99, 1]
 
 
 class TestSubset:
@@ -196,6 +205,24 @@ class TestTrainRetriever:
             train_retriever(retr, train, scorer, cfg)
         for k in before:
             assert np.array_equal(before[k], retr.params[k], equal_nan=True), k
+
+    def test_separation_keeps_the_same_id_candidate_for_held_out_queries(
+            self, monkeypatch):
+        train, test, cfg, scorer, retr = _prepped(4, n=20)
+        cfg = Config(**{**cfg.to_dict(), "m": len(train)})  # retrieve the whole pool
+        held_out = test.samples[0]
+        member = train.samples[held_out.id]
+        assert member.id == held_out.id and member.text != held_out.text
+        labeled = {}
+
+        def spy(query, cands, *args):
+            labeled[query.text] = {c.id for c in cands}
+            return label_candidates(query, cands, *args)
+
+        monkeypatch.setattr(contrastive, "label_candidates", spy)
+        separation(retr, [held_out, member], scorer, cfg, train)
+        assert labeled[held_out.text] == {s.id for s in train.samples}
+        assert labeled[member.text] == {s.id for s in train.samples} - {member.id}
 
     def test_separation_positive_over_seeds(self):
         # the training objective's literal target, on held-out queries
