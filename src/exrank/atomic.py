@@ -30,6 +30,16 @@ def replacing(path, suffix=""):
         raise
 
 
+def write_lines(path, lines):
+    """Write each string of ``lines`` plus a newline to ``path`` through ``replacing``.
+
+    ``lines`` may be a generator: if it raises, ``path`` keeps its old content.
+    """
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def savez(path, **arrays):
     """``np.savez(path, **arrays)`` through ``replacing``.
 

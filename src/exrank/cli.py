@@ -19,7 +19,7 @@ from .alternating import (
     run_schedule,
     warmup_scorer,
 )
-from .atomic import replacing
+from .atomic import replacing, write_lines
 from .config import Config, read_config_file
 from .contrastive import separation, train_retriever
 from .corpus import (
@@ -36,7 +36,7 @@ from .scorer import init_scorer, load_scorer, save_scorer, score
 from .template import load_templates, task_input
 
 CONFIG_KEYS = [
-    "task", "k", "m", "r", "batch_size", "lr", "weight_decay", "grad_accum",
+    "task", "k", "m", "r", "batch_size", "lr", "weight_decay",
     "epochs_retriever", "epochs_lm", "finetune_k", "t", "d", "d_r",
     "max_len", "max_gen_len",
     "seed", "warmup_epochs", "reinit_per_step", "template_dir", "accept_hash",
@@ -156,11 +156,11 @@ def _cmd_train_retriever(args):
     save_scorer(scorer_state, out / "scorer.ckpt.npz")
     sep = separation(retr, train.samples[: min(50, len(train.samples))],
                      scorer_state, cfg, train, templates)
-    with open(out / "training.tsv", "w", encoding="utf-8") as fh:
-        fh.write("epoch\tmean_infonce\n")
-        for epoch, loss in report:
-            fh.write(f"{epoch}\t{loss:.6f}\n")
-        fh.write(f"separation\t{sep:.6f}\n")
+    write_lines(out / "training.tsv", [
+        "epoch\tmean_infonce",
+        *(f"{epoch}\t{loss:.6f}" for epoch, loss in report),
+        f"separation\t{sep:.6f}",
+    ])
     _write_manifest(out, "train-retriever", cfg)
     for epoch, loss in report:
         print(f"{epoch}\t{loss:.6f}")
@@ -240,16 +240,13 @@ def _cmd_evaluate(args):
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "metrics.tsv", "w", encoding="utf-8") as fh:
-        fh.write("mode\ttask\tk\tprecision\trecall\tf1\taccuracy\tparse_failures\n")
-        fh.write(
-            f"{mode.value}\t{cfg.task.value}\t{cfg.k}\t{metrics.precision:.6f}\t"
-            f"{metrics.recall:.6f}\t{metrics.f1:.6f}\t{metrics.accuracy:.6f}\t"
-            f"{metrics.parse_failures}\n"
-        )
-    with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:
-        for rec in dump:
-            fh.write(json.dumps(rec) + "\n")
+    write_lines(out / "metrics.tsv", [
+        "mode\ttask\tk\tprecision\trecall\tf1\taccuracy\tparse_failures",
+        f"{mode.value}\t{cfg.task.value}\t{cfg.k}\t{metrics.precision:.6f}\t"
+        f"{metrics.recall:.6f}\t{metrics.f1:.6f}\t{metrics.accuracy:.6f}\t"
+        f"{metrics.parse_failures}",
+    ])
+    write_lines(out / "predictions.jsonl", (json.dumps(rec) for rec in dump))
     _write_manifest(out, "evaluate", cfg, {"mode": mode.value})
     print(
         f"{mode.value}\tP={metrics.precision:.4f}\tR={metrics.recall:.4f}\t"
@@ -271,14 +268,13 @@ def _cmd_sweep(args):
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.tsv", "w", encoding="utf-8") as fh:
-        fh.write("k\tprecision\trecall\tf1\taccuracy\tparse_failures\ttruncated\n")
-        for row in rows:
-            m = row.metrics
-            fh.write(
-                f"{row.k}\t{m.precision:.6f}\t{m.recall:.6f}\t{m.f1:.6f}\t"
-                f"{m.accuracy:.6f}\t{m.parse_failures}\t{int(row.truncated)}\n"
-            )
+    write_lines(out / "sweep.tsv", [
+        "k\tprecision\trecall\tf1\taccuracy\tparse_failures\ttruncated",
+        *(f"{r.k}\t{r.metrics.precision:.6f}\t{r.metrics.recall:.6f}\t"
+          f"{r.metrics.f1:.6f}\t{r.metrics.accuracy:.6f}\t"
+          f"{r.metrics.parse_failures}\t{int(r.truncated)}"
+          for r in rows),
+    ])
     _write_manifest(out, "sweep", cfg)
     for row in rows:
         print(f"{row.k}\t{row.metrics.f1:.4f}\t{row.metrics.accuracy:.4f}")

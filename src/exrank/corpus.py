@@ -11,6 +11,8 @@ from enum import Enum
 
 import numpy as np
 
+from . import atomic
+
 NO_ASPECT_TERM = "noaspectterm"
 
 # A generated polarity word outside the known set is kept as a reject marker:
@@ -151,19 +153,21 @@ def load_dataset(path, task, split=Split.TRAIN):
 
 
 def save_dataset(dataset, path):
-    """Write the jsonl form read back by load_dataset.
+    """Write the jsonl form read back by load_dataset, atomically.
 
     Sentinel-only samples are written with an empty label array.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in dataset.samples:
-            labels = [
-                [l.term, l.polarity.value] for l in s.labels if not l.is_sentinel()
-            ]
-            rec = {"text": s.text, "labels": labels}
-            if s.aspect is not None:
-                rec["aspect"] = s.aspect
-            fh.write(json.dumps(rec) + "\n")
+    atomic.write_lines(path, (json.dumps(_record(s)) for s in dataset.samples))
+
+
+def _record(sample):
+    labels = [
+        [l.term, l.polarity.value] for l in sample.labels if not l.is_sentinel()
+    ]
+    rec = {"text": sample.text, "labels": labels}
+    if sample.aspect is not None:
+        rec["aspect"] = sample.aspect
+    return rec
 
 
 def serialize_label(sample, task):

@@ -1,15 +1,25 @@
-"""Checkpoints, metrics.tsv and run.json are replaced whole or not at all."""
+"""Checkpoints, datasets, run.json and every TSV/JSONL output are replaced
+whole or not at all."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
-from exrank import atomic
+from exrank import atomic, cli
 from exrank.alternating import _metrics_row, _read_metrics, _write_metrics
 from exrank.cli import _write_manifest
 from exrank.config import Config
-from exrank.corpus import Dataset, Split, Task
+from exrank.corpus import (
+    Dataset,
+    Sample,
+    Split,
+    Task,
+    generate_synthetic,
+    load_dataset,
+    save_dataset,
+)
 from exrank.evaluation import Metrics
 from exrank.retriever import init_retriever, load_retriever, save_retriever
 from exrank.scorer import init_scorer, load_scorer, save_scorer
@@ -91,3 +101,65 @@ def test_replacing_removes_temp_file_when_body_never_writes(tmp_path):
         with atomic.replacing(tmp_path / "x.txt"):
             raise KeyboardInterrupt
     assert os.listdir(tmp_path) == []
+
+
+def test_write_lines_writes_each_line_with_a_newline(tmp_path):
+    atomic.write_lines(tmp_path / "a.tsv", ["x\ty", "1\t2"])
+    assert (tmp_path / "a.tsv").read_bytes() == b"x\ty\n1\t2\n"
+
+
+def test_failed_write_lines_keeps_previous_file(tmp_path):
+    path = tmp_path / "sweep.tsv"
+    atomic.write_lines(path, ["old"])
+    before = path.read_bytes()
+
+    def lines():
+        yield "k\tf1"
+        yield "0\t0.5"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        atomic.write_lines(path, lines())
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["sweep.tsv"]
+
+
+def test_failed_dataset_write_keeps_previous_file(tmp_path):
+    train, _ = generate_synthetic(20, 5, 0)
+    path = tmp_path / "train.jsonl"
+    save_dataset(train, path)
+    before = path.read_bytes()
+    bad = Sample(id=99, text="x", labels=[], aspect=object())  # not serializable
+    broken = Dataset(samples=train.samples[:3] + [bad], task=train.task,
+                     split=train.split)
+    with pytest.raises(TypeError):
+        save_dataset(broken, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["train.jsonl"]
+    assert [s.text for s in load_dataset(path, Task.ASPE).samples] == [
+        s.text for s in train.samples]
+
+
+def test_failed_cli_predictions_write_keeps_previous_file(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--train", "20", "--test", "4", "--out", str(data)]) == 0
+    out = tmp_path / "eval"
+    out.mkdir()
+    (out / "predictions.jsonl").write_bytes(b"previous\n")
+    calls = []
+
+    def dumps(obj):  # the third prediction record fails to serialize
+        calls.append(obj)
+        if len(calls) == 3:
+            raise TypeError("not serializable")
+        return json.dumps(obj)
+
+    monkeypatch.setattr(cli, "json", type("J", (), {"dumps": staticmethod(dumps)}))
+    rc = cli.main(["evaluate", "--train-file", str(data / "train.jsonl"),
+                   "--test-file", str(data / "test.jsonl"), "--out", str(out),
+                   "--d", "8", "--d-r", "8", "--warmup-epochs", "0",
+                   "--max-gen-len", "4"])
+    assert rc == 2
+    assert len(calls) == 3
+    assert (out / "predictions.jsonl").read_bytes() == b"previous\n"
+    assert sorted(os.listdir(out)) == ["metrics.tsv", "predictions.jsonl"]
