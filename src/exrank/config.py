@@ -22,7 +22,6 @@ class Config:
     batch_size: int = 2
     lr: float = 5e-5
     weight_decay: float = 0.01
-    grad_accum: int = 2        # exposed knob; the reference loop updates per step
     epochs_retriever: int = 4
     epochs_lm: int = 2
     finetune_k: int = 1        # retrieved examples per fine-tuning prompt

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from exrank.cli import main
+from exrank.config import Config
 
 FAST = [
     "--k", "2", "--m", "6", "--ratio", "0.4", "--lr", "0.003",
@@ -153,6 +154,18 @@ def test_config_file_and_flag_precedence(tmp_path, data_dir):
     manifest = json.loads((out / "run.json").read_text())
     assert manifest["config"]["seed"] == 9  # flag beats file
     assert manifest["config"]["k"] == 3     # file beats default
+
+
+def test_grad_accum_is_no_longer_a_config_key(tmp_path):
+    with pytest.raises(ValueError, match="unknown config key 'grad_accum'"):
+        Config.from_dict({"grad_accum": "2"})
+    cfgfile = tmp_path / "old.cfg"
+    cfgfile.write_text("grad_accum = 2\n")
+    out = tmp_path / "gen"
+    gen = ["gen-data", "--train", "5", "--test", "2", "--out", str(out)]
+    assert main(gen + ["--config", str(cfgfile)]) == 2
+    assert main(gen + ["--grad-accum", "2"]) == 1
+    assert not out.exists()
 
 
 def test_missing_file_is_runtime_error(tmp_path):
