@@ -50,19 +50,37 @@ def build_vocabulary(train, cfg, templates=None):
     return Vocabulary.build(texts)
 
 
-def warmup_scorer(scorer, train, cfg, templates=None, seed_tag="warmup"):
-    """Zero-example fine-tuning pass standing in for pretraining."""
+def _lm_epochs(scorer, train, cfg, epochs, choose_examples, templates, seed_tag, what):
+    """The LM loop of warm-up and fine-tuning: per epoch, one ``finetune_step``
+    per sample in seeded order, on a prompt carrying ``choose_examples(s, q_input)``.
+    """
     definition = definition_for(train.task, templates)
     opt = AdamW(scorer.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    for epoch in range(cfg.warmup_epochs):
+    for epoch in range(epochs):
+        epoch_loss = 0.0
         rng = substream(cfg.seed, f"{seed_tag}/epoch{epoch}")
         for i in rng.permutation(len(train.samples)):
             s = train.samples[i]
-            prompt = render(definition, [], task_input(s, train.task), 0, templates)
-            finetune_step(
+            q_input = task_input(s, train.task)
+            examples = choose_examples(s, q_input)
+            prompt = render(definition, examples, q_input, len(examples), templates)
+            _, loss = finetune_step(
                 scorer, prompt, serialize_label(s, train.task), cfg.lr, optimizer=opt
             )
+            epoch_loss += loss
+        logger.info(
+            "%s epoch %d done (mean loss %.4f)",
+            what, epoch, epoch_loss / max(1, len(train.samples)),
+        )
     return scorer
+
+
+def warmup_scorer(scorer, train, cfg, templates=None, seed_tag="warmup"):
+    """Zero-example fine-tuning pass standing in for pretraining."""
+    return _lm_epochs(
+        scorer, train, cfg, cfg.warmup_epochs, lambda s, q_input: [], templates,
+        seed_tag, "warmup",
+    )
 
 
 def finetune_lm(scorer, retriever, train, cfg, templates=None, seed_tag="finetune-lm"):
@@ -76,32 +94,19 @@ def finetune_lm(scorer, retriever, train, cfg, templates=None, seed_tag="finetun
     """
     if cfg.epochs_lm == 0:
         return scorer
-    definition = definition_for(train.task, templates)
     index = build_index(retriever, train)
-    opt = AdamW(scorer.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    for epoch in range(cfg.epochs_lm):
-        epoch_loss = 0.0
-        rng = substream(cfg.seed, f"{seed_tag}/epoch{epoch}")
-        for i in rng.permutation(len(train.samples)):
-            s = train.samples[i]
-            q_input = task_input(s, train.task)
-            examples = []
-            if cfg.finetune_k > 0:
-                top = retrieve(
-                    retriever, index, s, cfg.finetune_k, query_input=q_input,
-                    exclude_id=s.id,
-                )
-                examples = [t.candidate for t in top]
-            prompt = render(definition, examples, q_input, len(examples), templates)
-            _, loss = finetune_step(
-                scorer, prompt, serialize_label(s, train.task), cfg.lr, optimizer=opt
-            )
-            epoch_loss += loss
-        logger.info(
-            "lm epoch %d done (mean loss %.4f)",
-            epoch, epoch_loss / max(1, len(train.samples)),
+
+    def top_examples(s, q_input):
+        if cfg.finetune_k == 0:
+            return []
+        top = retrieve(
+            retriever, index, s, cfg.finetune_k, query_input=q_input, exclude_id=s.id
         )
-    return scorer
+        return [t.candidate for t in top]
+
+    return _lm_epochs(
+        scorer, train, cfg, cfg.epochs_lm, top_examples, templates, seed_tag, "lm"
+    )
 
 
 def _metrics_row(step, dataset, metrics):
@@ -156,8 +161,7 @@ def run_schedule(train, dev, cfg, out_dir, templates=None, resume_step=None):
         scorer = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=cfg.seed)
         scorer_mod.save_scorer(scorer, out / "scorer_init.ckpt.npz")
         retr = init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed)
-        if cfg.warmup_epochs > 0:
-            warmup_scorer(scorer, train, cfg, templates)
+        warmup_scorer(scorer, train, cfg, templates)
         scorer_mod.save_scorer(scorer, scor_path(0))
         retriever_mod.save_retriever(retr, retr_path(0))
         rows = []
@@ -178,10 +182,6 @@ def run_schedule(train, dev, cfg, out_dir, templates=None, resume_step=None):
         start = resume_step + 1
 
     for step in range(start, cfg.t + 1):
-        if cfg.reinit_per_step:
-            retr = init_retriever(
-                retr.vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed + step
-            )
         retr = train_retriever(
             retr,
             train,

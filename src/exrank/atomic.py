@@ -9,8 +9,6 @@ import os
 import secrets
 from contextlib import contextmanager, suppress
 
-import numpy as np
-
 
 @contextmanager
 def replacing(path, suffix=""):
@@ -38,16 +36,3 @@ def write_lines(path, lines):
     with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
-
-
-def savez(path, **arrays):
-    """``np.savez(path, **arrays)`` through ``replacing``.
-
-    Like ``np.savez``, appends ".npz" to a path that lacks it.  The temporary
-    name ends in ".npz" too, or ``np.savez`` would write elsewhere.
-    """
-    path = os.fspath(path)
-    if not path.endswith(".npz"):
-        path += ".npz"
-    with replacing(path, suffix=".npz") as tmp:
-        np.savez(tmp, **arrays)

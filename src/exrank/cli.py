@@ -7,6 +7,7 @@ directory.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -35,17 +36,9 @@ from .retriever import build_index, init_retriever, retrieve
 from .scorer import init_scorer, load_scorer, save_scorer, score
 from .template import load_templates, task_input
 
-CONFIG_KEYS = [
-    "task", "k", "m", "r", "batch_size", "lr", "weight_decay",
-    "epochs_retriever", "epochs_lm", "finetune_k", "t", "d", "d_r",
-    "max_len", "max_gen_len",
-    "seed", "warmup_epochs", "reinit_per_step", "template_dir", "accept_hash",
-]
+CONFIG_KEYS = [f.name for f in dataclasses.fields(Config)]
 
-_FLAG_NAMES = {
-    "r": "--ratio",
-    "t": "--t",
-}
+_FLAG_NAMES = {"r": "--ratio"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,10 +98,7 @@ def _write_manifest(out_dir, command, cfg, extra=None):
 
 def _load_data(args, cfg):
     train = load_dataset(args.train_file, cfg.task, split="train")
-    test = load_dataset(args.test_file, cfg.task, split="test") if getattr(
-        args, "test_file", None
-    ) else None
-    return train, test
+    return train, load_dataset(args.test_file, cfg.task, split="test")
 
 
 def _cmd_gen_data(args):
@@ -132,15 +122,13 @@ def _init_or_load_scorer(args, cfg, train, templates):
         return load_scorer(args.scorer)
     vocab = build_vocabulary(train, cfg, templates)
     state = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=cfg.seed)
-    if cfg.warmup_epochs > 0:
-        warmup_scorer(state, train, cfg, templates)
-    return state
+    return warmup_scorer(state, train, cfg, templates)
 
 
 def _cmd_train_retriever(args):
     cfg = _resolve_config(args)
     templates = load_templates(cfg.template_dir)
-    train, _ = _load_data(args, cfg)
+    train = load_dataset(args.train_file, cfg.task, split="train")
     scorer_state = _init_or_load_scorer(args, cfg, train, templates)
     if getattr(args, "retriever", None):
         retr = retriever_mod.load_retriever(args.retriever)
@@ -171,7 +159,7 @@ def _cmd_train_retriever(args):
 def _cmd_finetune_lm(args):
     cfg = _resolve_config(args)
     templates = load_templates(cfg.template_dir)
-    train, _ = _load_data(args, cfg)
+    train = load_dataset(args.train_file, cfg.task, split="train")
     scorer_state = _init_or_load_scorer(args, cfg, train, templates)
     retr = retriever_mod.load_retriever(args.retriever)
     finetune_lm(scorer_state, retr, train, cfg, templates)
@@ -187,8 +175,6 @@ def _cmd_alternate(args):
     cfg = _resolve_config(args)
     templates = load_templates(cfg.template_dir)
     train, dev = _load_data(args, cfg)
-    if dev is None:
-        raise UsageError("alternate requires --test-file")
     resume = int(args.resume_step) if args.resume_step is not None else None
     state = run_schedule(train, dev, cfg, args.out, templates, resume_step=resume)
     _write_manifest(args.out, "alternate", cfg)
@@ -199,12 +185,12 @@ def _cmd_alternate(args):
 
 def _cmd_retrieve(args):
     cfg = _resolve_config(args)
-    train, _ = _load_data(args, cfg)
+    train = load_dataset(args.train_file, cfg.task, split="train")
     retr = retriever_mod.load_retriever(args.retriever)
     index = build_index(retr, train)
     query = train.by_id(int(args.query_id))
     results = retrieve(
-        retr, index, query, int(args.m_results or cfg.m),
+        retr, index, query, cfg.m,
         query_input=task_input(query, cfg.task), exclude_id=query.id,
     )
     for sc in results:
@@ -225,8 +211,6 @@ def _cmd_evaluate(args):
     cfg = _resolve_config(args)
     templates = load_templates(cfg.template_dir)
     train, test = _load_data(args, cfg)
-    if test is None:
-        raise UsageError("evaluate requires --test-file")
     mode = AblationMode(args.mode)
     scorer_state = _init_or_load_scorer(args, cfg, train, templates)
     if getattr(args, "retriever", None):
@@ -259,8 +243,6 @@ def _cmd_sweep(args):
     cfg = _resolve_config(args)
     templates = load_templates(cfg.template_dir)
     train, test = _load_data(args, cfg)
-    if test is None:
-        raise UsageError("sweep requires --test-file")
     scorer_state = _init_or_load_scorer(args, cfg, train, templates)
     retr = retriever_mod.load_retriever(args.retriever)
     rows = k_sweep(
@@ -295,7 +277,6 @@ def _build_parser():
     p = sub.add_parser("train-retriever", help="contrastive retriever training")
     _add_config_flags(p)
     p.add_argument("--train-file", required=True)
-    p.add_argument("--test-file")
     p.add_argument("--scorer")
     p.add_argument("--retriever")
     p.add_argument("--out", required=True)
@@ -304,7 +285,6 @@ def _build_parser():
     p = sub.add_parser("finetune-lm", help="fine-tune the scorer with top-1 examples")
     _add_config_flags(p)
     p.add_argument("--train-file", required=True)
-    p.add_argument("--test-file")
     p.add_argument("--scorer")
     p.add_argument("--retriever", required=True)
     p.add_argument("--out", required=True)
@@ -323,7 +303,6 @@ def _build_parser():
     p.add_argument("--train-file", required=True)
     p.add_argument("--retriever", required=True)
     p.add_argument("--query-id", required=True)
-    p.add_argument("--m-results", dest="m_results")
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser("score", help="print total and per-token log-likelihood")
@@ -366,9 +345,6 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # runtime failure
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,6 @@ class Config:
     max_gen_len: int = 24
     seed: int = 0
     warmup_epochs: int = 1     # zero-example scorer warm-up before step 1
-    reinit_per_step: bool = False
     template_dir: str = None
     accept_hash: bool = False
 
@@ -40,11 +39,9 @@ class Config:
         self.task = Task(self.task)
         if not (0.0 < self.r <= 1.0):
             raise ValueError(f"r must be in (0, 1], got {self.r}")
-        for name in ("k", "m", "batch_size", "epochs_retriever", "epochs_lm",
-                     "finetune_k", "t", "d", "d_r", "max_len", "max_gen_len",
-                     "warmup_epochs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for f in dataclasses.fields(self):
+            if f.type is int and getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be non-negative")
 
     def to_dict(self):
         out = dataclasses.asdict(self)
@@ -58,25 +55,19 @@ class Config:
         for key, raw in values.items():
             if key not in fields:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(key, raw)
+            kwargs[key] = _coerce(fields[key], raw)
         return cls(**kwargs)
 
 
-_BOOL_KEYS = {"reinit_per_step", "accept_hash"}
-_FLOAT_KEYS = {"r", "lr", "weight_decay"}
-_STR_KEYS = {"task", "template_dir"}
-
-
-def _coerce(key, raw):
+def _coerce(kind, raw):
+    """A config value read as text, converted to its field's type ``kind``."""
     if raw is None or not isinstance(raw, str):
         return raw
-    if key in _STR_KEYS:
-        return raw
-    if key in _BOOL_KEYS:
+    if kind is bool:
         return raw.lower() in ("1", "true", "yes", "on")
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return int(raw)
+    if kind in (int, float):
+        return kind(raw)
+    return raw  # str, and Task, which __post_init__ converts
 
 
 def read_config_file(path):

@@ -94,8 +94,12 @@ def _check_sample(sample, line_no=None):
         raise ValueError(f"sample {sample.id} has no labels{where}")
     seen = set()
     for lab in sample.labels:
-        if not lab.term:
-            raise ValueError(f"empty aspect term{where}")
+        if not lab.term.strip():
+            raise ValueError(f"blank aspect term {lab.term!r}{where}")
+        if "; " in lab.term:
+            raise ValueError(
+                f"aspect term {lab.term!r} contains the label separator '; '{where}"
+            )
         if (lab.polarity == Polarity.NONE) != (lab.term == NO_ASPECT_TERM):
             raise ValueError(
                 f"polarity 'none' must pair with '{NO_ASPECT_TERM}', got "

@@ -6,13 +6,12 @@ permutation-invariant; position-aware encoders can replace it behind the same
 functions.
 """
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import atomic
+from . import checkpoint
 from .template import candidate_text, make_candidate, query_text
 from .vocab import Vocabulary
 
@@ -186,26 +185,13 @@ def _top_m(sims, ids, m):
     return np.lexsort((ids, neg))[:m]
 
 
+def _param_shapes(V, d_r):
+    return {"emb": (V, d_r), "w": (d_r, d_r), "b": (d_r,)}
+
+
 def save_retriever(state, path):
-    atomic.savez(
-        path,
-        format=np.array(CHECKPOINT_FORMAT),
-        d_r=np.array(state.d_r),
-        max_len=np.array(state.max_len),
-        n_vocab=np.array(len(state.vocab)),
-        vocab=np.array(json.dumps(state.vocab.tokens)),
-        **state.params,
-    )
+    checkpoint.save(state, path, CHECKPOINT_FORMAT, "d_r")
 
 
 def load_retriever(path):
-    blob = np.load(path, allow_pickle=False)
-    if str(blob["format"]) != CHECKPOINT_FORMAT:
-        raise ValueError(f"unexpected checkpoint format {blob['format']!r}")
-    vocab = Vocabulary(json.loads(str(blob["vocab"])))
-    if len(vocab) != int(blob["n_vocab"]):
-        raise ValueError("vocabulary size does not match checkpoint header")
-    params = {k: blob[k] for k in ("emb", "w", "b")}
-    return RetrieverState(
-        vocab=vocab, d_r=int(blob["d_r"]), max_len=int(blob["max_len"]), params=params
-    )
+    return checkpoint.load(path, RetrieverState, CHECKPOINT_FORMAT, "d_r", _param_shapes)

@@ -8,12 +8,11 @@ generation is greedy.  Any object providing score/generate/finetune_step with
 the same contracts can stand in for this implementation.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import atomic
+from . import checkpoint
 from .optim import AdamW, check_finite
 from .vocab import BOS_ID, EOS_ID, Vocabulary
 
@@ -229,26 +228,14 @@ def finetune_step(state, prompt, target, lr, weight_decay=0.0, optimizer=None):
     return state, loss
 
 
+def _param_shapes(V, d):
+    return {"emb": (V, d), "w_enc": (d, d), "b_enc": (d,),
+            "w_out": (V, 2 * d + POS_DIM), "b_out": (V,)}
+
+
 def save_scorer(state, path):
-    atomic.savez(
-        path,
-        format=np.array(CHECKPOINT_FORMAT),
-        d=np.array(state.d),
-        max_len=np.array(state.max_len),
-        n_vocab=np.array(len(state.vocab)),
-        vocab=np.array(json.dumps(state.vocab.tokens)),
-        **state.params,
-    )
+    checkpoint.save(state, path, CHECKPOINT_FORMAT, "d")
 
 
 def load_scorer(path):
-    blob = np.load(path, allow_pickle=False)
-    if str(blob["format"]) != CHECKPOINT_FORMAT:
-        raise ValueError(f"unexpected checkpoint format {blob['format']!r}")
-    vocab = Vocabulary(json.loads(str(blob["vocab"])))
-    if len(vocab) != int(blob["n_vocab"]):
-        raise ValueError("vocabulary size does not match checkpoint header")
-    params = {k: blob[k] for k in ("emb", "w_enc", "b_enc", "w_out", "b_out")}
-    return ScorerState(
-        vocab=vocab, d=int(blob["d"]), max_len=int(blob["max_len"]), params=params
-    )
+    return checkpoint.load(path, ScorerState, CHECKPOINT_FORMAT, "d", _param_shapes)

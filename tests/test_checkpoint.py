@@ -1,0 +1,62 @@
+"""The checkpoint format: its member layout is pinned, and shapes are checked
+at load."""
+
+import json
+
+import numpy as np
+import pytest
+
+from exrank.retriever import init_retriever, load_retriever, save_retriever
+from exrank.scorer import init_scorer, load_scorer, save_scorer
+from exrank.vocab import Vocabulary
+
+VOCAB = Vocabulary.build(["alpha beta gamma"])
+# model -> (fresh state, save, load, format tag, width key)
+MODELS = {
+    "scorer": (lambda: init_scorer(VOCAB, d=8, max_len=32, seed=1), save_scorer,
+               load_scorer, "exrank-scorer-v1", "d"),
+    "retriever": (lambda: init_retriever(VOCAB, d_r=8, max_len=32, seed=1),
+                  save_retriever, load_retriever, "exrank-retriever-v1", "d_r"),
+}
+
+
+def _write_by_hand(path, state, tag, width, **override):
+    """A checkpoint in the established member layout, written with plain np.savez."""
+    params = {**state.params, **override}
+    np.savez(
+        path,
+        format=np.array(tag),
+        **{width: np.array(getattr(state, width))},
+        max_len=np.array(state.max_len),
+        n_vocab=np.array(len(state.vocab)),
+        vocab=np.array(json.dumps(state.vocab.tokens)),
+        **params,
+    )
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_load_then_save_reproduces_the_file_byte_for_byte(tmp_path, model):
+    make, save, load, tag, width = MODELS[model]
+    state = make()
+    for v in state.params.values():
+        v += np.linspace(0.0, 1.0, v.size).reshape(v.shape)  # no all-zero arrays
+    original = tmp_path / "by_hand.ckpt.npz"
+    _write_by_hand(original, state, tag, width)
+    resaved = tmp_path / "resaved.ckpt.npz"
+    save(load(original), resaved)
+    assert resaved.read_bytes() == original.read_bytes()
+
+
+@pytest.mark.parametrize("model, key, shape", [
+    ("scorer", "w_enc", (8, 5)),
+    ("scorer", "emb", (len(VOCAB) + 1, 8)),
+    ("scorer", "b_out", (len(VOCAB), 1)),
+    ("retriever", "w", (8, 5)),
+    ("retriever", "emb", (len(VOCAB), 7)),
+])
+def test_parameter_shape_mismatch_is_rejected_at_load(tmp_path, model, key, shape):
+    make, _, load, tag, width = MODELS[model]
+    path = tmp_path / "bad.ckpt.npz"
+    _write_by_hand(path, make(), tag, width, **{key: np.zeros(shape)})
+    with pytest.raises(ValueError, match=f"'{key}' has shape"):
+        load(path)

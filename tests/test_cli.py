@@ -88,7 +88,7 @@ def test_finetune_lm_command(tmp_path, data_dir, trained_dir):
 def test_retrieve_command(data_dir, trained_dir, capsys):
     rc = main(["retrieve", "--train-file", str(data_dir / "train.jsonl"),
                "--retriever", str(trained_dir / "retriever_1.ckpt.npz"),
-               "--query-id", "3", "--m-results", "4", *FAST])
+               "--query-id", "3", *FAST, "--m", "4"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4
@@ -156,16 +156,47 @@ def test_config_file_and_flag_precedence(tmp_path, data_dir):
     assert manifest["config"]["k"] == 3     # file beats default
 
 
-def test_grad_accum_is_no_longer_a_config_key(tmp_path):
-    with pytest.raises(ValueError, match="unknown config key 'grad_accum'"):
-        Config.from_dict({"grad_accum": "2"})
+def _assert_not_a_config_key(tmp_path, key, value):
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        Config.from_dict({key: value})
     cfgfile = tmp_path / "old.cfg"
-    cfgfile.write_text("grad_accum = 2\n")
+    cfgfile.write_text(f"{key} = {value}\n")
     out = tmp_path / "gen"
     gen = ["gen-data", "--train", "5", "--test", "2", "--out", str(out)]
     assert main(gen + ["--config", str(cfgfile)]) == 2
-    assert main(gen + ["--grad-accum", "2"]) == 1
+    assert main(gen + ["--" + key.replace("_", "-"), value]) == 1
     assert not out.exists()
+
+
+def test_grad_accum_is_no_longer_a_config_key(tmp_path):
+    _assert_not_a_config_key(tmp_path, "grad_accum", "2")
+
+
+def test_reinit_per_step_is_no_longer_a_config_key(tmp_path):
+    _assert_not_a_config_key(tmp_path, "reinit_per_step", "true")
+
+
+def test_negative_seed_is_rejected_before_any_work(tmp_path, capsys):
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        Config(seed=-1)
+    out = tmp_path / "gen"
+    assert main(["gen-data", "--train", "25", "--test", "5", "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train-retriever", "--train-file", "t.jsonl", "--out", "o",
+     "--test-file", "x.jsonl"],
+    ["finetune-lm", "--train-file", "t.jsonl", "--retriever", "r.npz", "--out", "o",
+     "--test-file", "x.jsonl"],
+    ["retrieve", "--train-file", "t.jsonl", "--retriever", "r.npz", "--query-id", "0",
+     "--m-results", "4"],
+])
+def test_options_nothing_read_are_usage_errors(argv, capsys):
+    assert main(argv) == 1  # without the last option: a runtime error, exit 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
 def test_missing_file_is_runtime_error(tmp_path):

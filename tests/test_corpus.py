@@ -1,13 +1,18 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from exrank.corpus import (
     NO_ASPECT_TERM,
     REJECT,
+    SENTINEL,
     AspectLabel,
     Polarity,
+    Sample,
     Task,
+    _check_sample,
     generate_synthetic,
     load_dataset,
     normalize_term,
@@ -74,6 +79,19 @@ class TestLoadDataset:
         _write_jsonl(p, [{"text": "x", "labels": [["food", "positive"]]}])
         with pytest.raises(ValueError, match="aspect"):
             load_dataset(p, Task.ATSC)
+
+    @pytest.mark.parametrize("term, message", [
+        ("fries; salad", "contains the label separator"),
+        (" ", "blank aspect term"),
+    ])
+    def test_term_the_grammar_cannot_round_trip_is_rejected(self, tmp_path, term, message):
+        p = tmp_path / "d.jsonl"
+        _write_jsonl(p, [
+            {"text": "x", "labels": [["food", "positive"]]},
+            {"text": "y", "labels": [[term, "positive"]]},
+        ])
+        with pytest.raises(ValueError, match=f"{message}.*line 1"):
+            load_dataset(p, Task.ASPE)
 
     def test_round_trip_save_load(self, tmp_path):
         train, _ = generate_synthetic(30, 5, 3)
@@ -204,9 +222,34 @@ def test_normalize_term():
     assert normalize_term("  Food ") == "food"
 
 
-def _sample(text, pairs, aspect=None):
-    from exrank.corpus import Sample
+_TERM_CHARS = st.one_of(st.sampled_from(list("aB :;#\t\n")), st.characters())
+_LABEL = st.one_of(
+    st.builds(
+        AspectLabel,
+        st.text(_TERM_CHARS, min_size=1, max_size=8),
+        st.sampled_from([Polarity.POSITIVE, Polarity.NEGATIVE, Polarity.NEUTRAL]),
+    ),
+    st.just(SENTINEL),
+)
 
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_LABEL, min_size=1, max_size=4))
+def test_every_accepted_label_list_survives_the_grammar(labels):
+    sample = Sample(id=0, text="x", labels=labels)
+    try:
+        _check_sample(sample)
+    except ValueError:
+        assume(False)
+    want = [normalize_term(l.term) for l in labels]
+    for task in (Task.ATE, Task.ASPE):
+        back = parse_output(serialize_label(sample, task), task)
+        assert [normalize_term(l.term) for l in back] == want
+    back = parse_output(serialize_label(sample, Task.ASPE), Task.ASPE)
+    assert [l.polarity for l in back] == [l.polarity for l in labels]
+
+
+def _sample(text, pairs, aspect=None):
     return Sample(
         id=0, text=text,
         labels=[AspectLabel(t, p) for t, p in pairs],
