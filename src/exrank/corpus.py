@@ -132,7 +132,8 @@ def load_dataset(path, task, split=Split.TRAIN):
                 raise ValueError(f"malformed record at line {line_no}: {exc}") from exc
             labels = []
             for pair in raw_labels:
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                        or not isinstance(pair[0], str)):
                     raise ValueError(f"malformed label {pair!r} at line {line_no}")
                 term, pol = pair
                 if pol == "conflict":

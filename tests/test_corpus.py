@@ -83,6 +83,7 @@ class TestLoadDataset:
     @pytest.mark.parametrize("term, message", [
         ("fries; salad", "contains the label separator"),
         (" ", "blank aspect term"),
+        (3, "malformed label"),
     ])
     def test_term_the_grammar_cannot_round_trip_is_rejected(self, tmp_path, term, message):
         p = tmp_path / "d.jsonl"
