@@ -17,7 +17,7 @@ scorer = init_scorer(vocab, d=cfg.d, seed=0)
 
 definition = definition_for(train.task)
 s = test.samples[0]
-prompt = render(definition, [], s.text, 0)
+prompt = render(definition, [], s.text)
 target = serialize_label(s, train.task)
 
 ll = score(scorer, prompt, target)

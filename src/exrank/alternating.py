@@ -38,8 +38,9 @@ class ScheduleState:
     metrics_log: list = field(default_factory=list)
 
 
-def build_vocabulary(train, cfg, templates=None):
+def build_vocabulary(train, cfg):
     """Deterministic shared vocabulary: definitions, scaffolding, then samples."""
+    templates = load_templates(cfg.template_dir)
     texts = [definition_for(t, templates) for t in Task]
     texts.append("Definition: Example Now complete the following- Input: Output:")
     texts.extend(f"{i}-" for i in range(1, 9))
@@ -50,10 +51,11 @@ def build_vocabulary(train, cfg, templates=None):
     return Vocabulary.build(texts)
 
 
-def _lm_epochs(scorer, train, cfg, epochs, choose_examples, templates, seed_tag, what):
+def _lm_epochs(scorer, train, cfg, epochs, choose_examples, seed_tag, what):
     """The LM loop of warm-up and fine-tuning: per epoch, one ``finetune_step``
     per sample in seeded order, on a prompt carrying ``choose_examples(s, q_input)``.
     """
+    templates = load_templates(cfg.template_dir)
     definition = definition_for(train.task, templates)
     opt = AdamW(scorer.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     for epoch in range(epochs):
@@ -63,10 +65,8 @@ def _lm_epochs(scorer, train, cfg, epochs, choose_examples, templates, seed_tag,
             s = train.samples[i]
             q_input = task_input(s, train.task)
             examples = choose_examples(s, q_input)
-            prompt = render(definition, examples, q_input, len(examples), templates)
-            _, loss = finetune_step(
-                scorer, prompt, serialize_label(s, train.task), cfg.lr, optimizer=opt
-            )
+            prompt = render(definition, examples, q_input, templates)
+            _, loss = finetune_step(scorer, prompt, serialize_label(s, train.task), opt)
             epoch_loss += loss
         logger.info(
             "%s epoch %d done (mean loss %.4f)",
@@ -75,15 +75,14 @@ def _lm_epochs(scorer, train, cfg, epochs, choose_examples, templates, seed_tag,
     return scorer
 
 
-def warmup_scorer(scorer, train, cfg, templates=None, seed_tag="warmup"):
+def warmup_scorer(scorer, train, cfg, seed_tag="warmup"):
     """Zero-example fine-tuning pass standing in for pretraining."""
     return _lm_epochs(
-        scorer, train, cfg, cfg.warmup_epochs, lambda s, q_input: [], templates,
-        seed_tag, "warmup",
+        scorer, train, cfg, cfg.warmup_epochs, lambda s, q_input: [], seed_tag, "warmup"
     )
 
 
-def finetune_lm(scorer, retriever, train, cfg, templates=None, seed_tag="finetune-lm"):
+def finetune_lm(scorer, retriever, train, cfg, seed_tag="finetune-lm"):
     """Fine-tune the scorer on prompts carrying the top retrieved examples.
 
     ``cfg.finetune_k`` sets how many examples each fine-tuning prompt carries
@@ -104,9 +103,7 @@ def finetune_lm(scorer, retriever, train, cfg, templates=None, seed_tag="finetun
         )
         return [t.candidate for t in top]
 
-    return _lm_epochs(
-        scorer, train, cfg, cfg.epochs_lm, top_examples, templates, seed_tag, "lm"
-    )
+    return _lm_epochs(scorer, train, cfg, cfg.epochs_lm, top_examples, seed_tag, "lm")
 
 
 def _metrics_row(step, dataset, metrics):
@@ -135,7 +132,7 @@ def _read_metrics(path):
         return list(csv.DictReader(fh, delimiter="\t"))
 
 
-def run_schedule(train, dev, cfg, out_dir, templates=None, resume_step=None):
+def run_schedule(train, dev, cfg, out_dir, resume_step=None):
     """Run the t-step schedule, persisting checkpoints and dev metrics.
 
     ``resume_step`` reloads the step-s checkpoints from out_dir and reruns
@@ -146,7 +143,6 @@ def run_schedule(train, dev, cfg, out_dir, templates=None, resume_step=None):
     check_label_sizes(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    templates = templates or load_templates(cfg.template_dir)
 
     def retr_path(s):
         return out / f"retriever_{s}.ckpt.npz"
@@ -157,16 +153,16 @@ def run_schedule(train, dev, cfg, out_dir, templates=None, resume_step=None):
     metrics_path = out / "metrics.tsv"
 
     if resume_step is None:
-        vocab = build_vocabulary(train, cfg, templates)
+        vocab = build_vocabulary(train, cfg)
         scorer = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=cfg.seed)
         scorer_mod.save_scorer(scorer, out / "scorer_init.ckpt.npz")
         retr = init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed)
-        warmup_scorer(scorer, train, cfg, templates)
+        warmup_scorer(scorer, train, cfg)
         scorer_mod.save_scorer(scorer, scor_path(0))
         retriever_mod.save_retriever(retr, retr_path(0))
         rows = []
         metrics, _ = run_inference(
-            scorer, retr, dev, cfg.k, AblationMode.FULL, train, cfg, templates
+            scorer, retr, dev, cfg.k, AblationMode.FULL, train, cfg
         )
         rows.append(_metrics_row(0, dev, metrics))
         _write_metrics(metrics_path, rows)
@@ -188,16 +184,15 @@ def run_schedule(train, dev, cfg, out_dir, templates=None, resume_step=None):
             scorer,
             cfg,
             bootstrap_first_epoch=(step == 1),
-            templates=templates,
             seed_tag=f"step{step}/retriever-train",
         )
         retriever_mod.save_retriever(retr, retr_path(step))
         scorer = finetune_lm(
-            scorer, retr, train, cfg, templates, seed_tag=f"step{step}/finetune-lm"
+            scorer, retr, train, cfg, seed_tag=f"step{step}/finetune-lm"
         )
         scorer_mod.save_scorer(scorer, scor_path(step))
         metrics, _ = run_inference(
-            scorer, retr, dev, cfg.k, AblationMode.FULL, train, cfg, templates
+            scorer, retr, dev, cfg.k, AblationMode.FULL, train, cfg
         )
         rows.append(_metrics_row(step, dev, metrics))
         _write_metrics(metrics_path, rows)

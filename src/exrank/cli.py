@@ -34,7 +34,7 @@ from .corpus import (
 from .evaluation import AblationMode, k_sweep, run_inference
 from .retriever import build_index, init_retriever, retrieve
 from .scorer import init_scorer, load_scorer, save_scorer, score
-from .template import load_templates, task_input
+from .template import task_input
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(Config)]
 
@@ -42,6 +42,10 @@ _FLAG_NAMES = {"r": "--ratio"}
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault("allow_abbrev", False)
+        super().__init__(*args, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
@@ -117,19 +121,18 @@ def _cmd_gen_data(args):
     return 0
 
 
-def _init_or_load_scorer(args, cfg, train, templates):
+def _init_or_load_scorer(args, cfg, train):
     if getattr(args, "scorer", None):
         return load_scorer(args.scorer)
-    vocab = build_vocabulary(train, cfg, templates)
+    vocab = build_vocabulary(train, cfg)
     state = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=cfg.seed)
-    return warmup_scorer(state, train, cfg, templates)
+    return warmup_scorer(state, train, cfg)
 
 
 def _cmd_train_retriever(args):
     cfg = _resolve_config(args)
-    templates = load_templates(cfg.template_dir)
     train = load_dataset(args.train_file, cfg.task, split="train")
-    scorer_state = _init_or_load_scorer(args, cfg, train, templates)
+    scorer_state = _init_or_load_scorer(args, cfg, train)
     if getattr(args, "retriever", None):
         retr = retriever_mod.load_retriever(args.retriever)
     else:
@@ -137,13 +140,13 @@ def _cmd_train_retriever(args):
             scorer_state.vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed
         )
     report = []
-    train_retriever(retr, train, scorer_state, cfg, templates=templates, report=report)
+    train_retriever(retr, train, scorer_state, cfg, report=report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     retriever_mod.save_retriever(retr, out / "retriever.ckpt.npz")
     save_scorer(scorer_state, out / "scorer.ckpt.npz")
     sep = separation(retr, train.samples[: min(50, len(train.samples))],
-                     scorer_state, cfg, train, templates)
+                     scorer_state, cfg, train)
     write_lines(out / "training.tsv", [
         "epoch\tmean_infonce",
         *(f"{epoch}\t{loss:.6f}" for epoch, loss in report),
@@ -158,11 +161,10 @@ def _cmd_train_retriever(args):
 
 def _cmd_finetune_lm(args):
     cfg = _resolve_config(args)
-    templates = load_templates(cfg.template_dir)
     train = load_dataset(args.train_file, cfg.task, split="train")
-    scorer_state = _init_or_load_scorer(args, cfg, train, templates)
+    scorer_state = _init_or_load_scorer(args, cfg, train)
     retr = retriever_mod.load_retriever(args.retriever)
-    finetune_lm(scorer_state, retr, train, cfg, templates)
+    finetune_lm(scorer_state, retr, train, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_scorer(scorer_state, out / "scorer.ckpt.npz")
@@ -173,10 +175,9 @@ def _cmd_finetune_lm(args):
 
 def _cmd_alternate(args):
     cfg = _resolve_config(args)
-    templates = load_templates(cfg.template_dir)
     train, dev = _load_data(args, cfg)
     resume = int(args.resume_step) if args.resume_step is not None else None
-    state = run_schedule(train, dev, cfg, args.out, templates, resume_step=resume)
+    state = run_schedule(train, dev, cfg, args.out, resume_step=resume)
     _write_manifest(args.out, "alternate", cfg)
     for row in state.metrics_log:
         print("\t".join(str(row[c]) for c in row))
@@ -209,19 +210,16 @@ def _cmd_score(args):
 
 def _cmd_evaluate(args):
     cfg = _resolve_config(args)
-    templates = load_templates(cfg.template_dir)
     train, test = _load_data(args, cfg)
     mode = AblationMode(args.mode)
-    scorer_state = _init_or_load_scorer(args, cfg, train, templates)
+    scorer_state = _init_or_load_scorer(args, cfg, train)
     if getattr(args, "retriever", None):
         retr = retriever_mod.load_retriever(args.retriever)
     else:
         retr = init_retriever(
             scorer_state.vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed
         )
-    metrics, dump = run_inference(
-        scorer_state, retr, test, cfg.k, mode, train, cfg, templates
-    )
+    metrics, dump = run_inference(scorer_state, retr, test, cfg.k, mode, train, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_lines(out / "metrics.tsv", [
@@ -241,13 +239,10 @@ def _cmd_evaluate(args):
 
 def _cmd_sweep(args):
     cfg = _resolve_config(args)
-    templates = load_templates(cfg.template_dir)
     train, test = _load_data(args, cfg)
-    scorer_state = _init_or_load_scorer(args, cfg, train, templates)
+    scorer_state = _init_or_load_scorer(args, cfg, train)
     retr = retriever_mod.load_retriever(args.retriever)
-    rows = k_sweep(
-        scorer_state, retr, test, int(args.k_max), train, cfg, templates
-    )
+    rows = k_sweep(scorer_state, retr, test, int(args.k_max), train, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_lines(out / "sweep.tsv", [

@@ -5,6 +5,7 @@ one stage's draw count cannot perturb another stage.
 """
 
 import dataclasses
+import math
 import zlib
 from dataclasses import dataclass
 
@@ -33,7 +34,6 @@ class Config:
     seed: int = 0
     warmup_epochs: int = 1     # zero-example scorer warm-up before step 1
     template_dir: str = None
-    accept_hash: bool = False
 
     def __post_init__(self):
         self.task = Task(self.task)
@@ -42,6 +42,13 @@ class Config:
         for f in dataclasses.fields(self):
             if f.type is int and getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be non-negative")
+        for key in ("max_len", "max_gen_len"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
+        for key in ("lr", "weight_decay"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{key} must be finite and non-negative, got {value}")
 
     def to_dict(self):
         out = dataclasses.asdict(self)
@@ -63,8 +70,6 @@ def _coerce(kind, raw):
     """A config value read as text, converted to its field's type ``kind``."""
     if raw is None or not isinstance(raw, str):
         return raw
-    if kind is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
     if kind in (int, float):
         return kind(raw)
     return raw  # str, and Task, which __post_init__ converts

@@ -24,7 +24,14 @@ from .retriever import (
     encode_text_backward,
     retrieve,
 )
-from .template import candidate_text, definition_for, query_text, render, task_input
+from .template import (
+    candidate_text,
+    definition_for,
+    load_templates,
+    query_text,
+    render,
+    task_input,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -46,7 +53,7 @@ def label_candidates(query, cands, scorer, definition, k, task, templates=None):
     for c in cands:
         if c.id == query.id and c.input == q_input:
             raise ValueError("query must not appear among its own candidates")
-        prompt = render(definition, [c], q_input, 1, templates=templates)
+        prompt = render(definition, [c], q_input, templates)
         delta = scorer_mod.score(scorer, prompt, target).total
         scored.append(ScoredCandidate(candidate=c, delta=delta))
     scored.sort(key=lambda sc: (-sc.delta, sc.id))
@@ -129,7 +136,7 @@ def _candidates_for_query(state, index, query, query_input, m, bootstrap_rng):
 
 
 def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
-                    templates=None, seed_tag="retriever-train", report=None):
+                    seed_tag="retriever-train", report=None):
     """Contrastive training loop over a seeded subset of the training set.
 
     The first epoch can draw candidates uniformly at random (the untrained
@@ -137,6 +144,7 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
     current retriever against an index rebuilt once per epoch.
     """
     check_label_sizes(cfg)
+    templates = load_templates(cfg.template_dir)
     definition = definition_for(train.task, templates)
     # step-dependent name: each alternating step labels a fresh subset
     subset = sample_training_subset(train, cfg.r, cfg.seed, name=f"{seed_tag}/subset")
@@ -193,7 +201,7 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
     return retr
 
 
-def separation(retr, queries, scorer, cfg, train, templates=None, seed_tag="separation"):
+def separation(retr, queries, scorer, cfg, train, seed_tag="separation"):
     """Mean sim(query, C+ pick) minus mean sim(query, C- pick) over queries.
 
     The training objective's literal target; positive means the retriever
@@ -201,6 +209,7 @@ def separation(retr, queries, scorer, cfg, train, templates=None, seed_tag="sepa
     (a pool candidate with its id and input) excludes itself from retrieval;
     a held-out query keeps the train candidate that merely shares its id.
     """
+    templates = load_templates(cfg.template_dir)
     definition = definition_for(train.task, templates)
     index = build_index(retr, train)
     pool_inputs = {c.id: c.input for c in index.candidates}

@@ -2,7 +2,7 @@
 
 The label grammar is shared by every subtask: tuples are separated by "; " and
 each tuple splits on the LAST ": ", so aspect terms may contain commas and even
-colons.  A compatibility switch also accepts the older "term#polarity" form.
+colons.
 """
 
 import json
@@ -197,13 +197,13 @@ def serialize_label(sample, task):
     return "; ".join(f"{l.term}: {l.polarity.value}" for l in sample.labels)
 
 
-def parse_output(text, task, accept_hash=False):
+def parse_output(text, task):
     """Parse generator output back into labels.  Never raises."""
-    labels, _ = parse_output_with_diagnostics(text, task, accept_hash=accept_hash)
+    labels, _ = parse_output_with_diagnostics(text, task)
     return labels
 
 
-def parse_output_with_diagnostics(text, task, accept_hash=False):
+def parse_output_with_diagnostics(text, task):
     """Like parse_output but also returns the count of dropped segments."""
     task = Task(task)
     text = text.strip()
@@ -225,14 +225,8 @@ def parse_output_with_diagnostics(text, task, accept_hash=False):
             pol = Polarity.NONE if segment == NO_ASPECT_TERM else None
             labels.append(AspectLabel(segment, pol))
             continue
-        if ": " in segment:
-            term, pol_word = segment.rsplit(": ", 1)
-        elif accept_hash and "#" in segment:
-            term, pol_word = segment.rsplit("#", 1)
-        else:
-            dropped += 1
-            continue
-        if not term:
+        term, sep, pol_word = segment.rpartition(": ")
+        if not (sep and term):
             dropped += 1
             continue
         pol = _POLARITY_WORDS.get(pol_word.strip().lower(), REJECT)

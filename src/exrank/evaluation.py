@@ -20,7 +20,13 @@ from .corpus import (
     serialize_label,
 )
 from .retriever import build_index, retrieve
-from .template import definition_for, make_candidate, render, task_input
+from .template import (
+    definition_for,
+    load_templates,
+    make_candidate,
+    render,
+    task_input,
+)
 from .vocab import tokenize
 
 
@@ -105,7 +111,7 @@ def _fixed_examples(pool, k, seed):
     return [make_candidate(pool.samples[i], pool.task) for i in picks]
 
 
-def run_inference(scorer, retriever, test, k, mode, pool, cfg, templates=None):
+def run_inference(scorer, retriever, test, k, mode, pool, cfg):
     """Generate and score predictions for one split under one ablation mode.
 
     For frozen_lm the caller passes the never-fine-tuned scorer; the prompt
@@ -116,6 +122,7 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg, templates=None):
     """
     mode = AblationMode(mode)
     task = test.task
+    templates = load_templates(cfg.template_dir)
     definition = definition_for(task, templates)
     use_retrieval = mode in (
         AblationMode.FULL,
@@ -146,11 +153,9 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg, templates=None):
         if mode == AblationMode.NO_INSTRUCTION:
             prompt = f"Input: {q_input} Output:"
         else:
-            prompt = render(definition, examples, q_input, len(examples), templates)
+            prompt = render(definition, examples, q_input, templates)
         raw = scorer_mod.generate(scorer, prompt, cfg.max_gen_len)
-        labels, dropped = parse_output_with_diagnostics(
-            raw, task, accept_hash=cfg.accept_hash
-        )
+        labels, dropped = parse_output_with_diagnostics(raw, task)
         failures += dropped
         preds.append(labels)
         golds.append(s.labels)
@@ -187,14 +192,12 @@ class SweepRow:
     truncated: bool = False
 
 
-def k_sweep(scorer, retriever, test, k_max, pool, cfg, templates=None):
+def k_sweep(scorer, retriever, test, k_max, pool, cfg):
     """One full-mode evaluation per k in 0..k_max, ascending, shared seed."""
     rows = []
     for k in range(k_max + 1):
         mode = AblationMode.NO_EXAMPLE if k == 0 else AblationMode.FULL
-        metrics, dump = run_inference(
-            scorer, retriever, test, k, mode, pool, cfg, templates
-        )
+        metrics, dump = run_inference(scorer, retriever, test, k, mode, pool, cfg)
         truncated = any(rec["prompt_len"] > cfg.max_len for rec in dump)
         rows.append(SweepRow(k=k, metrics=metrics, truncated=truncated))
     return rows

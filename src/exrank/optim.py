@@ -16,6 +16,9 @@ def check_finite(loss, grads, context):
 
 class AdamW:
     def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+        for name, value in (("lr", lr), ("weight_decay", weight_decay)):
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps

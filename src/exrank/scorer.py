@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .optim import AdamW, check_finite
+from .optim import check_finite
 from .vocab import BOS_ID, EOS_ID, Vocabulary
 
 POS_DIM = 16
@@ -210,20 +210,13 @@ def nll_and_grads(state, prompt, target):
     return loss, grads
 
 
-def finetune_step(state, prompt, target, lr, weight_decay=0.0, optimizer=None):
-    """One NLL descent step.  Loss is the pre-update value.
-
-    Pass a persistent AdamW to keep moments across steps; otherwise a fresh
-    one-shot optimizer is used.
+def finetune_step(state, prompt, target, optimizer):
+    """One NLL descent step with ``optimizer``, an AdamW over ``state.params``
+    that keeps its moments across steps.  Loss is the pre-update value.
     """
-    if lr < 0:
-        raise ValueError("lr must be non-negative")
     loss, grads = nll_and_grads(state, prompt, target)
     check_finite(loss, grads, f"prompt={prompt[:60]!r}")
-    opt = optimizer
-    if opt is None:
-        opt = AdamW(state.params, lr=lr, weight_decay=weight_decay)
-    opt.step(state.params, grads)
+    optimizer.step(state.params, grads)
     state.version += 1
     return state, loss
 

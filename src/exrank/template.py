@@ -5,9 +5,11 @@ so every separator is a single space and the prompt always ends with the
 "Output:" cue.
 """
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 
 from .corpus import Task, serialize_label
 
@@ -23,7 +25,7 @@ class Candidate:
 
 @dataclass(frozen=True)
 class TemplateSet:
-    definitions: dict  # Task -> definition text
+    definitions: MappingProxyType  # Task -> definition text
     example_block: str  # holds {index}/{input}/{output}
     target_block: str  # holds {input}
 
@@ -34,38 +36,32 @@ def _read_asset(directory, name):
     return resources.files("exrank.templates").joinpath(name).read_text(encoding="utf-8").strip()
 
 
+@functools.lru_cache(maxsize=None)
 def load_templates(template_dir=None):
-    """Load definition and block assets; template_dir overrides the built-ins."""
+    """Load definition and block assets; template_dir overrides the built-ins.
+
+    Memoised per directory (None means the built-ins): each is read once per
+    process, so later edits to its files are not seen.
+    """
     return TemplateSet(
-        definitions={t: _read_asset(template_dir, f"def_{t.value}.txt") for t in Task},
+        definitions=MappingProxyType(
+            {t: _read_asset(template_dir, f"def_{t.value}.txt") for t in Task}
+        ),
         example_block=_read_asset(template_dir, "example_block.txt"),
         target_block=_read_asset(template_dir, "target_block.txt"),
     )
 
 
-_DEFAULT = None
-
-
-def default_templates():
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = load_templates()
-    return _DEFAULT
-
-
 def definition_for(task, templates=None):
-    templates = templates or default_templates()
+    templates = templates or load_templates()
     return templates.definitions[Task(task)]
 
 
-def render(definition, examples, input_text, k, templates=None):
-    """Render the full instruction prompt with the first k examples."""
-    if k < 0 or k > len(examples):
-        raise ValueError(f"k={k} outside [0, {len(examples)}]")
-    templates = templates or default_templates()
+def render(definition, examples, input_text, templates=None):
+    """Render the full instruction prompt with every example, in order."""
+    templates = templates or load_templates()
     parts = [f"Definition: {definition}"]
-    for i in range(k):
-        ex = examples[i]
+    for i, ex in enumerate(examples):
         parts.append(
             templates.example_block.format(index=i + 1, input=ex.input, output=ex.output)
         )

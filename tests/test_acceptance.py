@@ -353,9 +353,9 @@ def test_acceptance_7_method_premise_trend(capsys):
             target = serialize_label(s, train.task)
             top = retrieve(retr, index, s, 1, query_input=q_input)[0].candidate
             rand = cands[rng.integers(len(cands))]
-            ll_top.append(score(scorer, render(definition, [top], q_input, 1),
+            ll_top.append(score(scorer, render(definition, [top], q_input),
                                 target).total)
-            ll_rand.append(score(scorer, render(definition, [rand], q_input, 1),
+            ll_rand.append(score(scorer, render(definition, [rand], q_input),
                                  target).total)
         a = full.f1 >= noex.f1
         b = full.f1 >= froz.f1

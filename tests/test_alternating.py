@@ -12,10 +12,11 @@ from exrank.alternating import (
 )
 from exrank.config import Config
 from exrank.contrastive import train_retriever
-from exrank.corpus import Dataset, generate_synthetic, serialize_label
+from exrank.corpus import Dataset, Task, generate_synthetic, serialize_label
+from exrank.evaluation import AblationMode, run_inference
 from exrank.retriever import init_retriever, load_retriever
 from exrank.scorer import init_scorer, load_scorer, score
-from exrank.template import definition_for, render, task_input
+from exrank.template import definition_for, load_templates, render, task_input
 
 
 def _cfg(seed=0, **over):
@@ -32,7 +33,7 @@ def _mean_dev_score(scorer, dev, cfg):
     definition = definition_for(dev.task)
     totals = []
     for s in dev.samples:
-        prompt = render(definition, [], task_input(s, dev.task), 0)
+        prompt = render(definition, [], task_input(s, dev.task))
         totals.append(score(scorer, prompt, serialize_label(s, dev.task)).total)
     return float(np.mean(totals))
 
@@ -46,7 +47,7 @@ class TestVocabulary:
         for s in train.samples:
             assert UNK_ID not in vocab.encode(s.text)
             assert UNK_ID not in vocab.encode(serialize_label(s, train.task))
-        prompt = render(definition_for(train.task), [], "x", 0)
+        prompt = render(definition_for(train.task), [], "x")
         ids = vocab.encode(prompt)
         assert ids.count(UNK_ID) <= 1  # only the unseen input token
 
@@ -200,6 +201,31 @@ class TestSchedule:
             assert np.array_equal(v, sched_scorer.params[k])
         for k, v in retr.params.items():
             assert np.array_equal(v, sched_retr.params[k])
+
+    def test_every_stage_reads_the_config_template_dir(self, tmp_path):
+        built_ins = load_templates()
+        template_dir = tmp_path / "templates"
+        template_dir.mkdir()
+        for t in Task:
+            (template_dir / f"def_{t.value}.txt").write_text(built_ins.definitions[t])
+        (template_dir / "example_block.txt").write_text(built_ins.example_block)
+        (template_dir / "target_block.txt").write_text(built_ins.target_block)
+        custom = "Quuxify " + built_ins.definitions[Task.ASPE]
+        (template_dir / "def_aspe.txt").write_text(custom)
+
+        train, test = generate_synthetic(40, 8, 0)
+        cfg = _cfg(t=1, template_dir=str(template_dir))
+        run_schedule(train, test, cfg, tmp_path / "run")
+        sched_scorer = load_scorer(tmp_path / "run" / "scorer_1.ckpt.npz")
+        assert "Quuxify" in sched_scorer.vocab.tokens
+        assert build_vocabulary(train, cfg).tokens == sched_scorer.vocab.tokens
+
+        retr = load_retriever(tmp_path / "run" / "retriever_1.ckpt.npz")
+        _, dump = run_inference(
+            sched_scorer, retr, test, cfg.k, AblationMode.FULL, train, cfg
+        )
+        assert dump
+        assert all(rec["prompt"].startswith(f"Definition: {custom} ") for rec in dump)
 
     def test_t_validation(self, tmp_path):
         train, test = generate_synthetic(40, 8, 0)

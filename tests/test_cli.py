@@ -176,6 +176,29 @@ def test_reinit_per_step_is_no_longer_a_config_key(tmp_path):
     _assert_not_a_config_key(tmp_path, "reinit_per_step", "true")
 
 
+def test_accept_hash_is_no_longer_a_config_key(tmp_path):
+    _assert_not_a_config_key(tmp_path, "accept_hash", "true")
+
+
+def test_out_of_range_max_gen_len_is_rejected_before_any_checkpoint(tmp_path, data_dir):
+    out = tmp_path / "run"
+    rc = main(["alternate", "--train-file", str(data_dir / "train.jsonl"),
+               "--test-file", str(data_dir / "test.jsonl"),
+               "--t", "1", "--out", str(out), *FAST, "--max-gen-len", "0"])
+    assert rc != 0
+    assert not list(tmp_path.rglob("*.ckpt.npz"))
+
+
+def test_abbreviated_flag_is_a_usage_error(tmp_path, data_dir, capsys):
+    out = tmp_path / "run"
+    rc = main(["alternate", "--train-file", str(data_dir / "train.jsonl"),
+               "--test-file", str(data_dir / "test.jsonl"),
+               "--t", "1", "--out", str(out), *FAST, "--warm", "3"])
+    assert rc == 1
+    assert "unrecognized arguments: --warm 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_seed_is_rejected_before_any_work(tmp_path, capsys):
     with pytest.raises(ValueError, match="seed must be non-negative"):
         Config(seed=-1)

@@ -1,0 +1,27 @@
+import pytest
+
+from exrank.config import Config
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("max_len", 0, "max_len must be at least 1"),
+    ("max_gen_len", 0, "max_gen_len must be at least 1"),
+    ("lr", -1.0, "lr must be finite and non-negative"),
+    ("lr", float("nan"), "lr must be finite and non-negative"),
+    ("weight_decay", -0.01, "weight_decay must be finite and non-negative"),
+    ("weight_decay", float("inf"), "weight_decay must be finite and non-negative"),
+])
+def test_out_of_range_value_is_rejected(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        Config(**{key: value})
+
+
+@pytest.mark.parametrize("key, text", [("lr", "nan"), ("max_len", "0")])
+def test_out_of_range_config_file_value_is_rejected(key, text):
+    with pytest.raises(ValueError, match=f"{key} must be"):
+        Config.from_dict({key: text})
+
+
+def test_smallest_accepted_values():
+    cfg = Config(max_len=1, max_gen_len=1, lr=0.0, weight_decay=0.0)
+    assert (cfg.max_len, cfg.max_gen_len, cfg.lr, cfg.weight_decay) == (1, 1, 0.0, 0.0)

@@ -154,9 +154,6 @@ class TestParse:
         assert labels == [] and dropped == 1
 
     def test_hash_compat_flag(self):
-        assert parse_output("food#positive", Task.ASPE, accept_hash=True) == [
-            AspectLabel("food", Polarity.POSITIVE)
-        ]
         labels, dropped = parse_output_with_diagnostics("food#positive", Task.ASPE)
         assert labels == [] and dropped == 1
 

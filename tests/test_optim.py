@@ -103,3 +103,16 @@ def test_check_finite_names_the_bad_key():
         check_finite(1.0, {"a": np.ones(3), "b": np.array([0.0, np.inf])}, "ctx")
     with pytest.raises(FloatingPointError, match="non-finite loss"):
         check_finite(float("nan"), {"a": np.ones(3)}, "ctx")
+
+
+@pytest.mark.parametrize("setting", [
+    {"lr": float("nan")},
+    {"lr": float("inf")},
+    {"lr": 1e-3, "weight_decay": -0.01},
+    {"lr": 1e-3, "weight_decay": float("nan")},
+])
+def test_non_finite_or_negative_settings_are_rejected(setting):
+    name = "weight_decay" if "weight_decay" in setting else "lr"
+    with pytest.raises(ValueError, match=f"{name} must be finite and non-negative"):
+        AdamW(_params(0), **setting)
+

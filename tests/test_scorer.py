@@ -123,7 +123,7 @@ class TestGenerate:
         prompt, target = "alpha beta", "gamma delta"
         opt = AdamW(state.params, lr=0.05)
         for _ in range(300):
-            finetune_step(state, prompt, target, 0.05, optimizer=opt)
+            finetune_step(state, prompt, target, opt)
         assert generate(state, prompt) == target
 
     def test_deterministic(self):
@@ -155,7 +155,7 @@ class TestFinetune:
         opt = AdamW(state.params, lr=0.01)
         losses = []
         for _ in range(201):
-            _, loss = finetune_step(state, "alpha", "beta gamma", 0.01, optimizer=opt)
+            _, loss = finetune_step(state, "alpha", "beta gamma", opt)
             losses.append(loss)
         assert losses[200] < losses[0]
 
@@ -163,20 +163,20 @@ class TestFinetune:
         state = _micro_scorer()
         before = {k: v.copy() for k, v in state.params.items()}
         s0 = score(state, "alpha", "beta").total
-        _, loss = finetune_step(state, "alpha", "beta", 0.0, weight_decay=0.0)
+        _, loss = finetune_step(state, "alpha", "beta", AdamW(state.params, lr=0.0))
         for k in before:
             assert np.array_equal(before[k], state.params[k])
         assert np.isclose(loss, -s0)
 
     def test_negative_lr_rejected(self):
         state = _micro_scorer()
-        with pytest.raises(ValueError):
-            finetune_step(state, "alpha", "beta", -1.0)
+        with pytest.raises(ValueError, match="lr must be finite and non-negative"):
+            AdamW(state.params, lr=-1.0)
 
     def test_version_bumps(self):
         state = _micro_scorer()
         v0 = state.version
-        finetune_step(state, "alpha", "beta", 0.01)
+        finetune_step(state, "alpha", "beta", AdamW(state.params, lr=0.01))
         assert state.version == v0 + 1
 
     def test_frozen_scoring_is_stable(self):
@@ -353,7 +353,7 @@ class TestBitExactAgainstOracle:
         state = _oracle_scorer(3)
         opt = AdamW(state.params, lr=0.05)
         for prompt, target in list(ORACLE_CASES.values()) * 2:
-            finetune_step(state, prompt, target, 0.05, optimizer=opt)
+            finetune_step(state, prompt, target, opt)
         _assert_matches_oracle(state)
 
     def test_untrained_zero_output_weights(self, small_scorer):

@@ -15,7 +15,7 @@ from exrank.template import (
 
 
 def test_zero_example_prompt():
-    out = render("D", [], "t", 0)
+    out = render("D", [], "t")
     assert "D" in out and "t" in out
     assert "Example" not in out
     assert out.endswith("Output:")
@@ -23,30 +23,16 @@ def test_zero_example_prompt():
 
 def test_single_example_positions():
     ex = Candidate(id=0, input="The food was good.", output="food: positive")
-    out = render("Extract pairs.", [ex], "The staff was rude.", 1)
+    out = render("Extract pairs.", [ex], "The staff was rude.")
     assert "Input: The food was good. Output: food: positive" in out
     assert out.index("The food was good.") < out.index("The staff was rude.")
 
 
 def test_example_blocks_ordered():
     exs = [Candidate(id=i, input=f"x{i}", output=f"y{i}") for i in range(2)]
-    out = render("D", exs, "q", 2)
+    out = render("D", exs, "q")
     assert out.index("Example 1-") < out.index("Example 2-")
     assert out.index("x0") < out.index("x1")
-
-
-def test_render_k_bounds():
-    ex = Candidate(id=0, input="a", output="b")
-    with pytest.raises(ValueError):
-        render("D", [ex], "q", 2)
-    with pytest.raises(ValueError):
-        render("D", [ex], "q", -1)
-
-
-def test_render_uses_first_k():
-    exs = [Candidate(id=i, input=f"x{i}", output=f"y{i}") for i in range(3)]
-    out = render("D", exs, "q", 1)
-    assert "x0" in out and "x1" not in out
 
 
 def test_atsc_input_splice():
@@ -67,7 +53,7 @@ def test_atsc_input_requires_aspect():
 
 def test_atsc_splice_lands_in_input_slot():
     spliced = atsc_input("Nice spot.", "decor")
-    out = render("D", [], spliced, 0)
+    out = render("D", [], spliced)
     assert f"Input: {spliced} Output:" in out
 
 
@@ -115,7 +101,7 @@ def test_template_dir_override(tmp_path):
     (tmp_path / "target_block.txt").write_text("TARGET={input}")
     ts = load_templates(tmp_path)
     out = render(definition_for(Task.ASPE, ts),
-                 [Candidate(id=0, input="a", output="b")], "q", 1, templates=ts)
+                 [Candidate(id=0, input="a", output="b")], "q", templates=ts)
     assert "Definition: CUSTOM aspe" in out
     assert "EX1 IN=a OUT=b" in out
     assert "TARGET=q" in out
