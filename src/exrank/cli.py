@@ -56,6 +56,18 @@ class UsageError(Exception):
     pass
 
 
+def _non_negative_int(text):
+    """argparse type for counts and step numbers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_config_flags(parser):
     parser.add_argument("--config", help="flat key=value config file")
     for key in CONFIG_KEYS:
@@ -107,7 +119,7 @@ def _load_data(args, cfg):
 
 def _cmd_gen_data(args):
     cfg = _resolve_config(args)
-    train, test = generate_synthetic(int(args.train), int(args.test), cfg.seed)
+    train, test = generate_synthetic(args.train, args.test, cfg.seed)
     if cfg.task == Task.ATSC:
         train, test = to_atsc(train), to_atsc(test)
     elif cfg.task != Task.ASPE:
@@ -173,12 +185,34 @@ def _cmd_finetune_lm(args):
     return 0
 
 
+def _check_resumable(out_dir, cfg, data):
+    """Refuse to resume a run whose run.json records another config or data."""
+    path = Path(out_dir) / "run.json"
+    if not path.is_file():
+        raise ValueError(f"cannot resume: no run.json in {out_dir}")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    stored = manifest.get("config", {})
+    keys = sorted(k for k, v in cfg.to_dict().items() if stored.get(k) != v)
+    if keys:
+        raise ValueError(f"cannot resume: config differs from run.json in {keys}")
+    files = sorted(k for k, v in data.items() if manifest.get(k) != v)
+    if files:
+        raise ValueError(f"cannot resume: data differs from run.json in {files}")
+
+
 def _cmd_alternate(args):
     cfg = _resolve_config(args)
+    data = {"train_sha256": _sha256(args.train_file),
+            "test_sha256": _sha256(args.test_file)}
+    if args.resume_step is None:
+        # written before training, so that a crashed run can be resumed
+        _write_manifest(args.out, "alternate", cfg, {**data, "checkpoints": {}})
+    else:
+        _check_resumable(args.out, cfg, data)
     train, dev = _load_data(args, cfg)
-    resume = int(args.resume_step) if args.resume_step is not None else None
-    state = run_schedule(train, dev, cfg, args.out, resume_step=resume)
-    _write_manifest(args.out, "alternate", cfg)
+    state = run_schedule(train, dev, cfg, args.out, resume_step=args.resume_step)
+    _write_manifest(args.out, "alternate", cfg, data)
     for row in state.metrics_log:
         print("\t".join(str(row[c]) for c in row))
     return 0
@@ -189,7 +223,7 @@ def _cmd_retrieve(args):
     train = load_dataset(args.train_file, cfg.task, split="train")
     retr = retriever_mod.load_retriever(args.retriever)
     index = build_index(retr, train)
-    query = train.by_id(int(args.query_id))
+    query = train.by_id(args.query_id)
     results = retrieve(
         retr, index, query, cfg.m,
         query_input=task_input(query, cfg.task), exclude_id=query.id,
@@ -242,7 +276,7 @@ def _cmd_sweep(args):
     train, test = _load_data(args, cfg)
     scorer_state = _init_or_load_scorer(args, cfg, train)
     retr = retriever_mod.load_retriever(args.retriever)
-    rows = k_sweep(scorer_state, retr, test, int(args.k_max), train, cfg)
+    rows = k_sweep(scorer_state, retr, test, args.k_max, train, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_lines(out / "sweep.tsv", [
@@ -264,8 +298,8 @@ def _build_parser():
 
     p = sub.add_parser("gen-data", parents=[], help="write a synthetic corpus")
     _add_config_flags(p)
-    p.add_argument("--train", required=True)
-    p.add_argument("--test", required=True)
+    p.add_argument("--train", type=int, required=True)
+    p.add_argument("--test", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_data)
 
@@ -289,7 +323,7 @@ def _build_parser():
     _add_config_flags(p)
     p.add_argument("--train-file", required=True)
     p.add_argument("--test-file", required=True)
-    p.add_argument("--resume-step", dest="resume_step")
+    p.add_argument("--resume-step", dest="resume_step", type=_non_negative_int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_alternate)
 
@@ -297,7 +331,7 @@ def _build_parser():
     _add_config_flags(p)
     p.add_argument("--train-file", required=True)
     p.add_argument("--retriever", required=True)
-    p.add_argument("--query-id", required=True)
+    p.add_argument("--query-id", type=int, required=True)
     p.set_defaults(func=_cmd_retrieve)
 
     p = sub.add_parser("score", help="print total and per-token log-likelihood")
@@ -322,7 +356,7 @@ def _build_parser():
     p.add_argument("--test-file", required=True)
     p.add_argument("--scorer")
     p.add_argument("--retriever", required=True)
-    p.add_argument("--k-max", dest="k_max", default="7")
+    p.add_argument("--k-max", dest="k_max", type=_non_negative_int, default=7)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

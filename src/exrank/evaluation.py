@@ -193,11 +193,15 @@ class SweepRow:
 
 
 def k_sweep(scorer, retriever, test, k_max, pool, cfg):
-    """One full-mode evaluation per k in 0..k_max, ascending, shared seed."""
+    """One full-mode evaluation per k in 0..k_max, ascending, shared seed.
+
+    A row is ``truncated`` when some prompt is longer than the scorer's
+    ``max_len``, the limit at which the scorer cuts it.
+    """
     rows = []
     for k in range(k_max + 1):
         mode = AblationMode.NO_EXAMPLE if k == 0 else AblationMode.FULL
         metrics, dump = run_inference(scorer, retriever, test, k, mode, pool, cfg)
-        truncated = any(rec["prompt_len"] > cfg.max_len for rec in dump)
+        truncated = any(rec["prompt_len"] > scorer.max_len for rec in dump)
         rows.append(SweepRow(k=k, metrics=metrics, truncated=truncated))
     return rows

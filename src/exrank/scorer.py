@@ -6,6 +6,15 @@ Reference model, fully differentiable by hand:
 Scoring is teacher-forced log-likelihood of the target plus its end token;
 generation is greedy.  Any object providing score/generate/finetune_step with
 the same contracts can stand in for this implementation.
+
+Greedy decoding picks the argmax of the softmax-normalised distribution, but
+it normalises only when that could change the winner.  Each step takes the
+argmax ``i`` of the raw logits and shifts them by ``z[i]``, the same value the
+softmax subtracts.  If every other shifted logit is at most -_ARGMAX_MARGIN,
+its exp is below exp(0) = 1 by a relative 1e-9, far more than the 2**-53 that
+rounding after the divide can close, so ``i`` is also the argmax after
+normalising.  Otherwise (near-ties, exact ties, NaN, +-inf) the step finishes
+the softmax on the same array and takes its argmax, exactly as before.
 """
 
 from dataclasses import dataclass
@@ -18,6 +27,9 @@ from .vocab import BOS_ID, EOS_ID, Vocabulary
 
 POS_DIM = 16
 CHECKPOINT_FORMAT = "exrank-scorer-v1"
+# A greedy step skips the softmax when every logit but the top one lies at
+# least this far below it (see the module docstring); closer calls normalise.
+_ARGMAX_MARGIN = 1e-9
 
 
 @dataclass
@@ -134,7 +146,9 @@ def score(state, prompt, target):
 def step_logits(state, prompt, prefix):
     """Softmax-normalized next-token distribution after a target prefix."""
     h, _, _ = _encode_prompt(state, prompt)
-    return _next_token_dist(state, _decoder_input(state, h), prefix)
+    z = _next_token_logits(state, _decoder_input(state, h), prefix)
+    z -= z.max()
+    return _normalise(z)
 
 
 def _decoder_input(state, h):
@@ -144,10 +158,9 @@ def _decoder_input(state, h):
     return f
 
 
-def _next_token_dist(state, f, prefix):
-    """step_logits for a decoder input ``f`` that holds the encoded prompt.
-
-    Refills the prev-token and position slices of ``f`` in place.
+def _next_token_logits(state, f, prefix):
+    """Raw next-token logits for a decoder input ``f`` that holds the encoded
+    prompt.  Refills the prev-token and position slices of ``f`` in place.
     """
     p = state.params
     d = state.d
@@ -156,10 +169,23 @@ def _next_token_dist(state, f, prefix):
     f[2 * d:] = position_codes(n + 1)[n]
     z = p["w_out"] @ f
     z += p["b_out"]
-    z -= z.max()
-    np.exp(z, out=z)
-    z /= z.sum()
     return z
+
+
+def _normalise(shift):
+    """Softmax of max-shifted logits, computed in place."""
+    np.exp(shift, out=shift)
+    shift /= shift.sum()
+    return shift
+
+
+def _greedy_token(z):
+    """argmax of the softmax of logits ``z``, which it overwrites."""
+    i = int(z.argmax())
+    z -= z[i]  # for NaN-free z, the same value as z.max()
+    if np.count_nonzero(z > -_ARGMAX_MARGIN) == 1:
+        return i
+    return int(_normalise(z).argmax())
 
 
 def generate(state, prompt, max_len=None):
@@ -172,7 +198,7 @@ def generate(state, prompt, max_len=None):
     f = _decoder_input(state, h)
     out = []
     for _ in range(max_len):
-        nxt = int(_next_token_dist(state, f, out).argmax())
+        nxt = _greedy_token(_next_token_logits(state, f, out))
         if nxt == EOS_ID:
             break
         out.append(nxt)

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from exrank.cli import main
+from exrank import cli
+from exrank.cli import _sha256, main
 from exrank.config import Config
 
 FAST = [
@@ -237,3 +238,107 @@ def test_alternate_resume(tmp_path, data_dir):
     assert main(base + ["--resume-step", "1"]) == 0
     rows = (out / "metrics.tsv").read_text().strip().splitlines()
     assert len(rows) == 4  # header + steps 0..2
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("sweep", "--k-max", "-1"),
+    ("sweep", "--k-max", "x"),
+    ("alternate", "--resume-step", "-1"),
+    ("alternate", "--resume-step", "x"),
+])
+def test_bad_counts_are_usage_errors_before_any_data_is_read(
+        tmp_path, command, option, value, capsys):
+    # the data files do not exist, so reading them would be a runtime error
+    out = tmp_path / "out"
+    argv = [command, "--train-file", str(tmp_path / "nope.jsonl"),
+            "--test-file", str(tmp_path / "nope.jsonl"), "--out", str(out),
+            option, value]
+    if command == "sweep":
+        argv += ["--retriever", str(tmp_path / "nope.npz")]
+    assert main(argv) == 1
+    assert f"argument {option}: expected a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--train", "x", "--test", "2", "--out", "o"],
+    ["gen-data", "--train", "5", "--test", "2.5", "--out", "o"],
+    ["retrieve", "--train-file", "t.jsonl", "--retriever", "r.npz", "--query-id", "x"],
+])
+def test_non_integer_counts_and_ids_are_usage_errors(argv, capsys):
+    assert main(argv) == 1
+    assert "invalid int value" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def resumable_dir(tmp_path_factory, data_dir):
+    """A finished --seed 1 --k 2 run with t=2 that later tests must not change."""
+    out = tmp_path_factory.mktemp("resumable")
+    rc = main(_alternate_argv(data_dir, data_dir / "train.jsonl", out))
+    assert rc == 0
+    return out
+
+
+def _alternate_argv(data_dir, train_file, out):
+    return ["alternate", "--train-file", str(train_file),
+            "--test-file", str(data_dir / "test.jsonl"),
+            "--t", "2", "--out", str(out), *FAST, "--seed", "1", "--k", "2"]
+
+
+def _snapshot(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_alternate_run_json_records_config_and_data_hashes(resumable_dir, data_dir):
+    manifest = json.loads((resumable_dir / "run.json").read_text())
+    assert manifest["config"]["seed"] == 1 and manifest["config"]["k"] == 2
+    assert manifest["train_sha256"] == _sha256(data_dir / "train.jsonl")
+    assert manifest["test_sha256"] == _sha256(data_dir / "test.jsonl")
+    assert len(manifest["checkpoints"]) == 7  # init, then scorer and retriever 0..2
+
+
+def test_alternate_writes_run_json_before_training(tmp_path, data_dir, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("crashed mid-run")
+
+    monkeypatch.setattr(cli, "run_schedule", crash)
+    out = tmp_path / "alt"
+    assert main(_alternate_argv(data_dir, data_dir / "train.jsonl", out)) == 2
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["config"]["seed"] == 1
+    assert manifest["train_sha256"] == _sha256(data_dir / "train.jsonl")
+    assert manifest["checkpoints"] == {}
+
+
+def test_resume_with_another_config_is_refused(resumable_dir, data_dir, capsys):
+    before = _snapshot(resumable_dir)
+    argv = _alternate_argv(data_dir, data_dir / "train.jsonl", resumable_dir)
+    rc = main(argv + ["--resume-step", "1", "--seed", "9", "--k", "1"])
+    assert rc != 0
+    assert "config differs from run.json in ['k', 'seed']" in capsys.readouterr().err
+    assert _snapshot(resumable_dir) == before
+
+
+def test_resume_with_other_data_is_refused(resumable_dir, data_dir, tmp_path, capsys):
+    before = _snapshot(resumable_dir)
+    other = tmp_path / "train.jsonl"
+    lines = (data_dir / "train.jsonl").read_text().splitlines(keepends=True)
+    other.write_text("".join(lines[:-1]))
+    rc = main(_alternate_argv(data_dir, other, resumable_dir) + ["--resume-step", "1"])
+    assert rc != 0
+    assert "data differs from run.json in ['train_sha256']" in capsys.readouterr().err
+    assert _snapshot(resumable_dir) == before
+
+
+def test_resume_without_run_json_is_refused(resumable_dir, data_dir, tmp_path, capsys):
+    out = tmp_path / "copy"
+    out.mkdir()
+    for name, data in _snapshot(resumable_dir).items():
+        if name != "run.json":
+            (out / name).write_bytes(data)
+    before = _snapshot(out)
+    rc = main(_alternate_argv(data_dir, data_dir / "train.jsonl", out)
+              + ["--resume-step", "1"])
+    assert rc != 0
+    assert "no run.json" in capsys.readouterr().err
+    assert _snapshot(out) == before

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -222,5 +224,24 @@ class TestKSweep:
     def test_truncation_flag(self, trained_small):
         train, test, cfg, scorer, retr = trained_small
         tight = Config(**{**cfg.to_dict(), "max_len": 8})
-        rows = k_sweep(scorer, retr, test, 2, train, tight)
+        rows = k_sweep(replace(scorer, max_len=8), retr, test, 2, train, tight)
         assert all(row.truncated for row in rows)
+
+    def test_truncation_is_against_the_scorer_limit(self):
+        from exrank.alternating import build_vocabulary
+        from exrank.retriever import init_retriever
+        from exrank.scorer import init_scorer
+
+        train, test = generate_synthetic(40, 6, 0)
+        cfg = Config(k=2, d=8, d_r=8, max_len=128, max_gen_len=4, seed=0)
+        vocab = build_vocabulary(train, cfg)
+        retr = init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=0)
+        short = init_scorer(vocab, d=cfg.d, max_len=16, seed=0)
+        rows = k_sweep(short, retr, test, 2, train, cfg)
+        # every k >= 1 prompt (definition plus examples) exceeds 16 tokens
+        assert [row.truncated for row in rows[1:]] == [True, True]
+        # a tighter Config limit does not cut a prompt the scorer keeps whole
+        wide = init_scorer(vocab, d=cfg.d, max_len=10_000, seed=0)
+        tight = Config(**{**cfg.to_dict(), "max_len": 16})
+        rows = k_sweep(wide, retr, test, 2, train, tight)
+        assert not any(row.truncated for row in rows)

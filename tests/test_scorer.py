@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exrank.optim import AdamW
 from exrank.scorer import (
@@ -280,12 +282,16 @@ def _reference_nll_and_grads(state, prompt, target):
     return loss, grads
 
 
-def _reference_step_logits(state, prompt, prefix):
+def _reference_logits(state, prompt, prefix):
     p = state.params
     h, _, _ = _reference_prompt(state, prompt)
     prev = prefix[-1] if prefix else BOS_ID
     f = np.concatenate([h, p["emb"][prev], position_codes(len(prefix) + 1)[len(prefix)]])
-    z = p["w_out"] @ f + p["b_out"]
+    return p["w_out"] @ f + p["b_out"]
+
+
+def _reference_step_logits(state, prompt, prefix):
+    z = _reference_logits(state, prompt, prefix)
     e = np.exp(z - z.max())
     return e / e.sum()
 
@@ -368,9 +374,67 @@ class TestBitExactAgainstOracle:
         assert generate(state, "w1 w2", 4) == _reference_generate(state, "w1 w2", 4)
         assert state.vocab.decode([5] * 4) == generate(state, "w1 w2", 4)
 
+    @staticmethod
+    def _constant_logits(b_out):
+        """A scorer whose logits are ``b_out`` at every step, exactly."""
+        state = _oracle_scorer(6)
+        state.params["w_out"][:] = 0.0
+        state.params["b_out"][:] = b_out
+        return state
+
+    def _assert_follows_the_normalised_argmax(self, state, expected):
+        with np.errstate(invalid="ignore"):
+            raw = int(np.argmax(_reference_logits(state, "w1 w2", [])))
+            normalised = int(np.argmax(_reference_step_logits(state, "w1 w2", [])))
+            assert raw != normalised  # skipping the softmax would pick `raw`
+            assert normalised == expected
+            got = generate(state, "w1 w2", 4)
+            assert got == _reference_generate(state, "w1 w2", 4)
+        assert got == state.vocab.decode([expected] * 4)
+
+    def test_generate_normalises_when_rounding_merges_the_top_two(self):
+        # logit 5 sits one ulp below logit 9; after the shift its exp rounds
+        # to exp(0) = 1, so the normalised tie goes to the lower index
+        b_out = np.full(34, -1.0)
+        b_out[9] = 1e-3
+        b_out[5] = np.nextafter(1e-3, 0.0)
+        self._assert_follows_the_normalised_argmax(self._constant_logits(b_out), 5)
+
+    def test_generate_normalises_an_exact_tie_that_rounding_joins(self):
+        # 9 and 20 tie exactly; 5, one ulp below, joins the tie after exp
+        b_out = np.full(34, -1.0)
+        b_out[[9, 20]] = 1e-3
+        b_out[5] = np.nextafter(1e-3, 0.0)
+        self._assert_follows_the_normalised_argmax(self._constant_logits(b_out), 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_generate_follows_the_softmax_through_nan_and_inf(self, bad):
+        # the softmax turns every entry into NaN, whose argmax is index 0,
+        # the padding id; the raw argmax is the bad entry itself
+        b_out = np.zeros(34)
+        b_out[7] = bad
+        self._assert_follows_the_normalised_argmax(self._constant_logits(b_out), 0)
+
     def test_step_logits_returns_a_fresh_array(self):
         state = _oracle_scorer(5)
         first = step_logits(state, "w1 w2", [])
         kept = first.copy()
         step_logits(state, "w1 w2", [7, 8])
         assert first.tobytes() == kept.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    levels=st.lists(st.integers(-3, 3), min_size=34, max_size=34),
+    quantum=st.sampled_from([1e-3, 0.25, 1.0]),
+    w_scale=st.sampled_from([0.0, 1e-19, 1e-17, 1e-13, 1e-9, 1e-3]),
+    prompt=st.sampled_from(["w1 w2", "", "w3 w3 w9 w0", "zz w5"]),
+)
+def test_generate_matches_the_oracle_on_near_ties(seed, levels, quantum, w_scale, prompt):
+    # b_out on a coarse grid gives exact ties; a tiny w_out splits them by a
+    # few ulps, which the softmax may or may not merge again
+    state = _oracle_scorer(seed)
+    state.params["b_out"][:] = np.array(levels) * quantum
+    state.params["w_out"] *= w_scale
+    assert generate(state, prompt, 6) == _reference_generate(state, prompt, 6)
