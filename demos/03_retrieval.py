@@ -25,7 +25,7 @@ query = train.samples[5]
 print(f"query [{query.id}]: {query.text}")
 print("top-5 candidates (even untrained, lexical overlap leaks through the")
 print("random embeddings, so shared words raise the inner product):")
-for sc in retrieve(retr, index, query, 5, exclude_id=query.id):
+for sc in retrieve(retr, index, query.text, 5, exclude_id=query.id):
     print(f"  sim={sc.similarity:+.3f}  [{sc.id:2d}] {sc.candidate.input}")
 
 print("\nthe query itself, passed as exclude_id, is not returned, and exact search breaks")

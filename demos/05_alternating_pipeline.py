@@ -21,16 +21,17 @@ cfg = Config(k=4, m=24, r=0.4, batch_size=2, lr=3e-3, weight_decay=0.0,
              epochs_retriever=4, epochs_lm=3, finetune_k=4, t=2,
              d=64, d_r=64, seed=101, warmup_epochs=3)
 
-out = Path(tempfile.mkdtemp(prefix="exrank-demo-"))
-print(f"running the t={cfg.t} schedule into {out} ...")
-state = run_schedule(train, test, cfg, out)
-print("dev F1 after each step:")
-for row in state.metrics_log:
-    print(f"  step {row['step']}: f1={row['f1']}")
+with tempfile.TemporaryDirectory(prefix="exrank-demo-") as tmp:
+    out = Path(tmp)
+    print(f"running the t={cfg.t} schedule into {out} ...")
+    state = run_schedule(train, test, cfg, out)
+    print("dev F1 after each step:")
+    for row in state.metrics_log:
+        print(f"  step {row['step']}: f1={row['f1']}")
 
-scorer = load_scorer(out / f"scorer_{cfg.t}.ckpt.npz")
-frozen = load_scorer(out / "scorer_init.ckpt.npz")
-retr = load_retriever(out / f"retriever_{cfg.t}.ckpt.npz")
+    scorer = load_scorer(out / f"scorer_{cfg.t}.ckpt.npz")
+    frozen = load_scorer(out / "scorer_init.ckpt.npz")
+    retr = load_retriever(out / f"retriever_{cfg.t}.ckpt.npz")
 
 print("\nablations (test split):")
 for mode, model in (("full", scorer), ("no_example", scorer),

@@ -75,10 +75,10 @@ def _lm_epochs(scorer, train, cfg, epochs, choose_examples, seed_tag, what):
     return scorer
 
 
-def warmup_scorer(scorer, train, cfg, seed_tag="warmup"):
+def warmup_scorer(scorer, train, cfg):
     """Zero-example fine-tuning pass standing in for pretraining."""
     return _lm_epochs(
-        scorer, train, cfg, cfg.warmup_epochs, lambda s, q_input: [], seed_tag, "warmup"
+        scorer, train, cfg, cfg.warmup_epochs, lambda s, q_input: [], "warmup", "warmup"
     )
 
 
@@ -98,9 +98,7 @@ def finetune_lm(scorer, retriever, train, cfg, seed_tag="finetune-lm"):
     def top_examples(s, q_input):
         if cfg.finetune_k == 0:
             return []
-        top = retrieve(
-            retriever, index, s, cfg.finetune_k, query_input=q_input, exclude_id=s.id
-        )
+        top = retrieve(retriever, index, q_input, cfg.finetune_k, exclude_id=s.id)
         return [t.candidate for t in top]
 
     return _lm_epochs(scorer, train, cfg, cfg.epochs_lm, top_examples, seed_tag, "lm")

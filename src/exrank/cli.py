@@ -34,7 +34,7 @@ from .corpus import (
 from .evaluation import AblationMode, k_sweep, run_inference
 from .retriever import build_index, init_retriever, retrieve
 from .scorer import init_scorer, load_scorer, save_scorer, score
-from .template import task_input
+from .template import load_templates, task_input
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(Config)]
 
@@ -94,6 +94,13 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+def _templates_sha256(template_dir):
+    """Digest of the prompt assets loaded from ``template_dir``."""
+    t = load_templates(template_dir)
+    assets = [t.definitions[task] for task in Task] + [t.example_block, t.target_block]
+    return hashlib.sha256(json.dumps(assets).encode("utf-8")).hexdigest()
+
+
 def _write_manifest(out_dir, command, cfg, extra=None):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -141,16 +148,17 @@ def _init_or_load_scorer(args, cfg, train):
     return warmup_scorer(state, train, cfg)
 
 
+def _init_or_load_retriever(args, cfg, vocab):
+    if getattr(args, "retriever", None):
+        return retriever_mod.load_retriever(args.retriever)
+    return init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed)
+
+
 def _cmd_train_retriever(args):
     cfg = _resolve_config(args)
     train = load_dataset(args.train_file, cfg.task, split="train")
     scorer_state = _init_or_load_scorer(args, cfg, train)
-    if getattr(args, "retriever", None):
-        retr = retriever_mod.load_retriever(args.retriever)
-    else:
-        retr = init_retriever(
-            scorer_state.vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed
-        )
+    retr = _init_or_load_retriever(args, cfg, scorer_state.vocab)
     report = []
     train_retriever(retr, train, scorer_state, cfg, report=report)
     out = Path(args.out)
@@ -186,7 +194,8 @@ def _cmd_finetune_lm(args):
 
 
 def _check_resumable(out_dir, cfg, data):
-    """Refuse to resume a run whose run.json records another config or data."""
+    """Refuse to resume a run whose run.json records another config, other
+    data files or other prompt templates."""
     path = Path(out_dir) / "run.json"
     if not path.is_file():
         raise ValueError(f"cannot resume: no run.json in {out_dir}")
@@ -204,7 +213,8 @@ def _check_resumable(out_dir, cfg, data):
 def _cmd_alternate(args):
     cfg = _resolve_config(args)
     data = {"train_sha256": _sha256(args.train_file),
-            "test_sha256": _sha256(args.test_file)}
+            "test_sha256": _sha256(args.test_file),
+            "templates_sha256": _templates_sha256(cfg.template_dir)}
     if args.resume_step is None:
         # written before training, so that a crashed run can be resumed
         _write_manifest(args.out, "alternate", cfg, {**data, "checkpoints": {}})
@@ -225,8 +235,7 @@ def _cmd_retrieve(args):
     index = build_index(retr, train)
     query = train.by_id(args.query_id)
     results = retrieve(
-        retr, index, query, cfg.m,
-        query_input=task_input(query, cfg.task), exclude_id=query.id,
+        retr, index, task_input(query, cfg.task), cfg.m, exclude_id=query.id
     )
     for sc in results:
         print(f"{sc.id}\t{sc.similarity:.6f}\t{sc.candidate.input} -> {sc.candidate.output}")
@@ -247,12 +256,7 @@ def _cmd_evaluate(args):
     train, test = _load_data(args, cfg)
     mode = AblationMode(args.mode)
     scorer_state = _init_or_load_scorer(args, cfg, train)
-    if getattr(args, "retriever", None):
-        retr = retriever_mod.load_retriever(args.retriever)
-    else:
-        retr = init_retriever(
-            scorer_state.vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed
-        )
+    retr = _init_or_load_retriever(args, cfg, scorer_state.vocab)
     metrics, dump = run_inference(scorer_state, retr, test, cfg.k, mode, train, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -42,7 +42,7 @@ class Config:
         for f in dataclasses.fields(self):
             if f.type is int and getattr(self, f.name) < 0:
                 raise ValueError(f"{f.name} must be non-negative")
-        for key in ("max_len", "max_gen_len"):
+        for key in ("batch_size", "d", "d_r", "max_len", "max_gen_len"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
         for key in ("lr", "weight_decay"):
@@ -76,10 +76,10 @@ def _coerce(kind, raw):
 
 
 def read_config_file(path):
-    """Flat key=value file; '#' starts a comment."""
+    """Flat key=value file; '#' starts a comment.  Errors count lines from 1."""
     values = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
+        for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -83,12 +83,21 @@ def sample_training_subset(train, r, seed, name="subset"):
     )
 
 
+def _infonce(sims):
+    """``-log softmax(sims)[0]``, max-shifted, and its gradient with respect to
+    ``sims``, whose first entry is the positive's similarity."""
+    shift = sims.max()
+    e = np.exp(sims - shift)
+    total = e.sum()
+    dsims = e / total
+    dsims[0] -= 1.0
+    return float(np.log(total) - (sims[0] - shift)), dsims
+
+
 def infonce_loss(q, pos, negs):
     """-log softmax of sim(q, pos) against the negatives, max-shifted."""
     q = np.asarray(q)
-    sims = np.concatenate([[np.dot(q, pos)], [np.dot(q, n) for n in negs]])
-    shift = sims.max()
-    return float(np.log(np.exp(sims - shift).sum()) - (sims[0] - shift))
+    return _infonce(np.concatenate([[q @ pos], [q @ n for n in negs]]))[0]
 
 
 def _batch_loss_and_grads(state, items):
@@ -103,13 +112,8 @@ def _batch_loss_and_grads(state, items):
         hq = encode_text(state, q_text)
         hp = encode_text(state, pos_text)
         hns = [encode_text(state, t) for t in neg_texts]
-        sims = np.concatenate([[hq @ hp], [hq @ hn for hn in hns]])
-        shift = sims.max()
-        e = np.exp(sims - shift)
-        p = e / e.sum()
-        total += float(np.log(e.sum()) - (sims[0] - shift))
-        dsims = p.copy()
-        dsims[0] -= 1.0
+        loss, dsims = _infonce(np.concatenate([[hq @ hp], [hq @ hn for hn in hns]]))
+        total += loss
         dq = dsims[0] * hp
         for j, hn in enumerate(hns):
             dq += dsims[j + 1] * hn
@@ -129,8 +133,7 @@ def _candidates_for_query(state, index, query, query_input, m, bootstrap_rng):
     return [
         sc.candidate
         for sc in retrieve(
-            state, index, query, m, query_input=query_input, allow_stale=True,
-            exclude_id=query.id,
+            state, index, query_input, m, allow_stale=True, exclude_id=query.id
         )
     ]
 
@@ -151,7 +154,7 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
     if not subset.samples:
         return retr
     opt = AdamW(retr.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    B = max(1, cfg.batch_size)
+    B = cfg.batch_size
     for epoch in range(cfg.epochs_retriever):
         index = build_index(retr, train)
         shuffle_rng = substream(cfg.seed, f"{seed_tag}/epoch{epoch}/shuffle")
@@ -201,7 +204,7 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
     return retr
 
 
-def separation(retr, queries, scorer, cfg, train, seed_tag="separation"):
+def separation(retr, queries, scorer, cfg, train):
     """Mean sim(query, C+ pick) minus mean sim(query, C- pick) over queries.
 
     The training objective's literal target; positive means the retriever
@@ -213,15 +216,15 @@ def separation(retr, queries, scorer, cfg, train, seed_tag="separation"):
     definition = definition_for(train.task, templates)
     index = build_index(retr, train)
     pool_inputs = {c.id: c.input for c in index.candidates}
-    pos_rng = substream(cfg.seed, f"{seed_tag}/positive-choice")
-    neg_rng = substream(cfg.seed, f"{seed_tag}/negative-choice")
+    pos_rng = substream(cfg.seed, "separation/positive-choice")
+    neg_rng = substream(cfg.seed, "separation/negative-choice")
     diffs = []
     for query in queries:
         q_input = task_input(query, train.task)
         member = pool_inputs.get(query.id) == q_input
         cands = [
             sc.candidate
-            for sc in retrieve(retr, index, query, cfg.m, query_input=q_input,
+            for sc in retrieve(retr, index, q_input, cfg.m,
                                exclude_id=query.id if member else None)
         ]
         if len(cands) < 2 * cfg.k:

@@ -88,26 +88,23 @@ def normalize_term(term):
     return term.strip().lower()
 
 
-def _check_sample(sample, line_no=None):
-    where = "" if line_no is None else f" (line {line_no})"
+def _check_sample(sample):
     if not sample.labels:
-        raise ValueError(f"sample {sample.id} has no labels{where}")
+        raise ValueError(f"sample {sample.id} has no labels")
     seen = set()
     for lab in sample.labels:
         if not lab.term.strip():
-            raise ValueError(f"blank aspect term {lab.term!r}{where}")
+            raise ValueError(f"blank aspect term {lab.term!r}")
         if "; " in lab.term:
-            raise ValueError(
-                f"aspect term {lab.term!r} contains the label separator '; '{where}"
-            )
+            raise ValueError(f"aspect term {lab.term!r} contains the label separator '; '")
         if (lab.polarity == Polarity.NONE) != (lab.term == NO_ASPECT_TERM):
             raise ValueError(
                 f"polarity 'none' must pair with '{NO_ASPECT_TERM}', got "
-                f"({lab.term!r}, {lab.polarity}){where}"
+                f"({lab.term!r}, {lab.polarity})"
             )
         key = (lab.term, lab.polarity)
         if key in seen:
-            raise ValueError(f"duplicate label {key}{where}")
+            raise ValueError(f"duplicate label {key}")
         seen.add(key)
 
 
@@ -115,46 +112,49 @@ def load_dataset(path, task, split=Split.TRAIN):
     """Read a jsonl dataset file: one record per line with `text` and `labels`.
 
     Records with zero surviving labels receive the sentinel pair.  Aspects with
-    the historical "conflict" polarity are dropped at ingestion.  Ids are
-    assigned by zero-based line order.
+    the historical "conflict" polarity are dropped at ingestion.  Blank lines
+    are skipped, and ids count the remaining records from 0.  An error names
+    its line, counting from 1.
     """
     task = Task(task)
     samples = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh):
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                text = rec["text"]
-                raw_labels = rec["labels"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"malformed record at line {line_no}: {exc}") from exc
-            labels = []
-            for pair in raw_labels:
-                if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                        or not isinstance(pair[0], str)):
-                    raise ValueError(f"malformed label {pair!r} at line {line_no}")
-                term, pol = pair
-                if pol == "conflict":
-                    continue
-                if pol not in _POLARITY_WORDS:
-                    raise ValueError(f"unknown polarity {pol!r} at line {line_no}")
-                labels.append(AspectLabel(term, _POLARITY_WORDS[pol]))
-            if not labels:
-                labels = [SENTINEL]
-            aspect = rec.get("aspect")
-            if task == Task.ATSC and aspect is None:
-                raise ValueError(f"ATSC record at line {line_no} lacks an 'aspect' field")
-            sample = Sample(id=len(samples), text=text, labels=labels, aspect=aspect)
-            _check_sample(sample, line_no)
-            if task == Task.ATSC:
-                if not any(normalize_term(l.term) == normalize_term(aspect) for l in labels):
-                    raise ValueError(
-                        f"designated aspect {aspect!r} not among labels at line {line_no}"
-                    )
-            samples.append(sample)
+                samples.append(_read_record(line, task, len(samples)))
+            except ValueError as exc:
+                raise ValueError(f"{exc} at line {line_no}") from exc
     return Dataset(samples=samples, task=task, split=Split(split))
+
+
+def _read_record(line, task, sample_id):
+    """One checked Sample from one jsonl line."""
+    try:
+        rec = json.loads(line)
+        text = rec["text"]
+        raw_labels = rec["labels"]
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        # a JSONDecodeError's own position counts within this one line
+        raise ValueError(f"malformed record ({getattr(exc, 'msg', exc)})") from exc
+    labels = []
+    for pair in raw_labels:
+        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                or not isinstance(pair[0], str)):
+            raise ValueError(f"malformed label {pair!r}")
+        term, pol = pair
+        if pol == "conflict":
+            continue
+        if pol not in _POLARITY_WORDS:
+            raise ValueError(f"unknown polarity {pol!r}")
+        labels.append(AspectLabel(term, _POLARITY_WORDS[pol]))
+    sample = Sample(id=sample_id, text=text, labels=labels or [SENTINEL],
+                    aspect=rec.get("aspect"))
+    _check_sample(sample)
+    if task == Task.ATSC:
+        serialize_label(sample, task)  # refuses a missing aspect or one not among the labels
+    return sample
 
 
 def save_dataset(dataset, path):

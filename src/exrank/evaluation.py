@@ -143,7 +143,7 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg):
         if use_retrieval:
             examples = [
                 sc.candidate
-                for sc in retrieve(retriever, index, s, k, query_input=q_input,
+                for sc in retrieve(retriever, index, q_input, k,
                                    exclude_id=s.id if same_split else None)
             ]
         elif mode == AblationMode.NO_RETRIEVER:

@@ -2,6 +2,10 @@
 
 import numpy as np
 
+# Adam's moment decay rates and its denominator guard, the usual defaults
+BETAS = (0.9, 0.999)
+EPS = 1e-8
+
 
 def check_finite(loss, grads, context):
     """Raise FloatingPointError before a non-finite loss or gradient is applied."""
@@ -15,13 +19,11 @@ def check_finite(loss, grads, context):
 
 
 class AdamW:
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    def __init__(self, params, lr, weight_decay=0.0):
         for name, value in (("lr", lr), ("weight_decay", weight_decay)):
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -39,7 +41,7 @@ class AdamW:
         operation runs in the same order as that expression.
         """
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETAS
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         for key, g in grads.items():
             m, v, p = self.m[key], self.v[key], params[key]
@@ -52,7 +54,7 @@ class AdamW:
             np.divide(m, c1, out=a)  # m_hat
             np.divide(v, c2, out=b)  # v_hat
             np.sqrt(b, out=b)
-            b += self.eps
+            b += EPS
             a /= b
             a += np.multiply(self.weight_decay, p, out=b)
             a *= self.lr

@@ -52,9 +52,8 @@ class CandidateIndex:
     version: int
 
 
-def init_retriever(vocab, d_r=64, max_len=128, seed=0, rng=None):
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x2E72]))
+def init_retriever(vocab, d_r=64, max_len=128, seed=0):
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x2E72]))
     V = len(vocab)
     params = {
         "emb": rng.normal(0.0, 0.5, size=(V, d_r)),
@@ -132,15 +131,15 @@ def build_index(state, pool):
     )
 
 
-def retrieve(state, index, query, m, query_input=None, allow_stale=False,
-             exclude_id=None):
-    """Top-m candidates by similarity, ties by ascending id.
+def retrieve(state, index, text, m, allow_stale=False, exclude_id=None):
+    """Top-m candidates by similarity to the query input ``text``, ties by
+    ascending id.
 
-    ``exclude_id`` drops the candidate with that id: pass the query's own id
-    when the query is a member of the indexed pool.  Ids are unique only
-    within one split, so a query from another split must exclude nothing.
-    ``query_input`` overrides the query text (e.g. the ATSC splice); default
-    is query.text.  ``allow_stale`` is for the contrastive training loop,
+    ``text`` is the prompt-side input (``template.task_input``, which carries
+    the ATSC aspect splice).  ``exclude_id`` drops the candidate with that id:
+    pass the query's own id when the query is a member of the indexed pool.
+    Ids are unique only within one split, so a query from another split must
+    exclude nothing.  ``allow_stale`` is for the contrastive training loop,
     which refreshes its index once per epoch by design.
     """
     if m < 1:
@@ -149,7 +148,7 @@ def retrieve(state, index, query, m, query_input=None, allow_stale=False,
         raise StaleIndexError(
             f"index built at version {index.version}, state is at {state.version}"
         )
-    q = encode_query(state, query_input if query_input is not None else query.text)
+    q = encode_query(state, text)
     sims = index.matrix @ q
     ids = index.ids
     keep = None

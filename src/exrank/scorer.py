@@ -17,6 +17,7 @@ normalising.  Otherwise (near-ties, exact ties, NaN, +-inf) the step finishes
 the softmax on the same array and takes its argmax, exactly as before.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,9 @@ class ScorerState:
     version: int = 0
 
 
-def _position_codes(n_positions):
+@functools.lru_cache(maxsize=None)
+def position_codes(n_positions):
+    """Sinusoidal codes of positions 0..n_positions-1, memoised; never mutate them."""
     pos = np.arange(n_positions)[:, None]
     i = np.arange(POS_DIM // 2)[None, :]
     angle = pos / (10000.0 ** (2.0 * i / POS_DIM))
@@ -57,20 +60,10 @@ def _position_codes(n_positions):
     return codes
 
 
-_POS_CACHE = {}
-
-
-def position_codes(n_positions):
-    if n_positions not in _POS_CACHE:
-        _POS_CACHE[n_positions] = _position_codes(n_positions)
-    return _POS_CACHE[n_positions]
-
-
-def init_scorer(vocab, d=64, max_len=128, seed=0, rng=None):
+def init_scorer(vocab, d=64, max_len=128, seed=0):
     """Fresh state.  Output weights start at zero, so the untrained decoder is
     exactly uniform over the vocabulary."""
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5C0E]))
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5C0E]))
     V = len(vocab)
     params = {
         "emb": rng.normal(0.0, 0.5, size=(V, d)),

@@ -11,16 +11,16 @@ def tokenize(text):
 
 
 class Vocabulary:
-    """Bijective token-to-id map with four reserved ids.
+    """Bijective token-to-id map whose first four tokens are the reserved ones.
 
-    Built by a first-occurrence scan, so the ordering is deterministic for a
-    fixed corpus.
+    ``build`` makes one by a first-occurrence scan, so the ordering is
+    deterministic for a fixed corpus.
     """
 
     def __init__(self, tokens):
-        if tuple(tokens[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
-            tokens = list(RESERVED_TOKENS) + list(tokens)
         self.tokens = list(tokens)
+        if tuple(self.tokens[: len(RESERVED_TOKENS)]) != RESERVED_TOKENS:
+            raise ValueError(f"vocabulary must begin with {RESERVED_TOKENS}")
         self.index = {t: i for i, t in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise ValueError("duplicate tokens in vocabulary")

@@ -167,7 +167,7 @@ def test_acceptance_3_ranking_oracle(monkeypatch, capsys):
         m = int(rng.integers(1, min(n, 20) + 1))
         query = type("Q", (), {"id": qid, "text": "alpha beta"})()
         exclude = qid if trial % 4 < 2 else None  # in-pool and cross-split queries
-        got = [sc.id for sc in retrieve(state, index, query, m, exclude_id=exclude)]
+        got = [sc.id for sc in retrieve(state, index, query.text, m, exclude_id=exclude)]
         q = encode_query(state, "alpha beta")
         sims = matrix @ q
         want = sorted((i for i in range(n) if i != exclude),
@@ -351,7 +351,7 @@ def test_acceptance_7_method_premise_trend(capsys):
         for s in test.samples:
             q_input = task_input(s, train.task)
             target = serialize_label(s, train.task)
-            top = retrieve(retr, index, s, 1, query_input=q_input)[0].candidate
+            top = retrieve(retr, index, q_input, 1)[0].candidate
             rand = cands[rng.integers(len(cands))]
             ll_top.append(score(scorer, render(definition, [top], q_input),
                                 target).total)

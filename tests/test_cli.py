@@ -5,6 +5,7 @@ import pytest
 from exrank import cli
 from exrank.cli import _sha256, main
 from exrank.config import Config
+from exrank.template import load_templates
 
 FAST = [
     "--k", "2", "--m", "6", "--ratio", "0.4", "--lr", "0.003",
@@ -341,4 +342,26 @@ def test_resume_without_run_json_is_refused(resumable_dir, data_dir, tmp_path, c
               + ["--resume-step", "1"])
     assert rc != 0
     assert "no run.json" in capsys.readouterr().err
+    assert _snapshot(out) == before
+
+
+def test_resume_with_edited_templates_is_refused(tmp_path, data_dir, capsys):
+    builtin = load_templates(None)
+    tpl = tmp_path / "tpl"
+    tpl.mkdir()
+    for task, text in builtin.definitions.items():
+        (tpl / f"def_{task.value}.txt").write_text(text)
+    (tpl / "example_block.txt").write_text(builtin.example_block)
+    (tpl / "target_block.txt").write_text(builtin.target_block)
+    out = tmp_path / "alt"
+    argv = _alternate_argv(data_dir, data_dir / "train.jsonl", out) + [
+        "--template-dir", str(tpl)]
+    assert main(argv) == 0
+    assert json.loads((out / "run.json").read_text())["templates_sha256"]
+    before = _snapshot(out)
+    (tpl / "def_aspe.txt").write_text("Some other definition.")
+    load_templates.cache_clear()  # as a new process would read the files again
+    rc = main(argv + ["--resume-step", "1"])
+    assert rc == 2
+    assert "data differs from run.json in ['templates_sha256']" in capsys.readouterr().err
     assert _snapshot(out) == before

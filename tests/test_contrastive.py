@@ -14,7 +14,7 @@ from exrank.contrastive import (
     train_retriever,
 )
 from exrank.corpus import Dataset, Sample, Task, generate_synthetic
-from exrank.retriever import init_retriever
+from exrank.retriever import encode_text, init_retriever
 from exrank.scorer import LogLikelihood, init_scorer
 from exrank.template import Candidate
 from exrank.vocab import Vocabulary
@@ -141,6 +141,27 @@ class TestInfoNCE:
 
 
 class TestBatchGradients:
+    @pytest.mark.parametrize("B", [1, 2, 4])
+    def test_loss_is_the_mean_of_infonce_loss(self, B):
+        words = [f"w{i}" for i in range(12)]
+        state = init_retriever(Vocabulary.build([" ".join(words)]), d_r=4,
+                               max_len=16, seed=B)
+        rng = np.random.default_rng(B)
+        chosen = [[" ".join(rng.choice(words, size=3)) for _ in range(3)]
+                  for _ in range(B)]  # (query, positive, own negative) per query
+        items = [
+            (q, pos, [neg] + [t for j, (_, p, n) in enumerate(chosen) if j != i
+                              for t in (p, n)])
+            for i, (q, pos, neg) in enumerate(chosen)
+        ]
+        losses = [
+            infonce_loss(encode_text(state, q), encode_text(state, pos),
+                         [encode_text(state, n) for n in negs])
+            for q, pos, negs in items
+        ]
+        # summed in item order, then scaled by 1/B, as training does
+        assert _batch_loss_and_grads(state, items)[0] == sum(losses) * (1.0 / B)
+
     def test_matches_finite_differences(self):
         vocab = Vocabulary.build(["alpha beta gamma delta"])
         state = init_retriever(vocab, d_r=3, max_len=16, seed=13)

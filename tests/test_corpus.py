@@ -65,8 +65,19 @@ class TestLoadDataset:
     def test_malformed_line_reports_position(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text('{"text": "x", "labels": []}\nnot json\n')
-        with pytest.raises(ValueError, match="line 1"):
+        with pytest.raises(ValueError, match="line 2"):
             load_dataset(p, Task.ASPE)
+
+    def test_error_line_counts_from_one_and_counts_blank_lines(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text('\n{"text": "x", "labels": [["food", "meh"]]}\n')
+        with pytest.raises(ValueError, match="^unknown polarity 'meh' at line 2$"):
+            load_dataset(p, Task.ASPE)
+
+    def test_ids_count_records_not_lines(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text('{"text": "a", "labels": []}\n\n{"text": "b", "labels": []}\n')
+        assert [s.id for s in load_dataset(p, Task.ASPE).samples] == [0, 1]
 
     def test_unknown_polarity_rejected(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -91,7 +102,7 @@ class TestLoadDataset:
             {"text": "x", "labels": [["food", "positive"]]},
             {"text": "y", "labels": [[term, "positive"]]},
         ])
-        with pytest.raises(ValueError, match=f"{message}.*line 1"):
+        with pytest.raises(ValueError, match=f"{message}.*line 2"):
             load_dataset(p, Task.ASPE)
 
     def test_round_trip_save_load(self, tmp_path):

@@ -138,7 +138,7 @@ class TestRetrieve:
         state = _micro_retriever(" ".join(s.text for s in train.samples))
         index = build_index(state, train)
         query = train.samples[3]
-        out = retrieve(state, index, query, 2, exclude_id=query.id)
+        out = retrieve(state, index, query.text, 2, exclude_id=query.id)
         assert len(out) == 2
         assert all(sc.id != query.id for sc in out)
 
@@ -148,7 +148,7 @@ class TestRetrieve:
         index = build_index(state, train)
         query = test.samples[0]
         assert query.id in index.ids  # each split numbers its samples from 0
-        out = retrieve(state, index, query, len(train))
+        out = retrieve(state, index, query.text, len(train))
         assert sorted(sc.id for sc in out) == sorted(index.ids.tolist())
 
     def test_matches_exhaustive_sort(self):
@@ -158,7 +158,7 @@ class TestRetrieve:
         q = encode_query(state, "alpha beta")
         sims = index.matrix @ q
         for exclude in (7, None):
-            got = [sc.id for sc in retrieve(state, index, query, 10, exclude_id=exclude)]
+            got = [sc.id for sc in retrieve(state, index, query.text, 10, exclude_id=exclude)]
             order = sorted(
                 (i for i in range(50) if i != exclude), key=lambda i: (-sims[i], i)
             )
@@ -169,16 +169,16 @@ class TestRetrieve:
         index = _synthetic_index(state, 10)
         index.matrix = np.ones_like(index.matrix)
         query = type("Q", (), {"id": 4, "text": "alpha"})()
-        got = [sc.id for sc in retrieve(state, index, query, 5, exclude_id=query.id)]
+        got = [sc.id for sc in retrieve(state, index, query.text, 5, exclude_id=query.id)]
         assert got == [0, 1, 2, 3, 5]
-        assert [sc.id for sc in retrieve(state, index, query, 5)] == [0, 1, 2, 3, 4]
+        assert [sc.id for sc in retrieve(state, index, query.text, 5)] == [0, 1, 2, 3, 4]
 
     def test_m_larger_than_pool_warns_and_clamps(self, caplog):
         state = _micro_retriever()
         index = _synthetic_index(state, 4)
         query = type("Q", (), {"id": 0, "text": "alpha"})()
         with caplog.at_level("WARNING"):
-            out = retrieve(state, index, query, 99, exclude_id=query.id)
+            out = retrieve(state, index, query.text, 99, exclude_id=query.id)
         assert len(out) == 3
         assert any("exceeds pool" in rec.message for rec in caplog.records)
 
@@ -187,7 +187,7 @@ class TestRetrieve:
         index = _synthetic_index(state, 4)
         query = type("Q", (), {"id": 0, "text": "alpha"})()
         with pytest.raises(ValueError):
-            retrieve(state, index, query, 0)
+            retrieve(state, index, query.text, 0)
 
     def test_stale_index_rejected(self):
         train, _ = generate_synthetic(20, 5, 0)
@@ -195,8 +195,8 @@ class TestRetrieve:
         index = build_index(state, train)
         state.version += 1  # as if a training step happened
         with pytest.raises(StaleIndexError):
-            retrieve(state, index, train.samples[0], 2)
-        out = retrieve(state, index, train.samples[0], 2, allow_stale=True)
+            retrieve(state, index, train.samples[0].text, 2)
+        out = retrieve(state, index, train.samples[0].text, 2, allow_stale=True)
         assert len(out) == 2
 
 
@@ -334,7 +334,7 @@ class TestBitExactAgainstOracle:
             query = type("Q", (), {"id": int(index.ids[7]), "text": text})()
             exclude_id = {"absent": None, "present": query.id, "missing-id": -1}[exclude]
             for m in (1, 2, 5, n - 2, n - 1, n):
-                got = retrieve(state, index, query, m, exclude_id=exclude_id)
+                got = retrieve(state, index, query.text, m, exclude_id=exclude_id)
                 assert [(sc.id, sc.similarity) for sc in got] == _reference_retrieve(
                     state, index, query, m, exclude_id), (text, m)
 
@@ -346,7 +346,7 @@ class TestBitExactAgainstOracle:
             for m in (eligible, eligible + 1, eligible + 5):
                 caplog.clear()
                 with caplog.at_level(logging.WARNING):
-                    got = retrieve(state, index, query, m, exclude_id=exclude_id)
+                    got = retrieve(state, index, query.text, m, exclude_id=exclude_id)
                 assert [(sc.id, sc.similarity) for sc in got] == _reference_retrieve(
                     state, index, query, m, exclude_id)
                 assert len(got) == eligible
@@ -359,7 +359,7 @@ class TestBitExactAgainstOracle:
         index.matrix = np.ones_like(index.matrix)
         query = type("Q", (), {"id": 0, "text": "w3"})()
         for m in (1, 4, 29, 30):
-            got = [sc.id for sc in retrieve(state, index, query, m)]
+            got = [sc.id for sc in retrieve(state, index, query.text, m)]
             assert got == sorted(index.ids.tolist())[:m]
             assert got == [i for i, _ in _reference_retrieve(state, index, query, m)]
 
@@ -369,7 +369,7 @@ class TestBitExactAgainstOracle:
         index.matrix[[2, 5, 6]] = np.nan
         query = type("Q", (), {"id": 0, "text": "w3 w4"})()
         for m in range(1, 11):
-            got = [sc.id for sc in retrieve(state, index, query, m)]
+            got = [sc.id for sc in retrieve(state, index, query.text, m)]
             assert got == [i for i, _ in _reference_retrieve(state, index, query, m)]
 
 
@@ -394,5 +394,5 @@ def test_retrieve_equals_brute_force_sort(rows, m, exclude, text):
     query = type("Q", (), {"id": -1, "text": text})()
     sims = index.matrix @ encode_query(state, text)
     brute = sorted((-sims[r], int(ids[r])) for r in range(n) if ids[r] != exclude)[:m]
-    got = retrieve(state, index, query, m, exclude_id=exclude)
+    got = retrieve(state, index, query.text, m, exclude_id=exclude)
     assert [(sc.id, -sc.similarity) for sc in got] == [(i, s) for s, i in brute]

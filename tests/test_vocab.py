@@ -45,6 +45,12 @@ def test_duplicate_tokens_rejected():
         Vocabulary(list(RESERVED_TOKENS) + ["a", "a"])
 
 
+@pytest.mark.parametrize("tokens", [[], ["a", "b"], list(RESERVED_TOKENS[:3]) + ["a"]])
+def test_tokens_without_the_reserved_prefix_are_rejected(tokens):
+    with pytest.raises(ValueError, match="must begin with"):
+        Vocabulary(tokens)
+
+
 def test_tokenize_is_whitespace_split():
     assert tokenize("a  b\tc") == ["a", "b", "c"]
 
