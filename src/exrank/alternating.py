@@ -11,11 +11,11 @@ from pathlib import Path
 
 from . import retriever as retriever_mod
 from . import scorer as scorer_mod
-from .atomic import replacing
+from .atomic import write_table
 from .config import substream
 from .contrastive import check_label_sizes, train_retriever
 from .corpus import Task, serialize_label
-from .evaluation import AblationMode, run_inference
+from .evaluation import METRIC_COLUMNS, AblationMode, run_inference
 from .retriever import build_index, init_retriever, retrieve
 from .scorer import finetune_step, init_scorer
 from .template import definition_for, load_templates, render, task_input
@@ -23,12 +23,6 @@ from .optim import AdamW
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
-
-METRIC_COLUMNS = [
-    "step", "task", "split", "precision", "recall", "f1",
-    "accuracy", "parse_failures",
-]
-
 
 @dataclass
 class ScheduleState:
@@ -105,27 +99,16 @@ def finetune_lm(scorer, retriever, train, cfg, seed_tag="finetune-lm"):
 
 
 def _metrics_row(step, dataset, metrics):
-    return {
-        "step": step,
-        "task": dataset.task.value,
-        "split": dataset.split.value,
-        "precision": f"{metrics.precision:.6f}",
-        "recall": f"{metrics.recall:.6f}",
-        "f1": f"{metrics.f1:.6f}",
-        "accuracy": f"{metrics.accuracy:.6f}",
-        "parse_failures": metrics.parse_failures,
-    }
+    return {"step": step, "task": dataset.task.value, "split": dataset.split.value,
+            **metrics.row()}
 
 
 def _write_metrics(path, rows):
-    with replacing(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRIC_COLUMNS, delimiter="\t")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    write_table(path, ["step", "task", "split", *METRIC_COLUMNS], rows)
 
 
 def _read_metrics(path):
+    # csv also reads the CRLF line endings of older runs' metrics.tsv
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh, delimiter="\t"))
 

@@ -36,3 +36,18 @@ def write_lines(path, lines):
     with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def write_table(path, columns, rows):
+    """Write a header of ``columns`` and one tab-separated line per row dict
+    through ``write_lines``.  A row whose keys are not exactly ``columns``
+    raises ``ValueError`` and ``path`` keeps its old content."""
+
+    def lines():
+        yield "\t".join(columns)
+        for row in rows:
+            if row.keys() != set(columns):
+                raise ValueError(f"row keys {sorted(row)} are not the columns {columns}")
+            yield "\t".join(str(row[c]) for c in columns)
+
+    write_lines(path, lines())

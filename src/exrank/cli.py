@@ -20,7 +20,7 @@ from .alternating import (
     run_schedule,
     warmup_scorer,
 )
-from .atomic import replacing, write_lines
+from .atomic import write_lines, write_table
 from .config import Config, read_config_file
 from .contrastive import separation, train_retriever
 from .corpus import (
@@ -31,7 +31,7 @@ from .corpus import (
     to_atsc,
     with_task,
 )
-from .evaluation import AblationMode, k_sweep, run_inference
+from .evaluation import METRIC_COLUMNS, AblationMode, k_sweep, run_inference
 from .retriever import build_index, init_retriever, retrieve
 from .scorer import init_scorer, load_scorer, save_scorer, score
 from .template import load_templates, task_input
@@ -115,8 +115,7 @@ def _write_manifest(out_dir, command, cfg, extra=None):
     }
     if extra:
         manifest.update(extra)
-    with replacing(out / "run.json") as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    write_lines(out / "run.json", [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 def _load_data(args, cfg):
@@ -167,10 +166,9 @@ def _cmd_train_retriever(args):
     save_scorer(scorer_state, out / "scorer.ckpt.npz")
     sep = separation(retr, train.samples[: min(50, len(train.samples))],
                      scorer_state, cfg, train)
-    write_lines(out / "training.tsv", [
-        "epoch\tmean_infonce",
-        *(f"{epoch}\t{loss:.6f}" for epoch, loss in report),
-        f"separation\t{sep:.6f}",
+    write_table(out / "training.tsv", ["epoch", "mean_infonce"], [
+        *({"epoch": epoch, "mean_infonce": f"{loss:.6f}"} for epoch, loss in report),
+        {"epoch": "separation", "mean_infonce": f"{sep:.6f}"},
     ])
     _write_manifest(out, "train-retriever", cfg)
     for epoch, loss in report:
@@ -260,11 +258,8 @@ def _cmd_evaluate(args):
     metrics, dump = run_inference(scorer_state, retr, test, cfg.k, mode, train, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_lines(out / "metrics.tsv", [
-        "mode\ttask\tk\tprecision\trecall\tf1\taccuracy\tparse_failures",
-        f"{mode.value}\t{cfg.task.value}\t{cfg.k}\t{metrics.precision:.6f}\t"
-        f"{metrics.recall:.6f}\t{metrics.f1:.6f}\t{metrics.accuracy:.6f}\t"
-        f"{metrics.parse_failures}",
+    write_table(out / "metrics.tsv", ["mode", "task", "k", *METRIC_COLUMNS], [
+        {"mode": mode.value, "task": cfg.task.value, "k": cfg.k, **metrics.row()},
     ])
     write_lines(out / "predictions.jsonl", (json.dumps(rec) for rec in dump))
     _write_manifest(out, "evaluate", cfg, {"mode": mode.value})
@@ -283,13 +278,9 @@ def _cmd_sweep(args):
     rows = k_sweep(scorer_state, retr, test, args.k_max, train, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_lines(out / "sweep.tsv", [
-        "k\tprecision\trecall\tf1\taccuracy\tparse_failures\ttruncated",
-        *(f"{r.k}\t{r.metrics.precision:.6f}\t{r.metrics.recall:.6f}\t"
-          f"{r.metrics.f1:.6f}\t{r.metrics.accuracy:.6f}\t"
-          f"{r.metrics.parse_failures}\t{int(r.truncated)}"
-          for r in rows),
-    ])
+    write_table(out / "sweep.tsv", ["k", *METRIC_COLUMNS, "truncated"], (
+        {"k": r.k, **r.metrics.row(), "truncated": int(r.truncated)} for r in rows
+    ))
     _write_manifest(out, "sweep", cfg)
     for row in rows:
         print(f"{row.k}\t{row.metrics.f1:.4f}\t{row.metrics.accuracy:.4f}")

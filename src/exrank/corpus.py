@@ -138,6 +138,11 @@ def _read_record(line, task, sample_id):
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         # a JSONDecodeError's own position counts within this one line
         raise ValueError(f"malformed record ({getattr(exc, 'msg', exc)})") from exc
+    aspect = rec.get("aspect")
+    for key, value, kind in (("text", text, str), ("labels", raw_labels, list),
+                             ("aspect", aspect, (str, type(None)))):
+        if not isinstance(value, kind):
+            raise ValueError(f"malformed record ({key} is {type(value).__name__})")
     labels = []
     for pair in raw_labels:
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
@@ -149,8 +154,7 @@ def _read_record(line, task, sample_id):
         if pol not in _POLARITY_WORDS:
             raise ValueError(f"unknown polarity {pol!r}")
         labels.append(AspectLabel(term, _POLARITY_WORDS[pol]))
-    sample = Sample(id=sample_id, text=text, labels=labels or [SENTINEL],
-                    aspect=rec.get("aspect"))
+    sample = Sample(id=sample_id, text=text, labels=labels or [SENTINEL], aspect=aspect)
     _check_sample(sample)
     if task == Task.ATSC:
         serialize_label(sample, task)  # refuses a missing aspect or one not among the labels

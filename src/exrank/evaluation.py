@@ -30,6 +30,9 @@ from .template import (
 from .vocab import tokenize
 
 
+METRIC_COLUMNS = ["precision", "recall", "f1", "accuracy", "parse_failures"]
+
+
 @dataclass
 class Metrics:
     precision: float = 0.0
@@ -38,6 +41,12 @@ class Metrics:
     accuracy: float = 0.0
     counts: tuple = (0, 0, 0)  # (num_pred, num_gold, num_correct)
     parse_failures: int = 0
+
+    def row(self):
+        """The METRIC_COLUMNS of a table row: rates at six decimals, then the count."""
+        row = {c: f"{getattr(self, c):.6f}" for c in METRIC_COLUMNS[:-1]}
+        row["parse_failures"] = self.parse_failures
+        return row
 
 
 class AblationMode(str, Enum):
@@ -200,8 +209,8 @@ def k_sweep(scorer, retriever, test, k_max, pool, cfg):
     """
     rows = []
     for k in range(k_max + 1):
-        mode = AblationMode.NO_EXAMPLE if k == 0 else AblationMode.FULL
-        metrics, dump = run_inference(scorer, retriever, test, k, mode, pool, cfg)
+        metrics, dump = run_inference(scorer, retriever, test, k, AblationMode.FULL,
+                                      pool, cfg)
         truncated = any(rec["prompt_len"] > scorer.max_len for rec in dump)
         rows.append(SweepRow(k=k, metrics=metrics, truncated=truncated))
     return rows

@@ -63,10 +63,6 @@ def init_retriever(vocab, d_r=64, max_len=128, seed=0):
     return RetrieverState(vocab=vocab, d_r=d_r, max_len=max_len, params=params)
 
 
-def _text_ids(state, text):
-    return np.array(state.vocab.encode(text)[-state.max_len:], dtype=np.intp)
-
-
 def _token_outputs(state, ids):
     """Token embeddings e and encoder outputs u = tanh(e @ w.T + b), each (n, d_r)."""
     p = state.params
@@ -79,7 +75,7 @@ def _token_outputs(state, ids):
 
 def encode_text(state, text):
     """Mean of per-token encoder outputs; zero vector for empty input."""
-    ids = _text_ids(state, text)
+    ids = state.vocab.tail_ids(text, state.max_len)
     if not len(ids):
         return np.zeros(state.d_r)
     _, u = _token_outputs(state, ids)
@@ -87,17 +83,9 @@ def encode_text(state, text):
     return np.add.reduce(u, axis=0) / len(ids)
 
 
-def encode_candidate(state, candidate):
-    return encode_text(state, candidate_text(candidate))
-
-
-def encode_query(state, x):
-    return encode_text(state, query_text(x))
-
-
 def encode_text_backward(state, text, dh, grads):
     """Accumulate parameter gradients for d(loss)/d(encode_text(text)) = dh."""
-    ids = _text_ids(state, text)
+    ids = state.vocab.tail_ids(text, state.max_len)
     if not len(ids):
         return
     e, u = _token_outputs(state, ids)
@@ -120,7 +108,7 @@ def build_index(state, pool):
     """Embed every pool sample as a candidate, in id order."""
     candidates = [make_candidate(s, pool.task) for s in pool.samples]
     if candidates:
-        matrix = np.stack([encode_candidate(state, c) for c in candidates])
+        matrix = np.stack([encode_text(state, candidate_text(c)) for c in candidates])
     else:
         matrix = np.zeros((0, state.d_r))
     return CandidateIndex(
@@ -148,7 +136,7 @@ def retrieve(state, index, text, m, allow_stale=False, exclude_id=None):
         raise StaleIndexError(
             f"index built at version {index.version}, state is at {state.version}"
         )
-    q = encode_query(state, text)
+    q = encode_text(state, query_text(text))
     sims = index.matrix @ q
     ids = index.ids
     keep = None

@@ -45,7 +45,6 @@ class ScorerState:
     d: int
     max_len: int
     params: dict  # emb (V,d), w_enc (d,d), b_enc (d,), w_out (V,2d+POS_DIM), b_out (V,)
-    version: int = 0
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,14 +74,8 @@ def init_scorer(vocab, d=64, max_len=128, seed=0):
     return ScorerState(vocab=vocab, d=d, max_len=max_len, params=params)
 
 
-def _prompt_ids(state, prompt):
-    ids = state.vocab.encode(prompt)
-    # keep the tail so the target input survives truncation
-    return np.array(ids[-state.max_len:], dtype=np.intp)
-
-
 def _encode_prompt(state, prompt):
-    ids = _prompt_ids(state, prompt)
+    ids = state.vocab.tail_ids(prompt, state.max_len)
     p = state.params
     if len(ids):
         # equal bit for bit to emb[ids].mean(axis=0)
@@ -181,10 +174,8 @@ def _greedy_token(z):
     return int(_normalise(z).argmax())
 
 
-def generate(state, prompt, max_len=None):
-    """Greedy decoding until the end token or the length cap."""
-    if max_len is None:
-        max_len = state.max_len
+def generate(state, prompt, max_len):
+    """Greedy decoding until the end token or ``max_len`` tokens."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     h, _, _ = _encode_prompt(state, prompt)
@@ -236,7 +227,6 @@ def finetune_step(state, prompt, target, optimizer):
     loss, grads = nll_and_grads(state, prompt, target)
     check_finite(loss, grads, f"prompt={prompt[:60]!r}")
     optimizer.step(state.params, grads)
-    state.version += 1
     return state, loss
 
 

@@ -2,6 +2,8 @@
 
 from itertools import repeat
 
+import numpy as np
+
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 
@@ -39,6 +41,12 @@ class Vocabulary:
 
     def encode(self, text):
         return list(map(self.index.get, tokenize(text), repeat(UNK_ID)))
+
+    def tail_ids(self, text, max_len):
+        """Ids of the last ``max_len`` tokens of ``text``, as an index array."""
+        # a model keeps the tail so the query input, which ends every prompt,
+        # survives truncation
+        return np.array(self.encode(text)[-max_len:], dtype=np.intp)
 
     def decode(self, ids):
         return " ".join(

@@ -41,7 +41,7 @@ from exrank.evaluation import (
 )
 from exrank.retriever import (
     CandidateIndex,
-    encode_query,
+    encode_text,
     init_retriever,
     load_retriever,
     retrieve,
@@ -54,7 +54,14 @@ from exrank.scorer import (
     score,
     step_logits,
 )
-from exrank.template import Candidate, definition_for, make_candidate, render, task_input
+from exrank.template import (
+    Candidate,
+    definition_for,
+    make_candidate,
+    query_text,
+    render,
+    task_input,
+)
 from exrank.vocab import Vocabulary
 
 
@@ -168,7 +175,7 @@ def test_acceptance_3_ranking_oracle(monkeypatch, capsys):
         query = type("Q", (), {"id": qid, "text": "alpha beta"})()
         exclude = qid if trial % 4 < 2 else None  # in-pool and cross-split queries
         got = [sc.id for sc in retrieve(state, index, query.text, m, exclude_id=exclude)]
-        q = encode_query(state, "alpha beta")
+        q = encode_text(state, query_text("alpha beta"))
         sims = matrix @ q
         want = sorted((i for i in range(n) if i != exclude),
                       key=lambda i: (-sims[i], i))[:m]

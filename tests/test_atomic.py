@@ -77,7 +77,7 @@ def test_failed_metrics_write_keeps_previous_file(tmp_path):
     rows = [_metrics_row(step, dev, Metrics(f1=0.5)) for step in (0, 1)]
     _write_metrics(path, rows[:1])
     before = path.read_bytes()
-    # DictWriter raises on the third row, after the header and two rows
+    # write_table raises on the third row, after the header and two rows
     with pytest.raises(ValueError):
         _write_metrics(path, rows + [{"bogus": 1}])
     assert path.read_bytes() == before
@@ -122,6 +122,23 @@ def test_failed_write_lines_keeps_previous_file(tmp_path):
         atomic.write_lines(path, lines())
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["sweep.tsv"]
+
+
+def test_write_table_writes_a_header_and_lf_terminated_rows(tmp_path):
+    atomic.write_table(tmp_path / "t.tsv", ["k", "f1"],
+                       [{"k": 0, "f1": "0.500000"}, {"f1": "0.250000", "k": 1}])
+    assert (tmp_path / "t.tsv").read_bytes() == b"k\tf1\n0\t0.500000\n1\t0.250000\n"
+
+
+@pytest.mark.parametrize("bad", [{"k": 1}, {"k": 1, "f1": 0.5, "extra": 2}])
+def test_write_table_refuses_a_row_without_exactly_the_columns(tmp_path, bad):
+    path = tmp_path / "t.tsv"
+    atomic.write_table(path, ["k", "f1"], [{"k": 0, "f1": 0.5}])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="not the columns"):
+        atomic.write_table(path, ["k", "f1"], [{"k": 0, "f1": 0.5}, bad])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["t.tsv"]
 
 
 def test_failed_dataset_write_keeps_previous_file(tmp_path):

@@ -65,6 +65,15 @@ def test_alternate_outputs(trained_dir):
     }
 
 
+def test_alternate_writes_lf_line_endings(trained_dir):
+    metrics = (trained_dir / "metrics.tsv").read_bytes()
+    assert b"\r" not in metrics
+    assert metrics.split(b"\n")[0] == (
+        b"step\ttask\tsplit\tprecision\trecall\tf1\taccuracy\tparse_failures")
+    assert metrics.count(b"\n") == 3  # the header, step 0 and step 1
+    assert (trained_dir / "run.json").read_bytes().endswith(b"}\n")
+
+
 def test_train_retriever_command(tmp_path, data_dir, capsys):
     out = tmp_path / "retr"
     rc = main(["train-retriever", "--train-file", str(data_dir / "train.jsonl"),

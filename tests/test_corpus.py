@@ -105,6 +105,18 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=f"{message}.*line 2"):
             load_dataset(p, Task.ASPE)
 
+    @pytest.mark.parametrize("field, value, task", [
+        ("text", 5, Task.ASPE),
+        ("labels", 5, Task.ASPE),
+        ("aspect", 5, Task.ATSC),
+    ])
+    def test_field_of_the_wrong_json_type_is_rejected(self, tmp_path, field, value, task):
+        p = tmp_path / "d.jsonl"
+        record = {"text": "x", "labels": [["food", "positive"]], "aspect": "food"}
+        _write_jsonl(p, [record, {**record, field: value}])
+        with pytest.raises(ValueError, match=f"^malformed record \\({field} is int\\) at line 2$"):
+            load_dataset(p, task)
+
     def test_round_trip_save_load(self, tmp_path):
         train, _ = generate_synthetic(30, 5, 3)
         p = tmp_path / "d.jsonl"

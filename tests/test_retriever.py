@@ -10,8 +10,6 @@ from exrank.retriever import (
     CandidateIndex,
     StaleIndexError,
     build_index,
-    encode_candidate,
-    encode_query,
     encode_text,
     encode_text_backward,
     init_retriever,
@@ -68,14 +66,15 @@ class TestEncode:
 
     def test_query_determinism(self):
         state = _micro_retriever()
-        assert np.array_equal(encode_query(state, "alpha"), encode_query(state, "alpha"))
+        assert np.array_equal(encode_text(state, query_text("alpha")),
+                              encode_text(state, query_text("alpha")))
 
     def test_query_and_candidate_renderings_differ(self):
         c = Candidate(id=0, input="alpha", output="beta")
         assert query_text("alpha") != candidate_text(c)
         state = _micro_retriever()
         assert not np.allclose(
-            encode_query(state, "alpha"), encode_candidate(state, c)
+            encode_text(state, query_text("alpha")), encode_text(state, candidate_text(c))
         )
 
 
@@ -155,7 +154,7 @@ class TestRetrieve:
         state = _micro_retriever(d_r=6)
         index = _synthetic_index(state, 50)
         query = type("Q", (), {"id": 7, "text": "alpha beta"})()
-        q = encode_query(state, "alpha beta")
+        q = encode_text(state, query_text("alpha beta"))
         sims = index.matrix @ q
         for exclude in (7, None):
             got = [sc.id for sc in retrieve(state, index, query.text, 10, exclude_id=exclude)]
@@ -214,7 +213,8 @@ class TestIndex:
         state = _micro_retriever(" ".join(s.text for s in train.samples))
         index = build_index(state, train)
         for i, c in enumerate(index.candidates):
-            assert np.allclose(index.matrix[i], encode_candidate(state, c), atol=1e-12)
+            assert np.allclose(index.matrix[i], encode_text(state, candidate_text(c)),
+                               atol=1e-12)
 
 
 class TestCheckpoint:
@@ -392,7 +392,7 @@ def test_retrieve_equals_brute_force_sort(rows, m, exclude, text):
         version=0,
     )
     query = type("Q", (), {"id": -1, "text": text})()
-    sims = index.matrix @ encode_query(state, text)
+    sims = index.matrix @ encode_text(state, query_text(text))
     brute = sorted((-sims[r], int(ids[r])) for r in range(n) if ids[r] != exclude)[:m]
     got = retrieve(state, index, query.text, m, exclude_id=exclude)
     assert [(sc.id, -sc.similarity) for sc in got] == [(i, s) for s, i in brute]

@@ -102,7 +102,7 @@ class TestStepLogits:
         state = _micro_scorer(seed=3)
         dist = step_logits(state, "alpha beta gamma", [])
         first = int(np.argmax(dist))
-        out_ids = state.vocab.encode(generate(state, "alpha beta gamma"))
+        out_ids = state.vocab.encode(generate(state, "alpha beta gamma", state.max_len))
         if first == EOS_ID:
             assert out_ids == []
         elif first >= 4:  # a real word survives decoding
@@ -126,11 +126,12 @@ class TestGenerate:
         opt = AdamW(state.params, lr=0.05)
         for _ in range(300):
             finetune_step(state, prompt, target, opt)
-        assert generate(state, prompt) == target
+        assert generate(state, prompt, state.max_len) == target
 
     def test_deterministic(self):
         state = _micro_scorer(seed=2)
-        assert generate(state, "beta gamma") == generate(state, "beta gamma")
+        assert (generate(state, "beta gamma", state.max_len)
+                == generate(state, "beta gamma", state.max_len))
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_encodes_prompt_once_and_matches_step_logits_loop(self, seed, monkeypatch):
@@ -174,12 +175,6 @@ class TestFinetune:
         state = _micro_scorer()
         with pytest.raises(ValueError, match="lr must be finite and non-negative"):
             AdamW(state.params, lr=-1.0)
-
-    def test_version_bumps(self):
-        state = _micro_scorer()
-        v0 = state.version
-        finetune_step(state, "alpha", "beta", AdamW(state.params, lr=0.01))
-        assert state.version == v0 + 1
 
     def test_frozen_scoring_is_stable(self):
         state = _micro_scorer()
