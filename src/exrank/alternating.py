@@ -33,14 +33,18 @@ class ScheduleState:
 
 
 def build_vocabulary(train, cfg):
-    """Deterministic shared vocabulary: definitions, scaffolding, then samples."""
+    """Deterministic shared vocabulary: definitions, the loaded template blocks,
+    then each sample's prompt-side input and gold output."""
     templates = load_templates(cfg.template_dir)
     texts = [definition_for(t, templates) for t in Task]
+    # this line first keeps the token order of the built-in templates
     texts.append("Definition: Example Now complete the following- Input: Output:")
-    texts.extend(f"{i}-" for i in range(1, 9))
+    texts.extend(templates.example_block.format(index=i, input="", output="")
+                 for i in range(1, 9))
+    texts.append(templates.target_block.format(input=""))
     texts.append("The aspect is")
     for s in train.samples:
-        texts.append(s.text)
+        texts.append(task_input(s, train.task))
         texts.append(serialize_label(s, train.task))
     return Vocabulary.build(texts)
 

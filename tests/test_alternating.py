@@ -12,11 +12,18 @@ from exrank.alternating import (
 )
 from exrank.config import Config
 from exrank.contrastive import train_retriever
-from exrank.corpus import Dataset, Task, generate_synthetic, serialize_label
+from exrank.corpus import Dataset, Task, generate_synthetic, serialize_label, to_atsc
 from exrank.evaluation import AblationMode, run_inference
 from exrank.retriever import init_retriever, load_retriever
 from exrank.scorer import init_scorer, load_scorer, score
-from exrank.template import definition_for, load_templates, render, task_input
+from exrank.template import (
+    definition_for,
+    load_templates,
+    make_candidate,
+    render,
+    task_input,
+)
+from exrank.vocab import UNK_ID
 
 
 def _cfg(seed=0, **over):
@@ -42,14 +49,38 @@ class TestVocabulary:
     def test_covers_corpus_and_scaffolding(self):
         train, _ = generate_synthetic(40, 5, 0)
         vocab = build_vocabulary(train, _cfg())
-        from exrank.vocab import UNK_ID
-
         for s in train.samples:
             assert UNK_ID not in vocab.encode(s.text)
             assert UNK_ID not in vocab.encode(serialize_label(s, train.task))
         prompt = render(definition_for(train.task), [], "x")
         ids = vocab.encode(prompt)
         assert ids.count(UNK_ID) <= 1  # only the unseen input token
+
+    @staticmethod
+    def _unknown_tokens(train, cfg):
+        """<unk> tokens over every train prompt carrying eight examples."""
+        vocab = build_vocabulary(train, cfg)
+        templates = load_templates(cfg.template_dir)
+        definition = definition_for(train.task, templates)
+        examples = [make_candidate(s, train.task) for s in train.samples[:8]]
+        return sum(
+            vocab.encode(render(definition, examples, task_input(s, train.task),
+                                templates)).count(UNK_ID)
+            for s in train.samples
+        )
+
+    def test_atsc_prompts_have_no_unknown_token(self):
+        train = to_atsc(generate_synthetic(40, 1, 0)[0])
+        assert self._unknown_tokens(train, _cfg(task=Task.ATSC)) == 0
+
+    def test_custom_template_prompts_have_no_unknown_token(self, tmp_path):
+        for t in Task:
+            (tmp_path / f"def_{t.value}.txt").write_text(f"Solve {t.value}.")
+        (tmp_path / "example_block.txt").write_text(
+            "Sample {index}: Question {input} Answer {output}")
+        (tmp_path / "target_block.txt").write_text("Query: {input} Reply:")
+        train, _ = generate_synthetic(40, 1, 0)
+        assert self._unknown_tokens(train, _cfg(template_dir=str(tmp_path))) == 0
 
     def test_deterministic(self):
         train, _ = generate_synthetic(40, 5, 0)
