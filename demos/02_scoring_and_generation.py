@@ -8,16 +8,15 @@ import numpy as np
 from exrank import Config, generate_synthetic, score, serialize_label
 from exrank.alternating import build_vocabulary, warmup_scorer
 from exrank.scorer import generate, init_scorer, nll_and_grads
-from exrank.template import definition_for, render
+from exrank.template import load_templates, render
 
 train, test = generate_synthetic(200, 10, seed=0)
 cfg = Config(d=48, lr=3e-3, weight_decay=0.0, warmup_epochs=4, seed=0)
 vocab = build_vocabulary(train, cfg)
 scorer = init_scorer(vocab, d=cfg.d, seed=0)
 
-definition = definition_for(train.task)
 s = test.samples[0]
-prompt = render(definition, [], s.text)
+prompt = render(load_templates(cfg.template_dir), train.task, [], s.text)
 target = serialize_label(s, train.task)
 
 ll = score(scorer, prompt, target)

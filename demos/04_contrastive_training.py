@@ -19,7 +19,7 @@ from exrank.contrastive import (
 )
 from exrank.retriever import init_retriever
 from exrank.scorer import init_scorer
-from exrank.template import definition_for, make_candidate
+from exrank.template import load_templates, make_candidate
 
 train, test = generate_synthetic(60, 10, seed=0)
 cfg = Config(k=2, m=8, r=0.5, batch_size=2, lr=1e-2, weight_decay=0.0,
@@ -31,7 +31,7 @@ warmup_scorer(scorer, train, cfg)
 query = train.samples[5]
 cands = [make_candidate(s, train.task) for s in train.samples[10:20]]
 c_plus, c_minus = label_candidates(
-    query, cands, scorer, definition_for(train.task), cfg.k, train.task
+    query, cands, scorer, load_templates(cfg.template_dir), cfg.k, train.task
 )
 print(f"query: {query.text}")
 print("delta-scored candidates:")

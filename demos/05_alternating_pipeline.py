@@ -34,12 +34,15 @@ with tempfile.TemporaryDirectory(prefix="exrank-demo-") as tmp:
     retr = load_retriever(out / f"retriever_{cfg.t}.ckpt.npz")
 
 print("\nablations (test split):")
-for mode, model in (("full", scorer), ("no_example", scorer),
-                    ("no_retriever", scorer), ("no_instruction", scorer),
-                    ("frozen_lm", frozen)):
-    k = 0 if mode in ("no_example", "no_instruction") else cfg.k
+# no example and frozen LM are full-mode runs: at k=0, and with the
+# never-fine-tuned scorer
+for name, mode, model, k in (("full", "full", scorer, cfg.k),
+                             ("no example", "full", scorer, 0),
+                             ("no retriever", "no_retriever", scorer, cfg.k),
+                             ("no instruction", "no_instruction", scorer, 0),
+                             ("frozen LM", "full", frozen, cfg.k)):
     metrics, _ = run_inference(model, retr, test, k, mode, train, cfg)
-    print(f"  {mode:15s} f1={metrics.f1:.3f}  parse_failures={metrics.parse_failures}")
+    print(f"  {name:15s} f1={metrics.f1:.3f}  parse_failures={metrics.parse_failures}")
 
 print("\nk-sweep (0..7):")
 for row in k_sweep(scorer, retr, test, 7, train, cfg):

@@ -16,15 +16,15 @@ from .corpus import (
     with_task,
 )
 from .evaluation import AblationMode, Metrics, atsc_accuracy, k_sweep, run_inference, tuple_f1
-from .retriever import init_retriever, retrieve, similarity
+from .retriever import init_retriever, retrieve
 from .scorer import init_scorer, generate, score
-from .template import atsc_input, candidate_text, make_candidate, render
+from .template import atsc_input, candidate_text, load_templates, make_candidate, render
 
 __all__ = [
     "AblationMode", "AspectLabel", "Config", "Dataset", "Metrics", "Polarity",
     "Sample", "Task", "atsc_accuracy", "atsc_input", "candidate_text",
     "generate", "generate_synthetic", "init_retriever", "init_scorer",
-    "k_sweep", "load_dataset", "make_candidate", "parse_output", "render",
-    "retrieve", "run_inference", "save_dataset", "score", "serialize_label",
-    "similarity", "substream", "to_atsc", "tuple_f1", "with_task",
+    "k_sweep", "load_dataset", "load_templates", "make_candidate",
+    "parse_output", "render", "retrieve", "run_inference", "save_dataset",
+    "score", "serialize_label", "substream", "to_atsc", "tuple_f1", "with_task",
 ]

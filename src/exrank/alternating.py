@@ -18,7 +18,7 @@ from .corpus import Task, serialize_label
 from .evaluation import METRIC_COLUMNS, AblationMode, run_inference
 from .retriever import build_index, init_retriever, retrieve
 from .scorer import finetune_step, init_scorer
-from .template import definition_for, load_templates, render, task_input
+from .template import load_templates, render, task_input
 from .optim import AdamW
 from .vocab import Vocabulary
 
@@ -33,14 +33,15 @@ class ScheduleState:
 
 
 def build_vocabulary(train, cfg):
-    """Deterministic shared vocabulary: definitions, the loaded template blocks,
-    then each sample's prompt-side input and gold output."""
+    """Deterministic shared vocabulary: definitions, the loaded template blocks
+    (example indices 1 to the largest of 8, ``k`` and ``finetune_k``), then
+    each sample's prompt-side input and gold output."""
     templates = load_templates(cfg.template_dir)
-    texts = [definition_for(t, templates) for t in Task]
+    texts = [templates.definitions[t] for t in Task]
     # this line first keeps the token order of the built-in templates
     texts.append("Definition: Example Now complete the following- Input: Output:")
     texts.extend(templates.example_block.format(index=i, input="", output="")
-                 for i in range(1, 9))
+                 for i in range(1, max(8, cfg.k, cfg.finetune_k) + 1))
     texts.append(templates.target_block.format(input=""))
     texts.append("The aspect is")
     for s in train.samples:
@@ -54,7 +55,6 @@ def _lm_epochs(scorer, train, cfg, epochs, choose_examples, seed_tag, what):
     per sample in seeded order, on a prompt carrying ``choose_examples(s, q_input)``.
     """
     templates = load_templates(cfg.template_dir)
-    definition = definition_for(train.task, templates)
     opt = AdamW(scorer.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     for epoch in range(epochs):
         epoch_loss = 0.0
@@ -63,7 +63,7 @@ def _lm_epochs(scorer, train, cfg, epochs, choose_examples, seed_tag, what):
             s = train.samples[i]
             q_input = task_input(s, train.task)
             examples = choose_examples(s, q_input)
-            prompt = render(definition, examples, q_input, templates)
+            prompt = render(templates, train.task, examples, q_input)
             _, loss = finetune_step(scorer, prompt, serialize_label(s, train.task), opt)
             epoch_loss += loss
         logger.info(
@@ -112,9 +112,14 @@ def _write_metrics(path, rows):
 
 
 def _read_metrics(path):
+    """The rows of ``metrics.tsv`` as ``_metrics_row`` makes them."""
     # csv also reads the CRLF line endings of older runs' metrics.tsv
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh, delimiter="\t"))
+        rows = list(csv.DictReader(fh, delimiter="\t"))
+    for row in rows:
+        row["step"] = int(row["step"])
+        row["parse_failures"] = int(row["parse_failures"])
+    return rows
 
 
 def run_schedule(train, dev, cfg, out_dir, resume_step=None):
@@ -157,9 +162,7 @@ def run_schedule(train, dev, cfg, out_dir, resume_step=None):
             raise ValueError(f"resume_step must be in [0, t), got {resume_step}")
         scorer = scorer_mod.load_scorer(scor_path(resume_step))
         retr = retriever_mod.load_retriever(retr_path(resume_step))
-        rows = [
-            row for row in _read_metrics(metrics_path) if int(row["step"]) <= resume_step
-        ]
+        rows = [row for row in _read_metrics(metrics_path) if row["step"] <= resume_step]
         start = resume_step + 1
 
     for step in range(start, cfg.t + 1):

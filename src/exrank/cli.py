@@ -339,7 +339,7 @@ def _build_parser():
     _add_config_flags(p)
     p.add_argument("--train-file", required=True)
     p.add_argument("--test-file", required=True)
-    p.add_argument("--mode", default="full")
+    p.add_argument("--mode", choices=[m.value for m in AblationMode], default="full")
     p.add_argument("--scorer")
     p.add_argument("--retriever")
     p.add_argument("--out", required=True)

@@ -24,22 +24,17 @@ from .retriever import (
     encode_text_backward,
     retrieve,
 )
-from .template import (
-    candidate_text,
-    definition_for,
-    load_templates,
-    query_text,
-    render,
-    task_input,
-)
+from .template import candidate_text, load_templates, query_text, render, task_input
 
 logger = logging.getLogger(__name__)
 
 
-def label_candidates(query, cands, scorer, definition, k, task, templates=None):
+def label_candidates(query, cands, scorer, templates, k, task):
     """Split candidates into (C_plus, C_minus) by scorer log-likelihood.
 
-    Returns two lists of ScoredCandidate with delta filled in, each of size k.
+    Each candidate is the one example of a ``task`` prompt rendered from
+    ``templates``.  Returns two lists of ScoredCandidate with delta filled in,
+    each of size k.
     A candidate that is the query itself (same id and same input) is refused;
     one that only shares the query's id comes from another split and is kept.
     """
@@ -53,7 +48,7 @@ def label_candidates(query, cands, scorer, definition, k, task, templates=None):
     for c in cands:
         if c.id == query.id and c.input == q_input:
             raise ValueError("query must not appear among its own candidates")
-        prompt = render(definition, [c], q_input, templates)
+        prompt = render(templates, task, [c], q_input)
         delta = scorer_mod.score(scorer, prompt, target).total
         scored.append(ScoredCandidate(candidate=c, delta=delta))
     scored.sort(key=lambda sc: (-sc.delta, sc.id))
@@ -148,7 +143,6 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
     """
     check_label_sizes(cfg)
     templates = load_templates(cfg.template_dir)
-    definition = definition_for(train.task, templates)
     # step-dependent name: each alternating step labels a fresh subset
     subset = sample_training_subset(train, cfg.r, cfg.seed, name=f"{seed_tag}/subset")
     if not subset.samples:
@@ -177,7 +171,7 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
                     retr, index, query, q_input, cfg.m, boot_rng
                 )
                 c_plus, c_minus = label_candidates(
-                    query, cands, scorer, definition, cfg.k, train.task, templates
+                    query, cands, scorer, templates, cfg.k, train.task
                 )
                 pos = c_plus[pos_rng.integers(len(c_plus))].candidate
                 neg = c_minus[neg_rng.integers(len(c_minus))].candidate
@@ -213,7 +207,6 @@ def separation(retr, queries, scorer, cfg, train):
     a held-out query keeps the train candidate that merely shares its id.
     """
     templates = load_templates(cfg.template_dir)
-    definition = definition_for(train.task, templates)
     index = build_index(retr, train)
     pool_inputs = {c.id: c.input for c in index.candidates}
     pos_rng = substream(cfg.seed, "separation/positive-choice")
@@ -230,7 +223,7 @@ def separation(retr, queries, scorer, cfg, train):
         if len(cands) < 2 * cfg.k:
             continue
         c_plus, c_minus = label_candidates(
-            query, cands, scorer, definition, cfg.k, train.task, templates
+            query, cands, scorer, templates, cfg.k, train.task
         )
         hq = encode_text(retr, query_text(q_input))
         pos = c_plus[pos_rng.integers(len(c_plus))].candidate

@@ -20,13 +20,7 @@ from .corpus import (
     serialize_label,
 )
 from .retriever import build_index, retrieve
-from .template import (
-    definition_for,
-    load_templates,
-    make_candidate,
-    render,
-    task_input,
-)
+from .template import load_templates, make_candidate, render, task_input
 from .vocab import tokenize
 
 
@@ -50,12 +44,13 @@ class Metrics:
 
 
 class AblationMode(str, Enum):
+    """The prompt constructions of inference.  The paper's other ablations are
+    runs of ``FULL``: no example is k=0, a frozen LM is the never-fine-tuned
+    scorer, and no alternation is a t=1 schedule."""
+
     FULL = "full"
-    NO_ALTERNATING = "no_alternating"
     NO_RETRIEVER = "no_retriever"
-    NO_EXAMPLE = "no_example"
     NO_INSTRUCTION = "no_instruction"
-    FROZEN_LM = "frozen_lm"
 
 
 def _keys(labels, task):
@@ -123,21 +118,17 @@ def _fixed_examples(pool, k, seed):
 def run_inference(scorer, retriever, test, k, mode, pool, cfg):
     """Generate and score predictions for one split under one ablation mode.
 
-    For frozen_lm the caller passes the never-fine-tuned scorer; the prompt
-    construction is the same as full.  A query excludes the pool candidate
-    with its own id only when ``test`` and ``pool`` are the same split, since
-    each split numbers its samples independently.  Returns (Metrics,
-    prediction dump).
+    ``full`` prompts carry the top k retrieved examples, ``no_retriever`` the
+    same k seeded draws for every query, ``no_instruction`` neither the
+    definition nor any example.  A query excludes the pool candidate with its
+    own id only when ``test`` and ``pool`` are the same split, since each
+    split numbers its samples independently.  Returns (Metrics, prediction
+    dump).
     """
     mode = AblationMode(mode)
     task = test.task
     templates = load_templates(cfg.template_dir)
-    definition = definition_for(task, templates)
-    use_retrieval = mode in (
-        AblationMode.FULL,
-        AblationMode.NO_ALTERNATING,
-        AblationMode.FROZEN_LM,
-    ) and k > 0
+    use_retrieval = mode == AblationMode.FULL and k > 0
     index = build_index(retriever, pool) if use_retrieval else None
     same_split = test.split == pool.split
     fixed = (
@@ -155,14 +146,12 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg):
                 for sc in retrieve(retriever, index, q_input, k,
                                    exclude_id=s.id if same_split else None)
             ]
-        elif mode == AblationMode.NO_RETRIEVER:
-            examples = fixed
         else:
-            examples = []
+            examples = fixed
         if mode == AblationMode.NO_INSTRUCTION:
             prompt = f"Input: {q_input} Output:"
         else:
-            prompt = render(definition, examples, q_input, templates)
+            prompt = render(templates, task, examples, q_input)
         raw = scorer_mod.generate(scorer, prompt, cfg.max_gen_len)
         labels, dropped = parse_output_with_diagnostics(raw, task)
         failures += dropped

@@ -95,15 +95,6 @@ def encode_text_backward(state, text, dh, grads):
     np.add.at(grads["emb"], ids, da @ state.params["w"])
 
 
-def similarity(h_s, h_i):
-    """Exact inner product."""
-    h_s = np.asarray(h_s)
-    h_i = np.asarray(h_i)
-    if h_s.shape != h_i.shape:
-        raise ValueError(f"width mismatch: {h_s.shape} vs {h_i.shape}")
-    return float(np.dot(h_s, h_i))
-
-
 def build_index(state, pool):
     """Embed every pool sample as a candidate, in id order."""
     candidates = [make_candidate(s, pool.task) for s in pool.samples]

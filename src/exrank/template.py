@@ -52,15 +52,10 @@ def load_templates(template_dir=None):
     )
 
 
-def definition_for(task, templates=None):
-    templates = templates or load_templates()
-    return templates.definitions[Task(task)]
-
-
-def render(definition, examples, input_text, templates=None):
-    """Render the full instruction prompt with every example, in order."""
-    templates = templates or load_templates()
-    parts = [f"Definition: {definition}"]
+def render(templates, task, examples, input_text):
+    """Render the full instruction prompt for ``task`` with every example, in
+    order, from the definition and blocks of ``templates``."""
+    parts = [f"Definition: {templates.definitions[Task(task)]}"]
     for i, ex in enumerate(examples):
         parts.append(
             templates.example_block.format(index=i + 1, input=ex.input, output=ex.output)

@@ -16,13 +16,7 @@ from exrank.corpus import Dataset, Task, generate_synthetic, serialize_label, to
 from exrank.evaluation import AblationMode, run_inference
 from exrank.retriever import init_retriever, load_retriever
 from exrank.scorer import init_scorer, load_scorer, score
-from exrank.template import (
-    definition_for,
-    load_templates,
-    make_candidate,
-    render,
-    task_input,
-)
+from exrank.template import load_templates, make_candidate, render, task_input
 from exrank.vocab import UNK_ID
 
 
@@ -37,10 +31,10 @@ def _cfg(seed=0, **over):
 
 
 def _mean_dev_score(scorer, dev, cfg):
-    definition = definition_for(dev.task)
+    templates = load_templates(cfg.template_dir)
     totals = []
     for s in dev.samples:
-        prompt = render(definition, [], task_input(s, dev.task))
+        prompt = render(templates, dev.task, [], task_input(s, dev.task))
         totals.append(score(scorer, prompt, serialize_label(s, dev.task)).total)
     return float(np.mean(totals))
 
@@ -52,22 +46,26 @@ class TestVocabulary:
         for s in train.samples:
             assert UNK_ID not in vocab.encode(s.text)
             assert UNK_ID not in vocab.encode(serialize_label(s, train.task))
-        prompt = render(definition_for(train.task), [], "x")
+        prompt = render(load_templates(), train.task, [], "x")
         ids = vocab.encode(prompt)
         assert ids.count(UNK_ID) <= 1  # only the unseen input token
 
     @staticmethod
-    def _unknown_tokens(train, cfg):
-        """<unk> tokens over every train prompt carrying eight examples."""
+    def _unknown_tokens(train, cfg, n_examples=8):
+        """<unk> tokens over every train prompt carrying ``n_examples`` examples."""
         vocab = build_vocabulary(train, cfg)
         templates = load_templates(cfg.template_dir)
-        definition = definition_for(train.task, templates)
-        examples = [make_candidate(s, train.task) for s in train.samples[:8]]
+        examples = [make_candidate(s, train.task) for s in train.samples[:n_examples]]
         return sum(
-            vocab.encode(render(definition, examples, task_input(s, train.task),
-                                templates)).count(UNK_ID)
+            vocab.encode(render(templates, train.task, examples,
+                                task_input(s, train.task))).count(UNK_ID)
             for s in train.samples
         )
+
+    def test_prompts_with_more_than_eight_examples_have_no_unknown_token(self):
+        train, _ = generate_synthetic(40, 1, 0)
+        assert self._unknown_tokens(train, _cfg(k=10, m=20), n_examples=10) == 0
+        assert self._unknown_tokens(train, _cfg(finetune_k=9), n_examples=9) == 0
 
     def test_atsc_prompts_have_no_unknown_token(self):
         train = to_atsc(generate_synthetic(40, 1, 0)[0])
@@ -212,6 +210,14 @@ class TestSchedule:
         full_rows = (tmp_path / "full" / "metrics.tsv").read_text()
         res_rows = (tmp_path / "resumed" / "metrics.tsv").read_text()
         assert full_rows == res_rows
+
+    def test_resumed_metrics_log_equals_fresh(self, tmp_path):
+        train, test = generate_synthetic(40, 8, 2)
+        cfg = _cfg(seed=2, t=2, r=0.3, m=6)
+        fresh = run_schedule(train, test, cfg, tmp_path)
+        resumed = run_schedule(train, test, cfg, tmp_path, resume_step=1)
+        assert resumed.metrics_log == fresh.metrics_log
+        assert [row["step"] for row in resumed.metrics_log] == [0, 1, 2]
 
     def test_t1_equals_non_alternating_pipeline(self, tmp_path):
         train, test = generate_synthetic(40, 8, 3)

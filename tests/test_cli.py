@@ -122,11 +122,12 @@ def test_score_command(trained_dir, capsys):
     assert abs(total - sum(per)) < 1e-6
 
 
-def test_evaluate_frozen_lm_smoke(tmp_path, data_dir, trained_dir):
+def test_evaluate_full_smoke(tmp_path, data_dir, trained_dir):
+    # without --scorer: evaluate warms up a fresh scorer
     out = tmp_path / "eval"
     rc = main(["evaluate", "--train-file", str(data_dir / "train.jsonl"),
                "--test-file", str(data_dir / "test.jsonl"),
-               "--mode", "frozen_lm",
+               "--mode", "full",
                "--retriever", str(trained_dir / "retriever_1.ckpt.npz"),
                "--out", str(out), *FAST])
     assert rc == 0
@@ -134,7 +135,7 @@ def test_evaluate_frozen_lm_smoke(tmp_path, data_dir, trained_dir):
     assert len(lines) == 2
     header = lines[0].split("\t")
     row = dict(zip(header, lines[1].split("\t")))
-    assert row["mode"] == "frozen_lm"
+    assert row["mode"] == "full"
     float(row["f1"])
     preds = [json.loads(l) for l in
              (out / "predictions.jsonl").read_text().splitlines()]
@@ -267,6 +268,16 @@ def test_bad_counts_are_usage_errors_before_any_data_is_read(
         argv += ["--retriever", str(tmp_path / "nope.npz")]
     assert main(argv) == 1
     assert f"argument {option}: expected a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["bogus", "frozen_lm", "no_example", "no_alternating"])
+def test_unknown_mode_is_a_usage_error_before_any_data_is_read(tmp_path, mode, capsys):
+    out = tmp_path / "out"
+    assert main(["evaluate", "--train-file", str(tmp_path / "nope.jsonl"),
+                 "--test-file", str(tmp_path / "nope.jsonl"), "--out", str(out),
+                 "--mode", mode]) == 1
+    assert f"argument --mode: invalid choice: {mode!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

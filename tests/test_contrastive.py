@@ -16,10 +16,11 @@ from exrank.contrastive import (
 from exrank.corpus import Dataset, Sample, Task, generate_synthetic
 from exrank.retriever import encode_text, init_retriever
 from exrank.scorer import LogLikelihood, init_scorer
-from exrank.template import Candidate
+from exrank.template import Candidate, load_templates
 from exrank.vocab import Vocabulary
 
 RNG = np.random.default_rng(20240819)
+BUILT_IN = load_templates()
 
 
 def _query():
@@ -46,14 +47,14 @@ class TestLabelCandidates:
         cands = [Candidate(id=i, input=f"cand{i} text", output="y") for i in range(4)]
         _stub_scores(monkeypatch, {"cand0": -1.0, "cand1": -5.0,
                                    "cand2": -3.0, "cand3": -2.0})
-        c_plus, c_minus = label_candidates(_query(), cands, None, "D", 1, Task.ASPE)
+        c_plus, c_minus = label_candidates(_query(), cands, None, BUILT_IN, 1, Task.ASPE)
         assert [sc.id for sc in c_plus] == [0]
         assert [sc.id for sc in c_minus] == [1]
 
     def test_half_split_is_partition(self, monkeypatch):
         cands = [Candidate(id=i, input=f"cand{i} text", output="y") for i in range(6)]
         _stub_scores(monkeypatch, {f"cand{i}": -float(i) for i in range(6)})
-        c_plus, c_minus = label_candidates(_query(), cands, None, "D", 3, Task.ASPE)
+        c_plus, c_minus = label_candidates(_query(), cands, None, BUILT_IN, 3, Task.ASPE)
         got = {sc.id for sc in c_plus} | {sc.id for sc in c_minus}
         assert got == set(range(6))
         assert not ({sc.id for sc in c_plus} & {sc.id for sc in c_minus})
@@ -61,20 +62,20 @@ class TestLabelCandidates:
     def test_equal_deltas_tie_rule(self, monkeypatch):
         cands = [Candidate(id=i, input=f"cand{i} text", output="y") for i in range(6)]
         _stub_scores(monkeypatch, {f"cand{i}": -2.5 for i in range(6)})
-        c_plus, c_minus = label_candidates(_query(), cands, None, "D", 2, Task.ASPE)
+        c_plus, c_minus = label_candidates(_query(), cands, None, BUILT_IN, 2, Task.ASPE)
         assert [sc.id for sc in c_plus] == [0, 1]
         assert [sc.id for sc in c_minus] == [4, 5]
 
     def test_separation_between_groups(self, monkeypatch):
         cands = [Candidate(id=i, input=f"cand{i} text", output="y") for i in range(5)]
         _stub_scores(monkeypatch, {f"cand{i}": float(RNG.normal()) for i in range(5)})
-        c_plus, c_minus = label_candidates(_query(), cands, None, "D", 2, Task.ASPE)
+        c_plus, c_minus = label_candidates(_query(), cands, None, BUILT_IN, 2, Task.ASPE)
         assert min(sc.delta for sc in c_plus) >= max(sc.delta for sc in c_minus)
 
     def test_too_few_candidates(self):
         cands = [Candidate(id=0, input="a", output="y")]
         with pytest.raises(ValueError):
-            label_candidates(_query(), cands, None, "D", 1, Task.ASPE)
+            label_candidates(_query(), cands, None, BUILT_IN, 1, Task.ASPE)
 
     def test_query_among_candidates_rejected(self, monkeypatch):
         query = _query()
@@ -82,13 +83,13 @@ class TestLabelCandidates:
                  Candidate(id=1, input="cand1", output="y")]
         _stub_scores(monkeypatch, {"cand1": 0.0})
         with pytest.raises(ValueError, match="own candidates"):
-            label_candidates(query, cands, None, "D", 1, Task.ASPE)
+            label_candidates(query, cands, None, BUILT_IN, 1, Task.ASPE)
 
     def test_same_id_from_another_split_is_labeled(self, monkeypatch):
         # ids are unique only within a split: same id, other text is not the query
         cands = [Candidate(id=i, input=f"cand{i}", output="y") for i in (99, 1)]
         _stub_scores(monkeypatch, {"cand99": -1.0, "cand1": -2.0})
-        c_plus, c_minus = label_candidates(_query(), cands, None, "D", 1, Task.ASPE)
+        c_plus, c_minus = label_candidates(_query(), cands, None, BUILT_IN, 1, Task.ASPE)
         assert [sc.id for sc in c_plus + c_minus] == [99, 1]
 
 

@@ -16,7 +16,6 @@ from exrank.retriever import (
     load_retriever,
     retrieve,
     save_retriever,
-    similarity,
 )
 from exrank.template import Candidate, candidate_text, query_text
 from exrank.vocab import Vocabulary
@@ -102,22 +101,6 @@ class TestBackward:
                 num = (up - dn) / (2 * eps)
                 ana = g.reshape(-1)[i]
                 assert abs(num - ana) / max(abs(num), abs(ana), 1e-8) < 1e-4
-
-
-class TestSimilarity:
-    def test_zero_vector(self):
-        assert similarity(np.array([1.0, 2.0]), np.zeros(2)) == 0.0
-
-    def test_hand_value(self):
-        assert similarity(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == 11.0
-
-    def test_symmetry(self):
-        a, b = RNG.normal(size=5), RNG.normal(size=5)
-        assert similarity(a, b) == similarity(b, a)
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError):
-            similarity(np.zeros(3), np.zeros(4))
 
 
 def _synthetic_index(state, n, quantize=False, rng=None):

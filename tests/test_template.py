@@ -5,7 +5,6 @@ from exrank.template import (
     Candidate,
     atsc_input,
     candidate_text,
-    definition_for,
     load_templates,
     make_candidate,
     query_text,
@@ -13,24 +12,33 @@ from exrank.template import (
     task_input,
 )
 
+BUILT_IN = load_templates()
+
 
 def test_zero_example_prompt():
-    out = render("D", [], "t")
-    assert "D" in out and "t" in out
+    out = render(BUILT_IN, Task.ASPE, [], "t")
+    assert out == (f"Definition: {BUILT_IN.definitions[Task.ASPE]} "
+                   "Now complete the following- Input: t Output:")
     assert "Example" not in out
-    assert out.endswith("Output:")
+
+
+def test_definition_follows_the_task():
+    for t in Task:
+        assert render(BUILT_IN, t, [], "t").startswith(
+            f"Definition: {BUILT_IN.definitions[t]} Now")
+    assert render(BUILT_IN, "ate", [], "t") == render(BUILT_IN, Task.ATE, [], "t")
 
 
 def test_single_example_positions():
     ex = Candidate(id=0, input="The food was good.", output="food: positive")
-    out = render("Extract pairs.", [ex], "The staff was rude.")
+    out = render(BUILT_IN, Task.ASPE, [ex], "The staff was rude.")
     assert "Input: The food was good. Output: food: positive" in out
     assert out.index("The food was good.") < out.index("The staff was rude.")
 
 
 def test_example_blocks_ordered():
     exs = [Candidate(id=i, input=f"x{i}", output=f"y{i}") for i in range(2)]
-    out = render("D", exs, "q")
+    out = render(BUILT_IN, Task.ASPE, exs, "q")
     assert out.index("Example 1-") < out.index("Example 2-")
     assert out.index("x0") < out.index("x1")
 
@@ -53,7 +61,7 @@ def test_atsc_input_requires_aspect():
 
 def test_atsc_splice_lands_in_input_slot():
     spliced = atsc_input("Nice spot.", "decor")
-    out = render("D", [], spliced)
+    out = render(BUILT_IN, Task.ATSC, [], spliced)
     assert f"Input: {spliced} Output:" in out
 
 
@@ -90,8 +98,7 @@ def test_task_input_atsc():
 
 
 def test_definitions_distinct_per_task():
-    defs = {t: definition_for(t) for t in Task}
-    assert len(set(defs.values())) == 3
+    assert len(set(BUILT_IN.definitions.values())) == 3
 
 
 def test_template_dir_override(tmp_path):
@@ -100,8 +107,7 @@ def test_template_dir_override(tmp_path):
     (tmp_path / "example_block.txt").write_text("EX{index} IN={input} OUT={output}")
     (tmp_path / "target_block.txt").write_text("TARGET={input}")
     ts = load_templates(tmp_path)
-    out = render(definition_for(Task.ASPE, ts),
-                 [Candidate(id=0, input="a", output="b")], "q", templates=ts)
+    out = render(ts, Task.ASPE, [Candidate(id=0, input="a", output="b")], "q")
     assert "Definition: CUSTOM aspe" in out
     assert "EX1 IN=a OUT=b" in out
     assert "TARGET=q" in out
