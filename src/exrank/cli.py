@@ -258,8 +258,11 @@ def _cmd_evaluate(args):
     metrics, dump = run_inference(scorer_state, retr, test, cfg.k, mode, train, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    # k is the most examples a prompt carried: none for no_instruction, and
+    # fewer than cfg.k when the pool is smaller
+    carried = max((len(rec["example_ids"]) for rec in dump), default=0)
     write_table(out / "metrics.tsv", ["mode", "task", "k", *METRIC_COLUMNS], [
-        {"mode": mode.value, "task": cfg.task.value, "k": cfg.k, **metrics.row()},
+        {"mode": mode.value, "task": cfg.task.value, "k": carried, **metrics.row()},
     ])
     write_lines(out / "predictions.jsonl", (json.dumps(rec) for rec in dump))
     _write_manifest(out, "evaluate", cfg, {"mode": mode.value})

@@ -1,4 +1,5 @@
-"""AdamW over a flat dict of numpy arrays, with decoupled weight decay."""
+"""AdamW over a flat dict of numpy arrays, with decoupled weight decay, and
+the gradient helpers the models share."""
 
 import numpy as np
 
@@ -16,6 +17,28 @@ def check_finite(loss, grads, context):
             raise FloatingPointError(
                 f"non-finite gradient in {key!r} (loss={loss}, {context})"
             )
+
+
+def add_rows_at(dest, *parts):
+    """``np.add.at(dest, ids, rows)`` for each ``(ids, rows)`` pair in turn,
+    done as one unbuffered add on the flattened ``dest``.
+
+    The additions are the same and run in the same order, so every sum is
+    bit-identical to the separate 2-D calls.  ``rows`` is (len(ids), d), or
+    one (d,) row added at every id.  ``dest`` must be C-contiguous: otherwise
+    ``reshape(-1)`` would return a copy and the update would be lost.
+    """
+    if not dest.flags.c_contiguous:
+        raise ValueError("add_rows_at needs a C-contiguous destination")
+    d = dest.shape[1]
+    ids = np.concatenate([part_ids for part_ids, _ in parts])
+    vals = np.empty((len(ids), d), dtype=dest.dtype)
+    start = 0
+    for part_ids, rows in parts:
+        vals[start:start + len(part_ids)] = rows
+        start += len(part_ids)
+    flat_idx = (ids * d)[:, None] + np.arange(d)
+    np.add.at(dest.reshape(-1), flat_idx.reshape(-1), vals.reshape(-1))
 
 
 class AdamW:
@@ -39,6 +62,11 @@ class AdamW:
         Computes, bit for bit, ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)``
         with ``m_hat = m / (1 - b1**t)`` and ``v_hat = v / (1 - b2**t)``; each
         operation runs in the same order as that expression.
+
+        At ``weight_decay`` 0 the ``wd * p`` term is skipped.  For finite ``p``,
+        ``a + 0*p`` differs from ``a`` only when ``a = -0`` and ``p = +0``, and
+        ``p - lr*a`` is then ``+0`` either way.  (``0*inf`` is NaN, hence
+        "finite".)
         """
         self.t += 1
         b1, b2 = BETAS
@@ -56,6 +84,7 @@ class AdamW:
             np.sqrt(b, out=b)
             b += EPS
             a /= b
-            a += np.multiply(self.weight_decay, p, out=b)
+            if self.weight_decay:
+                a += np.multiply(self.weight_decay, p, out=b)
             a *= self.lr
             p -= a

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
+from .optim import add_rows_at
 from .template import candidate_text, make_candidate, query_text
 from .vocab import Vocabulary
 
@@ -92,7 +93,7 @@ def encode_text_backward(state, text, dh, grads):
     da = (1.0 - u * u) * (dh / len(ids))  # (n, d_r)
     grads["w"] += da.T @ e
     grads["b"] += da.sum(axis=0)
-    np.add.at(grads["emb"], ids, da @ state.params["w"])
+    add_rows_at(grads["emb"], (ids, da @ state.params["w"]))
 
 
 def build_index(state, pool):

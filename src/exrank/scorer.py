@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .optim import check_finite
+from .optim import add_rows_at, check_finite
 from .vocab import BOS_ID, EOS_ID, Vocabulary
 
 POS_DIM = 16
@@ -49,13 +49,15 @@ class ScorerState:
 
 @functools.lru_cache(maxsize=None)
 def position_codes(n_positions):
-    """Sinusoidal codes of positions 0..n_positions-1, memoised; never mutate them."""
+    """Sinusoidal codes of positions 0..n_positions-1, memoised and shared by
+    every caller, so the table is read-only."""
     pos = np.arange(n_positions)[:, None]
     i = np.arange(POS_DIM // 2)[None, :]
     angle = pos / (10000.0 ** (2.0 * i / POS_DIM))
     codes = np.zeros((n_positions, POS_DIM))
     codes[:, 0::2] = np.sin(angle)
     codes[:, 1::2] = np.cos(angle)
+    codes.flags.writeable = False
     return codes
 
 
@@ -189,8 +191,20 @@ def generate(state, prompt, max_len):
     return state.vocab.decode(out)
 
 
-def nll_and_grads(state, prompt, target):
-    """Negative log-likelihood and its analytic gradients for every parameter."""
+def gradient_workspace(state):
+    """Uninitialised arrays for ``nll_and_grads``'s ``out``, one per parameter,
+    keyed in the order the gradients have always been returned in."""
+    return {k: np.empty_like(state.params[k])
+            for k in ("w_out", "b_out", "emb", "w_enc", "b_enc")}
+
+
+def nll_and_grads(state, prompt, target, out=None):
+    """Negative log-likelihood and its analytic gradients for every parameter.
+
+    The gradients are written into ``out``, a ``gradient_workspace(state)``
+    that is overwritten whole and returned; a fresh one is made when ``out``
+    is None.
+    """
     p = state.params
     d = state.d
     logp, lse, tids, F, prev, h, prompt_ids, mean = _forward(state, prompt, target)
@@ -201,30 +215,32 @@ def nll_and_grads(state, prompt, target):
     dZ = np.exp(logp, out=logp)  # softmax rows
     dZ[rows, tids] -= 1.0
 
-    g_emb = np.zeros_like(p["emb"])
+    if out is None:
+        out = gradient_workspace(state)
+    np.matmul(dZ.T, F, out=out["w_out"])
+    np.add.reduce(dZ, axis=0, out=out["b_out"])
     dF = dZ @ p["w_out"]  # (L, 2d+POS_DIM)
-    dh = dF[:, :d].sum(axis=0)
-    np.add.at(g_emb, prev, dF[:, d:2 * d])
-
-    da = dh * (1.0 - h * h)
+    dh = np.add.reduce(dF[:, :d], axis=0)
+    da = np.multiply(dh, 1.0 - h * h, out=out["b_enc"])
+    np.multiply.outer(da, mean, out=out["w_enc"])
+    # prev-token rows, then prompt rows, each in order: the same sums as
+    # np.add.at over the rows of a zero array
+    rows_at = [(prev, dF[:, d:2 * d])]
     if len(prompt_ids):
-        dmean = p["w_enc"].T @ da
-        np.add.at(g_emb, prompt_ids, dmean / len(prompt_ids))
-    grads = {
-        "w_out": dZ.T @ F,
-        "b_out": dZ.sum(axis=0),
-        "emb": g_emb,
-        "w_enc": np.outer(da, mean),
-        "b_enc": da,
-    }
-    return loss, grads
+        rows_at.append((prompt_ids, (p["w_enc"].T @ da) / len(prompt_ids)))
+    out["emb"].fill(0.0)
+    add_rows_at(out["emb"], *rows_at)
+    return loss, out
 
 
-def finetune_step(state, prompt, target, optimizer):
+def finetune_step(state, prompt, target, optimizer, grads=None):
     """One NLL descent step with ``optimizer``, an AdamW over ``state.params``
-    that keeps its moments across steps.  Loss is the pre-update value.
+    that keeps its moments across steps.  ``grads`` is the gradient workspace
+    (``gradient_workspace(state)``) that ``nll_and_grads`` overwrites; pass the
+    same one every step, so that a step allocates nothing parameter-sized.
+    Loss is the pre-update value.
     """
-    loss, grads = nll_and_grads(state, prompt, target)
+    loss, grads = nll_and_grads(state, prompt, target, out=grads)
     check_finite(loss, grads, f"prompt={prompt[:60]!r}")
     optimizer.step(state.params, grads)
     return state, loss

@@ -136,10 +136,29 @@ def test_evaluate_full_smoke(tmp_path, data_dir, trained_dir):
     header = lines[0].split("\t")
     row = dict(zip(header, lines[1].split("\t")))
     assert row["mode"] == "full"
+    assert row["k"] == "2"
     float(row["f1"])
     preds = [json.loads(l) for l in
              (out / "predictions.jsonl").read_text().splitlines()]
     assert len(preds) == 8
+
+
+def test_evaluate_records_the_examples_its_prompts_carried(tmp_path, data_dir,
+                                                          trained_dir):
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--train-file", str(data_dir / "train.jsonl"),
+               "--test-file", str(data_dir / "test.jsonl"),
+               "--mode", "no_instruction",
+               "--scorer", str(trained_dir / "scorer_1.ckpt.npz"),
+               "--retriever", str(trained_dir / "retriever_1.ckpt.npz"),
+               "--out", str(out), *FAST])  # FAST sets --k 2
+    assert rc == 0
+    header, row = (l.split("\t") for l in
+                   (out / "metrics.tsv").read_text().strip().splitlines())
+    assert dict(zip(header, row))["k"] == "0"
+    preds = [json.loads(l) for l in
+             (out / "predictions.jsonl").read_text().splitlines()]
+    assert all(rec["example_ids"] == [] for rec in preds)
 
 
 def test_sweep_command(tmp_path, data_dir, trained_dir):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from exrank.optim import AdamW, check_finite
+from exrank.optim import AdamW, add_rows_at, check_finite
 
 
 class _ReferenceAdamW:
@@ -65,6 +65,51 @@ def test_bit_identical_to_reference_over_20_steps(weight_decay):
             assert ours[key].tobytes() == ref[key].tobytes(), key
             assert opt.m[key].tobytes() == oracle.m[key].tobytes(), key
             assert opt.v[key].tobytes() == oracle.v[key].tobytes(), key
+
+
+def test_zero_weight_decay_keeps_signed_zeros_of_the_reference():
+    # the skipped ``a + 0*p`` matters only at a = -0, p = +0; a first moment
+    # of -0 and gradients of -0 produce exactly that a
+    ours, ref = _params(5), _params(5)
+    for params in (ours, ref):
+        params["emb"][::2] = 0.0
+        params["emb"][1::2] = -0.0
+    opt = AdamW(ours, lr=3e-3, weight_decay=0.0)
+    oracle = _ReferenceAdamW(ref, lr=3e-3, weight_decay=0.0)
+    for moments in (opt.m, oracle.m):
+        for m in moments.values():
+            m.fill(-0.0)
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        grads = _grads(rng, ours)
+        grads["emb"][:] = -0.0
+        opt.step(ours, grads)
+        oracle.step(ref, {k: g.copy() for k, g in grads.items()})
+        for key in ours:
+            assert ours[key].tobytes() == ref[key].tobytes(), key
+            assert opt.m[key].tobytes() == oracle.m[key].tobytes(), key
+    assert np.signbit(opt.m["emb"]).all()  # the case was reached
+
+
+def test_add_rows_at_equals_add_at_in_turn():
+    rng = np.random.default_rng(7)
+    ours = rng.normal(size=(9, 5))
+    ref = ours.copy()
+    prev = np.array([3, 3, 0, 8], dtype=np.intp)
+    rows = rng.normal(size=(4, 5)) * [1.0, 1e-17, 1e17, -1.0, 0.5]
+    ids = np.array([8, 3, 3, 3, 1], dtype=np.intp)
+    shared = rng.normal(size=5)
+    np.add.at(ref, prev, rows)
+    np.add.at(ref, ids, shared)
+    add_rows_at(ours, (prev, rows), (ids, shared))
+    assert ours.tobytes() == ref.tobytes()
+
+
+def test_add_rows_at_refuses_a_strided_destination():
+    dest = np.zeros((5, 8))[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        add_rows_at(dest, (np.array([1], dtype=np.intp), np.ones(4)))
+    assert not dest.any()
 
 
 def test_missing_grad_key_leaves_parameter_untouched():

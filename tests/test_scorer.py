@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from exrank.scorer import (
     LogLikelihood,
     finetune_step,
     generate,
+    gradient_workspace,
     init_scorer,
     load_scorer,
     nll_and_grads,
@@ -170,6 +173,24 @@ class TestFinetune:
         for k in before:
             assert np.array_equal(before[k], state.params[k])
         assert np.isclose(loss, -s0)
+
+    def test_step_with_a_workspace_allocates_nothing_parameter_sized(self):
+        words = " ".join(f"w{i}" for i in range(3000))
+        state = init_scorer(Vocabulary.build([words]), d=8, max_len=32, seed=0)
+        opt = AdamW(state.params, lr=1e-3)
+        grads = gradient_workspace(state)
+        finetune_step(state, "w1 w2 w3", "w4", opt, grads)  # warm lazy state
+        param_bytes = sum(v.nbytes for v in state.params.values())
+        peaks = []
+        for workspace in (grads, None):
+            tracemalloc.start()
+            try:
+                finetune_step(state, "w1 w2 w3", "w4", opt, workspace)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < param_bytes / 4, (peaks, param_bytes)
+        assert peaks[1] > param_bytes  # without one, a step makes fresh gradients
 
     def test_negative_lr_rejected(self):
         state = _micro_scorer()
@@ -355,6 +376,47 @@ class TestBitExactAgainstOracle:
         opt = AdamW(state.params, lr=0.05)
         for prompt, target in list(ORACLE_CASES.values()) * 2:
             finetune_step(state, prompt, target, opt)
+        _assert_matches_oracle(state)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_workspace_reused_across_every_case(self, seed):
+        state = _oracle_scorer(seed)
+        out = gradient_workspace(state)
+        for g in out.values():
+            g.fill(np.nan)  # a stale value that survived would show
+        for name, (prompt, target) in list(ORACLE_CASES.items()) * 2:
+            loss, grads = nll_and_grads(state, prompt, target, out=out)
+            ref_loss, ref_grads = _reference_nll_and_grads(state, prompt, target)
+            assert grads is out, name
+            assert loss == ref_loss, name
+            assert list(grads) == list(ref_grads), name
+            for key, g in grads.items():
+                assert g.tobytes() == ref_grads[key].tobytes(), (name, key)
+
+    def test_workspace_and_fresh_steps_give_the_same_parameters(self):
+        fresh, reused = _oracle_scorer(3), _oracle_scorer(3)
+        opt_fresh = AdamW(fresh.params, lr=0.05)
+        opt_reused = AdamW(reused.params, lr=0.05)
+        grads = gradient_workspace(reused)
+        for prompt, target in list(ORACLE_CASES.values()) * 2:
+            finetune_step(fresh, prompt, target, opt_fresh)
+            finetune_step(reused, prompt, target, opt_reused, grads)
+        for key, p in fresh.params.items():
+            assert p.tobytes() == reused.params[key].tobytes(), key
+
+    def test_position_codes_are_read_only(self):
+        state = _oracle_scorer(2)
+        prompt, target = ORACLE_CASES["multi-token-target"]
+        before = (score(state, prompt, target), generate(state, prompt, 40))
+        codes = position_codes(7)
+        kept = codes.copy()
+        with pytest.raises(ValueError):
+            codes[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            codes += 1.0
+        assert position_codes(7) is codes
+        assert codes.tobytes() == kept.tobytes()
+        assert (score(state, prompt, target), generate(state, prompt, 40)) == before
         _assert_matches_oracle(state)
 
     def test_untrained_zero_output_weights(self, small_scorer):
