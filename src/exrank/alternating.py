@@ -26,7 +26,6 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class ScheduleState:
-    step: int
     retriever_ckpts: list
     scorer_ckpts: list
     metrics_log: list = field(default_factory=list)
@@ -125,63 +124,54 @@ def _read_metrics(path):
     return rows
 
 
+def check_schedule_inputs(train, dev, cfg, resume_step=None):
+    """Refuse what ``run_schedule`` would fail on, before anything is written."""
+    if cfg.t < 1:
+        raise ValueError("t must be at least 1")
+    check_label_sizes(cfg)
+    for dataset in (train, dev):
+        if not dataset.samples:
+            raise ValueError(f"the {dataset.split.value} split has no samples")
+    if resume_step is not None and not 0 <= resume_step < cfg.t:
+        raise ValueError(f"resume_step must be in [0, t), got {resume_step}")
+
+
 def run_schedule(train, dev, cfg, out_dir, resume_step=None):
     """Run the t-step schedule, persisting checkpoints and dev metrics.
 
     ``resume_step`` reloads the step-s checkpoints from out_dir and reruns
     steps s+1..t; under the same seed this replays the original run exactly.
     """
-    if cfg.t < 1:
-        raise ValueError("t must be at least 1")
-    check_label_sizes(cfg)
+    check_schedule_inputs(train, dev, cfg, resume_step)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    def retr_path(s):
-        return out / f"retriever_{s}.ckpt.npz"
-
-    def scor_path(s):
-        return out / f"scorer_{s}.ckpt.npz"
+    def ckpt(kind, step):
+        return out / f"{kind}_{step}.ckpt.npz"
 
     metrics_path = out / "metrics.tsv"
-
     if resume_step is None:
         vocab = build_vocabulary(train, cfg)
         scorer = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=cfg.seed)
-        scorer_mod.save_scorer(scorer, out / "scorer_init.ckpt.npz")
+        scorer_mod.save_scorer(scorer, ckpt("scorer", "init"))
         retr = init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed)
         warmup_scorer(scorer, train, cfg)
-        scorer_mod.save_scorer(scorer, scor_path(0))
-        retriever_mod.save_retriever(retr, retr_path(0))
-        rows = []
-        metrics, _ = run_inference(
-            scorer, retr, dev, cfg.k, AblationMode.FULL, train, cfg
-        )
-        rows.append(_metrics_row(0, dev, metrics))
-        _write_metrics(metrics_path, rows)
-        start = 1
+        rows, start = [], 0
     else:
-        if resume_step < 0 or resume_step >= cfg.t:
-            raise ValueError(f"resume_step must be in [0, t), got {resume_step}")
-        scorer = scorer_mod.load_scorer(scor_path(resume_step))
-        retr = retriever_mod.load_retriever(retr_path(resume_step))
+        scorer = scorer_mod.load_scorer(ckpt("scorer", resume_step))
+        retr = retriever_mod.load_retriever(ckpt("retriever", resume_step))
         rows = [row for row in _read_metrics(metrics_path) if row["step"] <= resume_step]
         start = resume_step + 1
 
     for step in range(start, cfg.t + 1):
-        retr = train_retriever(
-            retr,
-            train,
-            scorer,
-            cfg,
-            bootstrap_first_epoch=(step == 1),
-            seed_tag=f"step{step}/retriever-train",
-        )
-        retriever_mod.save_retriever(retr, retr_path(step))
-        scorer = finetune_lm(
-            scorer, retr, train, cfg, seed_tag=f"step{step}/finetune-lm"
-        )
-        scorer_mod.save_scorer(scorer, scor_path(step))
+        if step > 0:  # step 0 is the warm-up alone
+            retr = train_retriever(retr, train, scorer, cfg,
+                                   bootstrap_first_epoch=(step == 1),
+                                   seed_tag=f"step{step}/retriever-train")
+            scorer = finetune_lm(scorer, retr, train, cfg,
+                                 seed_tag=f"step{step}/finetune-lm")
+        retriever_mod.save_retriever(retr, ckpt("retriever", step))
+        scorer_mod.save_scorer(scorer, ckpt("scorer", step))
         metrics, _ = run_inference(
             scorer, retr, dev, cfg.k, AblationMode.FULL, train, cfg
         )
@@ -190,8 +180,7 @@ def run_schedule(train, dev, cfg, out_dir, resume_step=None):
         logger.info("alternating step %d complete", step)
 
     return ScheduleState(
-        step=cfg.t,
-        retriever_ckpts=[str(retr_path(s)) for s in range(cfg.t + 1)],
-        scorer_ckpts=[str(scor_path(s)) for s in range(cfg.t + 1)],
+        retriever_ckpts=[str(ckpt("retriever", s)) for s in range(cfg.t + 1)],
+        scorer_ckpts=[str(ckpt("scorer", s)) for s in range(cfg.t + 1)],
         metrics_log=rows,
     )

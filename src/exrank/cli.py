@@ -16,13 +16,14 @@ from pathlib import Path
 from . import retriever as retriever_mod
 from .alternating import (
     build_vocabulary,
+    check_schedule_inputs,
     finetune_lm,
     run_schedule,
     warmup_scorer,
 )
 from .atomic import write_lines, write_table
 from .config import Config, read_config_file
-from .contrastive import separation, train_retriever
+from .contrastive import check_label_sizes, separation, train_retriever
 from .corpus import (
     Task,
     generate_synthetic,
@@ -118,9 +119,16 @@ def _write_manifest(out_dir, command, cfg, extra=None):
     write_lines(out / "run.json", [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
+def _load(path, cfg, split):
+    """The dataset at ``path``, refused when it holds no records."""
+    dataset = load_dataset(path, cfg.task, split=split)
+    if not dataset.samples:
+        raise ValueError(f"{path} holds no records")
+    return dataset
+
+
 def _load_data(args, cfg):
-    train = load_dataset(args.train_file, cfg.task, split="train")
-    return train, load_dataset(args.test_file, cfg.task, split="test")
+    return _load(args.train_file, cfg, "train"), _load(args.test_file, cfg, "test")
 
 
 def _cmd_gen_data(args):
@@ -155,7 +163,8 @@ def _init_or_load_retriever(args, cfg, vocab):
 
 def _cmd_train_retriever(args):
     cfg = _resolve_config(args)
-    train = load_dataset(args.train_file, cfg.task, split="train")
+    check_label_sizes(cfg)  # before a warm-up that would be thrown away
+    train = _load(args.train_file, cfg, "train")
     scorer_state = _init_or_load_scorer(args, cfg, train)
     retr = _init_or_load_retriever(args, cfg, scorer_state.vocab)
     report = []
@@ -179,7 +188,7 @@ def _cmd_train_retriever(args):
 
 def _cmd_finetune_lm(args):
     cfg = _resolve_config(args)
-    train = load_dataset(args.train_file, cfg.task, split="train")
+    train = _load(args.train_file, cfg, "train")
     scorer_state = _init_or_load_scorer(args, cfg, train)
     retr = retriever_mod.load_retriever(args.retriever)
     finetune_lm(scorer_state, retr, train, cfg)
@@ -213,12 +222,13 @@ def _cmd_alternate(args):
     data = {"train_sha256": _sha256(args.train_file),
             "test_sha256": _sha256(args.test_file),
             "templates_sha256": _templates_sha256(cfg.template_dir)}
+    train, dev = _load_data(args, cfg)
+    check_schedule_inputs(train, dev, cfg, args.resume_step)
     if args.resume_step is None:
         # written before training, so that a crashed run can be resumed
         _write_manifest(args.out, "alternate", cfg, {**data, "checkpoints": {}})
     else:
         _check_resumable(args.out, cfg, data)
-    train, dev = _load_data(args, cfg)
     state = run_schedule(train, dev, cfg, args.out, resume_step=args.resume_step)
     _write_manifest(args.out, "alternate", cfg, data)
     for row in state.metrics_log:
@@ -228,10 +238,13 @@ def _cmd_alternate(args):
 
 def _cmd_retrieve(args):
     cfg = _resolve_config(args)
-    train = load_dataset(args.train_file, cfg.task, split="train")
+    train = _load(args.train_file, cfg, "train")
+    if not 0 <= args.query_id < len(train):  # load_dataset numbers records from 0
+        raise ValueError(f"unknown query id {args.query_id}: the ids of "
+                         f"{args.train_file} run from 0 to {len(train) - 1}")
+    query = train.samples[args.query_id]
     retr = retriever_mod.load_retriever(args.retriever)
     index = build_index(retr, train)
-    query = train.by_id(args.query_id)
     results = retrieve(
         retr, index, task_input(query, cfg.task), cfg.m, exclude_id=query.id
     )
@@ -309,7 +322,8 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_retriever)
 
-    p = sub.add_parser("finetune-lm", help="fine-tune the scorer with top-1 examples")
+    p = sub.add_parser(
+        "finetune-lm", help="fine-tune the scorer with the top finetune_k examples")
     _add_config_flags(p)
     p.add_argument("--train-file", required=True)
     p.add_argument("--scorer")

@@ -95,15 +95,19 @@ def infonce_loss(q, pos, negs):
     return _infonce(np.concatenate([[q @ pos], [q @ n for n in negs]]))[0]
 
 
-def _batch_loss_and_grads(state, items):
+def _batch_loss_and_grads(state, batch):
     """Mean InfoNCE over the batch and parameter gradients.
 
-    ``items`` is a list of (query_render, pos_render, [neg_renders]).
+    ``batch`` is a list of (query_render, pos_render, neg_render), one per
+    query.  A query's negatives are its own, then the positive and negative of
+    every other query in batch order: the 2(B-1) in-batch negatives of DPR.
     """
     grads = {k: np.zeros_like(v) for k, v in state.params.items()}
     total = 0.0
-    scale = 1.0 / len(items)
-    for q_text, pos_text, neg_texts in items:
+    scale = 1.0 / len(batch)
+    for i, (q_text, pos_text, own_neg) in enumerate(batch):
+        neg_texts = [own_neg] + [text for j, (_, pos, neg) in enumerate(batch)
+                                 if j != i for text in (pos, neg)]
         hq = encode_text(state, q_text)
         hp = encode_text(state, pos_text)
         hns = [encode_text(state, t) for t in neg_texts]
@@ -117,6 +121,14 @@ def _batch_loss_and_grads(state, items):
         for j, t in enumerate(neg_texts):
             encode_text_backward(state, t, scale * dsims[j + 1] * hq, grads)
     return total * scale, grads
+
+
+def _label_and_draw(query, cands, scorer, templates, k, task, pos_rng, neg_rng):
+    """Label ``cands`` for ``query``, then draw one candidate from C+ with
+    ``pos_rng`` and one from C- with ``neg_rng``."""
+    c_plus, c_minus = label_candidates(query, cands, scorer, templates, k, task)
+    return (c_plus[pos_rng.integers(len(c_plus))].candidate,
+            c_minus[neg_rng.integers(len(c_minus))].candidate)
 
 
 def _candidates_for_query(state, index, query, query_input, m, bootstrap_rng):
@@ -162,30 +174,19 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
         order = shuffle_rng.permutation(len(subset.samples))
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, len(order), B):
-            batch_idx = order[start:start + B]
-            chosen = []  # (query_render, pos_render, neg_render) per query
-            for i in batch_idx:
+            batch = []  # (query_render, pos_render, neg_render) per query
+            for i in order[start:start + B]:
                 query = subset.samples[i]
                 q_input = task_input(query, train.task)
                 cands = _candidates_for_query(
                     retr, index, query, q_input, cfg.m, boot_rng
                 )
-                c_plus, c_minus = label_candidates(
-                    query, cands, scorer, templates, cfg.k, train.task
-                )
-                pos = c_plus[pos_rng.integers(len(c_plus))].candidate
-                neg = c_minus[neg_rng.integers(len(c_minus))].candidate
-                chosen.append(
+                pos, neg = _label_and_draw(query, cands, scorer, templates, cfg.k,
+                                           train.task, pos_rng, neg_rng)
+                batch.append(
                     (query_text(q_input), candidate_text(pos), candidate_text(neg))
                 )
-            items = []
-            for i, (q_render, pos_render, own_neg) in enumerate(chosen):
-                negs = [own_neg]
-                for j, (_, other_pos, other_neg) in enumerate(chosen):
-                    if j != i:
-                        negs.extend([other_pos, other_neg])
-                items.append((q_render, pos_render, negs))
-            loss, grads = _batch_loss_and_grads(retr, items)
+            loss, grads = _batch_loss_and_grads(retr, batch)
             check_finite(loss, grads, f"retriever epoch {epoch} batch {n_batches}")
             opt.step(retr.params, grads)
             retr.version += 1
@@ -222,12 +223,9 @@ def separation(retr, queries, scorer, cfg, train):
         ]
         if len(cands) < 2 * cfg.k:
             continue
-        c_plus, c_minus = label_candidates(
-            query, cands, scorer, templates, cfg.k, train.task
-        )
+        pos, neg = _label_and_draw(query, cands, scorer, templates, cfg.k,
+                                   train.task, pos_rng, neg_rng)
         hq = encode_text(retr, query_text(q_input))
-        pos = c_plus[pos_rng.integers(len(c_plus))].candidate
-        neg = c_minus[neg_rng.integers(len(c_minus))].candidate
         diffs.append(
             float(hq @ encode_text(retr, candidate_text(pos)))
             - float(hq @ encode_text(retr, candidate_text(neg)))

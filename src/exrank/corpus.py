@@ -76,12 +76,6 @@ class Dataset:
     def __len__(self):
         return len(self.samples)
 
-    def by_id(self, sample_id):
-        for s in self.samples:
-            if s.id == sample_id:
-                return s
-        raise KeyError(sample_id)
-
 
 def normalize_term(term):
     """Comparison form of an aspect term: trimmed, case-insensitive."""
@@ -343,6 +337,8 @@ def generate_synthetic(n_train, n_test, seed):
     """Deterministic synthetic train/test datasets (ASPE task by default)."""
     if n_train < 20:
         raise ValueError("n_train must be at least 20")
+    if n_test < 1:
+        raise ValueError("n_test must be at least 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xDA7A]))
     train = Dataset(
         samples=[_make_sample(i, rng) for i in range(n_train)],

@@ -109,9 +109,9 @@ def test_acceptance_1_gradient_suites(capsys):
     scorer_worst = worst
 
     retr = init_retriever(vocab, d_r=3, max_len=16, seed=23)
-    items = [("Input: alpha", "Input: beta Output: gamma",
-              ["Input: delta Output: alpha"])]  # B=1: one own negative
-    _, rgrads = _batch_loss_and_grads(retr, items)
+    batch = [("Input: alpha", "Input: beta Output: gamma",
+              "Input: delta Output: alpha")]  # B=1: one own negative
+    _, rgrads = _batch_loss_and_grads(retr, batch)
     worst = 0.0
     for key, g in rgrads.items():
         flat = retr.params[key].reshape(-1)
@@ -119,9 +119,9 @@ def test_acceptance_1_gradient_suites(capsys):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up, _ = _batch_loss_and_grads(retr, items)
+            up, _ = _batch_loss_and_grads(retr, batch)
             flat[i] = orig - eps
-            dn, _ = _batch_loss_and_grads(retr, items)
+            dn, _ = _batch_loss_and_grads(retr, batch)
             flat[i] = orig
             num = (up - dn) / (2 * eps)
             if max(abs(num), abs(gflat[i])) < 1e-8:

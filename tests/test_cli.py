@@ -404,3 +404,78 @@ def test_resume_with_edited_templates_is_refused(tmp_path, data_dir, capsys):
     assert rc == 2
     assert "data differs from run.json in ['templates_sha256']" in capsys.readouterr().err
     assert _snapshot(out) == before
+
+
+def test_train_retriever_checks_k_and_m_before_warm_up(tmp_path, data_dir,
+                                                       monkeypatch, capsys):
+    warmups = []
+    monkeypatch.setattr(cli, "warmup_scorer", lambda *args: warmups.append(args))
+    out = tmp_path / "retr"
+    rc = main(["train-retriever", "--train-file", str(data_dir / "train.jsonl"),
+               "--out", str(out), *FAST, "--k", "4", "--m", "5"])
+    assert rc == 2
+    assert "m must be at least" in capsys.readouterr().err
+    assert warmups == []
+    assert not out.exists()
+
+
+def _files_in(out):
+    return sorted(p.name for p in out.rglob("*")) if out.exists() else []
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--t", "0"], "t must be at least 1"),
+    (["--k", "4", "--m", "5"], "m must be at least"),
+    ([], "malformed record"),
+])
+def test_alternate_writes_nothing_when_it_refuses_its_inputs(
+        tmp_path, data_dir, extra, message, capsys):
+    train_file = data_dir / "train.jsonl"
+    if not extra:  # the refused input is a malformed train record
+        train_file = tmp_path / "train.jsonl"
+        train_file.write_text(data_dir.joinpath("train.jsonl").read_text()
+                              + '{"text": 5, "labels": []}\n')
+    out = tmp_path / "alt"
+    assert main(_alternate_argv(data_dir, train_file, out) + extra) == 2
+    assert message in capsys.readouterr().err
+    assert _files_in(out) == []
+
+
+@pytest.mark.parametrize("command, empty", [
+    ("alternate", "train"), ("alternate", "test"), ("train-retriever", "train"),
+    ("finetune-lm", "train"), ("retrieve", "train"), ("evaluate", "test"),
+    ("sweep", "test")])
+def test_every_command_refuses_an_empty_data_file(tmp_path, data_dir, trained_dir,
+                                                  command, empty, capsys):
+    files = {name: data_dir / f"{name}.jsonl" for name in ("train", "test")}
+    files[empty] = tmp_path / "empty.jsonl"
+    files[empty].write_text("\n")  # a blank line is no record
+    argv = [command, "--train-file", str(files["train"]), *FAST]
+    if command in ("alternate", "evaluate", "sweep"):
+        argv += ["--test-file", str(files["test"])]
+    if command in ("finetune-lm", "retrieve", "sweep"):
+        argv += ["--retriever", str(trained_dir / "retriever_1.ckpt.npz")]
+    out = tmp_path / "out"
+    argv += ["--query-id", "0"] if command == "retrieve" else ["--out", str(out)]
+    assert main(argv) == 2
+    assert f"{files[empty]} holds no records" in capsys.readouterr().err
+    assert _files_in(out) == []
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gen_data_refuses_a_test_count_below_one(tmp_path, count, capsys):
+    out = tmp_path / "gen"
+    assert main(["gen-data", "--train", "25", "--test", count, "--out", str(out)]) == 2
+    assert "n_test must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("query_id", ["40", "999", "-1"])
+def test_retrieve_names_an_unknown_query_id(data_dir, trained_dir, query_id, capsys):
+    rc = main(["retrieve", "--train-file", str(data_dir / "train.jsonl"),
+               "--retriever", str(trained_dir / "retriever_1.ckpt.npz"),
+               "--query-id", query_id])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"unknown query id {query_id}" in err
+    assert "run from 0 to 39" in err

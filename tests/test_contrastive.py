@@ -150,6 +150,7 @@ class TestBatchGradients:
         rng = np.random.default_rng(B)
         chosen = [[" ".join(rng.choice(words, size=3)) for _ in range(3)]
                   for _ in range(B)]  # (query, positive, own negative) per query
+        # the in-batch layout spelled out: own negative, then the others' pairs
         items = [
             (q, pos, [neg] + [t for j, (_, p, n) in enumerate(chosen) if j != i
                               for t in (p, n)])
@@ -161,23 +162,23 @@ class TestBatchGradients:
             for q, pos, negs in items
         ]
         # summed in item order, then scaled by 1/B, as training does
-        assert _batch_loss_and_grads(state, items)[0] == sum(losses) * (1.0 / B)
+        assert _batch_loss_and_grads(state, chosen)[0] == sum(losses) * (1.0 / B)
 
     def test_matches_finite_differences(self):
         vocab = Vocabulary.build(["alpha beta gamma delta"])
         state = init_retriever(vocab, d_r=3, max_len=16, seed=13)
-        items = [("Input: alpha", "Input: beta Output: gamma",
-                  ["Input: delta Output: alpha"])]
-        _, grads = _batch_loss_and_grads(state, items)
+        batch = [("Input: alpha", "Input: beta Output: gamma",
+                  "Input: delta Output: alpha")]
+        _, grads = _batch_loss_and_grads(state, batch)
         eps = 1e-6
         for key, g in grads.items():
             flat = state.params[key].reshape(-1)
             for i in RNG.choice(flat.size, size=min(15, flat.size), replace=False):
                 orig = flat[i]
                 flat[i] = orig + eps
-                up, _ = _batch_loss_and_grads(state, items)
+                up, _ = _batch_loss_and_grads(state, batch)
                 flat[i] = orig - eps
-                dn, _ = _batch_loss_and_grads(state, items)
+                dn, _ = _batch_loss_and_grads(state, batch)
                 flat[i] = orig
                 num = (up - dn) / (2 * eps)
                 ana = g.reshape(-1)[i]
