@@ -30,12 +30,12 @@ with tempfile.TemporaryDirectory(prefix="exrank-demo-") as tmp:
         print(f"  step {row['step']}: f1={row['f1']}")
 
     scorer = load_scorer(out / f"scorer_{cfg.t}.ckpt.npz")
-    frozen = load_scorer(out / "scorer_init.ckpt.npz")
+    frozen = load_scorer(out / "scorer_0.ckpt.npz")
     retr = load_retriever(out / f"retriever_{cfg.t}.ckpt.npz")
 
 print("\nablations (test split):")
-# no example and frozen LM are full-mode runs: at k=0, and with the
-# never-fine-tuned scorer
+# no example and frozen LM are full-mode runs: at k=0, and with the warmed-up
+# scorer of step 0 (scorer_init is untrained and answers nothing)
 for name, mode, model, k in (("full", "full", scorer, cfg.k),
                              ("no example", "full", scorer, 0),
                              ("no retriever", "no_retriever", scorer, cfg.k),

@@ -45,8 +45,10 @@ class Metrics:
 
 class AblationMode(str, Enum):
     """The prompt constructions of inference.  The paper's other ablations are
-    runs of ``FULL``: no example is k=0, a frozen LM is the never-fine-tuned
-    scorer, and no alternation is a t=1 schedule."""
+    runs of ``FULL``: no example is k=0, a frozen LM is the warmed-up
+    ``scorer_0.ckpt.npz``, and no alternation is a t=1 schedule.  The untrained
+    ``scorer_init.ckpt.npz`` has a zero output layer: it decodes ``<pad>`` at
+    every step, so every answer is empty and F1 is 0 by construction."""
 
     FULL = "full"
     NO_RETRIEVER = "no_retriever"
