@@ -125,7 +125,7 @@ def _read_metrics(path):
 
 
 def check_schedule_inputs(train, dev, cfg, resume_step=None):
-    """Refuse what ``run_schedule`` would fail on, before anything is written."""
+    """Refuse a config or data ``run_schedule`` cannot use, before it writes."""
     if cfg.t < 1:
         raise ValueError("t must be at least 1")
     check_label_sizes(cfg)
