@@ -17,7 +17,7 @@ from .contrastive import check_label_sizes, train_retriever
 from .corpus import Task, serialize_label
 from .evaluation import METRIC_COLUMNS, AblationMode, run_inference
 from .retriever import build_index, init_retriever, retrieve
-from .scorer import finetune_step, gradient_workspace, init_scorer
+from .scorer import finetune_step, init_scorer
 from .template import load_templates, render, task_input
 from .optim import AdamW
 from .vocab import Vocabulary
@@ -55,7 +55,6 @@ def _lm_epochs(scorer, train, cfg, epochs, choose_examples, seed_tag, what):
     """
     templates = load_templates(cfg.template_dir)
     opt = AdamW(scorer.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    grads = gradient_workspace(scorer)  # reused by every step
     for epoch in range(epochs):
         epoch_loss = 0.0
         rng = substream(cfg.seed, f"{seed_tag}/epoch{epoch}")
@@ -64,9 +63,7 @@ def _lm_epochs(scorer, train, cfg, epochs, choose_examples, seed_tag, what):
             q_input = task_input(s, train.task)
             examples = choose_examples(s, q_input)
             prompt = render(templates, train.task, examples, q_input)
-            _, loss = finetune_step(
-                scorer, prompt, serialize_label(s, train.task), opt, grads
-            )
+            _, loss = finetune_step(scorer, prompt, serialize_label(s, train.task), opt)
             epoch_loss += loss
         logger.info(
             "%s epoch %d done (mean loss %.4f)",

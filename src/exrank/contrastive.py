@@ -95,14 +95,20 @@ def infonce_loss(q, pos, negs):
     return _infonce(np.concatenate([[q @ pos], [q @ n for n in negs]]))[0]
 
 
-def _batch_loss_and_grads(state, batch):
+def _batch_loss_and_grads(state, batch, out=None):
     """Mean InfoNCE over the batch and parameter gradients.
 
     ``batch`` is a list of (query_render, pos_render, neg_render), one per
     query.  A query's negatives are its own, then the positive and negative of
     every other query in batch order: the 2(B-1) in-batch negatives of DPR.
+    The gradients are summed into ``out``, an optimizer's ``grads``, after it
+    is zero-filled; fresh zeros are used when ``out`` is None.
     """
-    grads = {k: np.zeros_like(v) for k, v in state.params.items()}
+    if out is None:
+        grads = {k: np.zeros_like(v) for k, v in state.params.items()}
+    else:
+        grads = out
+        grads.flat.fill(0.0)
     total = 0.0
     scale = 1.0 / len(batch)
     for i, (q_text, pos_text, own_neg) in enumerate(batch):
@@ -186,7 +192,7 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
                 batch.append(
                     (query_text(q_input), candidate_text(pos), candidate_text(neg))
                 )
-            loss, grads = _batch_loss_and_grads(retr, batch)
+            loss, grads = _batch_loss_and_grads(retr, batch, out=opt.grads)
             check_finite(loss, grads, f"retriever epoch {epoch} batch {n_batches}")
             opt.step(retr.params, grads)
             retr.version += 1

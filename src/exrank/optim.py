@@ -1,5 +1,7 @@
-"""AdamW over a flat dict of numpy arrays, with decoupled weight decay, and
-the gradient helpers the models share."""
+"""AdamW over one flat parameter buffer, with decoupled weight decay, and the
+gradient helpers the models share."""
+
+import math
 
 import numpy as np
 
@@ -8,12 +10,35 @@ BETAS = (0.9, 0.999)
 EPS = 1e-8
 
 
+class FlatViews(dict):
+    """Named C-contiguous views, in key order, of one 1-D buffer ``flat``.
+
+    An operation on ``flat`` is one pass over every value at once.
+    """
+
+    def __init__(self, flat, shapes):
+        super().__init__()
+        self.flat = flat
+        start = 0
+        for key, shape in shapes.items():
+            size = math.prod(shape)
+            self[key] = flat[start:start + size].reshape(shape)
+            start += size
+
+
 def check_finite(loss, grads, context):
-    """Raise FloatingPointError before a non-finite loss or gradient is applied."""
+    """Raise FloatingPointError before a non-finite loss or gradient is applied.
+
+    ``grads`` is an optimizer's workspace (``AdamW.grads``): one pass over its
+    flat buffer checks every key, and only a failure scans the keys, in order,
+    to name the first bad one.
+    """
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss} ({context})")
+    if np.isfinite(grads.flat).all():
+        return
     for key, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise FloatingPointError(
                 f"non-finite gradient in {key!r} (loss={loss}, {context})"
             )
@@ -42,6 +67,16 @@ def add_rows_at(dest, *parts):
 
 
 class AdamW:
+    """AdamW whose parameters, moments, scratch and gradients each live in
+    one flat buffer.
+
+    Construction packs ``params``: each value of the dict is replaced by a view
+    of one new buffer that holds the same bytes, so the model keeps reading
+    ``params[key]`` as before.  ``m``, ``v`` and ``grads`` are views, with the
+    same keys, of the optimizer's own buffers.  ``grads`` is the gradient
+    workspace: the model's backward pass writes into it, and ``step`` reads it.
+    """
+
     def __init__(self, params, lr, weight_decay=0.0):
         for name, value in (("lr", lr), ("weight_decay", weight_decay)):
             if not (np.isfinite(value) and value >= 0):
@@ -49,42 +84,66 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        # two scratch arrays per key, so a step allocates nothing parameter-sized
-        self._scratch = {
-            k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()
-        }
+        shapes = {k: v.shape for k, v in params.items()}
+        packed = FlatViews(np.concatenate([v.reshape(-1) for v in params.values()]),
+                           shapes)
+        params.update(packed)
+        self._params = params
+        self._p = packed.flat
+        self.m = FlatViews(np.zeros_like(self._p), shapes)
+        self.v = FlatViews(np.zeros_like(self._p), shapes)
+        self.grads = FlatViews(np.zeros_like(self._p), shapes)
+        # two scratch buffers, so a step allocates nothing parameter-sized
+        self._a, self._b = np.empty_like(self._p), np.empty_like(self._p)
 
     def step(self, params, grads):
-        """One update in place.  Missing grad keys are skipped.
+        """One update in place of ``params`` from ``grads``, which must be the
+        dict this optimizer packed and its own ``grads`` workspace.
 
         Computes, bit for bit, ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)``
-        with ``m_hat = m / (1 - b1**t)`` and ``v_hat = v / (1 - b2**t)``; each
-        operation runs in the same order as that expression.
+        with ``m_hat = m / (1 - b1**t)`` and ``v_hat = v / (1 - b2**t)``.  Every
+        operation is elementwise and runs in the order of that expression, so
+        one pass over the flat buffers equals a pass per key.
 
         At ``weight_decay`` 0 the ``wd * p`` term is skipped.  For finite ``p``,
         ``a + 0*p`` differs from ``a`` only when ``a = -0`` and ``p = +0``, and
         ``p - lr*a`` is then ``+0`` either way.  (``0*inf`` is NaN, hence
         "finite".)
+
+        From t = 356 on, ``0.9**t`` is below 2**-54, so ``1 - b1**t`` rounds to
+        exactly 1.0.  Division by 1.0 is exact, so ``m / c1`` is then ``m`` bit
+        for bit, and the step divides ``m`` by the denominator directly.
         """
+        if grads is not self.grads:
+            raise ValueError(
+                f"AdamW.step needs its own gradient workspace, the optimizer's "
+                f"grads with keys {list(self.grads)}; got a dict with keys "
+                f"{list(grads)}"
+            )
+        if params is not self._params:
+            raise ValueError(
+                f"AdamW.step updates only the dict it packed, with keys "
+                f"{list(self._params)}; got one with keys {list(params)}"
+            )
         self.t += 1
         b1, b2 = BETAS
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        for key, g in grads.items():
-            m, v, p = self.m[key], self.v[key], params[key]
-            a, b = self._scratch[key]
-            m *= b1
-            m += np.multiply(1.0 - b1, g, out=a)
-            v *= b2
-            np.multiply(1.0 - b2, g, out=a)
-            v += np.multiply(a, g, out=a)
+        g, m, v, p = self.grads.flat, self.m.flat, self.v.flat, self._p
+        a, b = self._a, self._b
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=a)
+        v *= b2
+        np.multiply(1.0 - b2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(v, c2, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += EPS
+        if c1 == 1.0:
+            np.divide(m, b, out=a)
+        else:
             np.divide(m, c1, out=a)  # m_hat
-            np.divide(v, c2, out=b)  # v_hat
-            np.sqrt(b, out=b)
-            b += EPS
             a /= b
-            if self.weight_decay:
-                a += np.multiply(self.weight_decay, p, out=b)
-            a *= self.lr
-            p -= a
+        if self.weight_decay:
+            a += np.multiply(self.weight_decay, p, out=b)
+        a *= self.lr
+        p -= a

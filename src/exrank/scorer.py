@@ -201,9 +201,10 @@ def gradient_workspace(state):
 def nll_and_grads(state, prompt, target, out=None):
     """Negative log-likelihood and its analytic gradients for every parameter.
 
-    The gradients are written into ``out``, a ``gradient_workspace(state)``
-    that is overwritten whole and returned; a fresh one is made when ``out``
-    is None.
+    The gradients are written into ``out``, a dict holding an array of each
+    parameter's shape under its key (``gradient_workspace(state)`` or an
+    optimizer's ``grads``), which is overwritten whole and returned; a fresh
+    one is made when ``out`` is None.
     """
     p = state.params
     d = state.d
@@ -233,14 +234,13 @@ def nll_and_grads(state, prompt, target, out=None):
     return loss, out
 
 
-def finetune_step(state, prompt, target, optimizer, grads=None):
+def finetune_step(state, prompt, target, optimizer):
     """One NLL descent step with ``optimizer``, an AdamW over ``state.params``
-    that keeps its moments across steps.  ``grads`` is the gradient workspace
-    (``gradient_workspace(state)``) that ``nll_and_grads`` overwrites; pass the
-    same one every step, so that a step allocates nothing parameter-sized.
+    that keeps its moments across steps.  The gradients are written into the
+    optimizer's workspace, so a step allocates nothing parameter-sized.
     Loss is the pre-update value.
     """
-    loss, grads = nll_and_grads(state, prompt, target, out=grads)
+    loss, grads = nll_and_grads(state, prompt, target, out=optimizer.grads)
     check_finite(loss, grads, f"prompt={prompt[:60]!r}")
     optimizer.step(state.params, grads)
     return state, loss

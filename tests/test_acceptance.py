@@ -343,7 +343,8 @@ def test_acceptance_7_method_premise_trend(capsys):
 
         scorer = load_scorer(Path(out) / f"scorer_{cfg.t}.ckpt.npz")
         retr = load_retriever(Path(out) / f"retriever_{cfg.t}.ckpt.npz")
-        frozen = load_scorer(Path(out) / "scorer_init.ckpt.npz")
+        # the warmed-up LM before any retrieval-augmented fine-tuning
+        frozen = load_scorer(Path(out) / "scorer_0.ckpt.npz")
         full, _ = run_inference(scorer, retr, test, 4, AblationMode.FULL,
                                 train, cfg)
         noex, _ = run_inference(scorer, retr, test, 0, AblationMode.FULL,

@@ -14,6 +14,7 @@ from exrank.contrastive import (
     train_retriever,
 )
 from exrank.corpus import Dataset, Sample, Task, generate_synthetic
+from exrank.optim import AdamW
 from exrank.retriever import encode_text, init_retriever
 from exrank.scorer import LogLikelihood, init_scorer
 from exrank.template import Candidate, load_templates
@@ -183,6 +184,21 @@ class TestBatchGradients:
                 num = (up - dn) / (2 * eps)
                 ana = g.reshape(-1)[i]
                 assert abs(num - ana) / max(abs(num), abs(ana), 1e-8) < 1e-4
+
+    def test_optimizer_workspace_is_zero_filled_before_summing(self):
+        words = [f"w{i}" for i in range(12)]
+        state = init_retriever(Vocabulary.build([" ".join(words)]), d_r=4,
+                               max_len=16, seed=5)
+        batch = [("Input: w1 w2", "Input: w3 Output: w4", "Input: w5 Output: w6"),
+                 ("Input: w7", "Input: w8 w9 Output: w10", "Input: w11 Output: w0")]
+        fresh_loss, fresh = _batch_loss_and_grads(state, batch)
+        out = AdamW(state.params, lr=1e-3).grads
+        out.flat.fill(np.nan)  # a stale value that survived would show
+        for _ in range(2):
+            loss, grads = _batch_loss_and_grads(state, batch, out=out)
+            assert grads is out and loss == fresh_loss
+            for key, g in fresh.items():
+                assert grads[key].tobytes() == g.tobytes(), key
 
 
 def _prepped(seed, n=60):

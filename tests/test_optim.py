@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from exrank.optim import AdamW, add_rows_at, check_finite
+from exrank.retriever import init_retriever, load_retriever, save_retriever
+from exrank.scorer import init_scorer, load_scorer, save_scorer
+from exrank.vocab import Vocabulary
 
 
 class _ReferenceAdamW:
@@ -51,20 +54,75 @@ def _grads(rng, params):
     return grads
 
 
-@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
-def test_bit_identical_to_reference_over_20_steps(weight_decay):
+def _into_workspace(opt, grads):
+    for key, g in grads.items():
+        opt.grads[key][...] = g
+    return opt.grads
+
+
+def _assert_matches_reference(steps, weight_decay):
     ours, ref = _params(0), _params(0)
     opt = AdamW(ours, lr=3e-3, weight_decay=weight_decay)
     oracle = _ReferenceAdamW(ref, lr=3e-3, weight_decay=weight_decay)
     rng = np.random.default_rng(1)
-    for _ in range(20):
+    for _ in range(steps):
         grads = _grads(rng, ours)
-        opt.step(ours, grads)
-        oracle.step(ref, {k: g.copy() for k, g in grads.items()})
+        opt.step(ours, _into_workspace(opt, grads))
+        oracle.step(ref, grads)
         for key in ours:
             assert ours[key].tobytes() == ref[key].tobytes(), key
             assert opt.m[key].tobytes() == oracle.m[key].tobytes(), key
             assert opt.v[key].tobytes() == oracle.v[key].tobytes(), key
+    return opt
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_bit_identical_to_reference_over_20_steps(weight_decay):
+    _assert_matches_reference(20, weight_decay)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_bit_identical_to_reference_past_the_first_moment_correction(weight_decay):
+    # from t = 356 on, 1 - 0.9**t is exactly 1.0 and the step skips m / c1
+    opt = _assert_matches_reference(400, weight_decay)
+    assert 1.0 - 0.9 ** 355 != 1.0 and 1.0 - 0.9 ** 356 == 1.0
+    assert opt.t == 400
+
+
+def test_packing_keeps_every_byte_in_one_buffer():
+    params = _params(8)
+    before = {k: v.copy() for k, v in params.items()}
+    opt = AdamW(params, lr=1e-3)
+    buffer = params["emb"].base
+    assert buffer.ndim == 1 and buffer.size == sum(v.size for v in before.values())
+    assert list(params) == list(before) == list(opt.m) == list(opt.v) == list(opt.grads)
+    for key, p in params.items():
+        assert p.base is buffer and p.flags.c_contiguous, key
+        assert p.shape == before[key].shape and p.tobytes() == before[key].tobytes(), key
+        for views in (opt.m, opt.v, opt.grads):
+            assert views[key].base is views.flat and views[key].shape == p.shape, key
+
+
+@pytest.mark.parametrize("model", ["scorer", "retriever"])
+def test_packing_leaves_checkpoint_bytes_unchanged(tmp_path, model):
+    vocab = Vocabulary.build(["alpha beta gamma delta"])
+    if model == "scorer":
+        state, save, load = init_scorer(vocab, d=6, max_len=16, seed=3), save_scorer, load_scorer
+    else:
+        state, save, load = (init_retriever(vocab, d_r=6, max_len=16, seed=3),
+                             save_retriever, load_retriever)
+    before = {k: v.copy() for k, v in state.params.items()}
+    save(state, tmp_path / "plain.npz")
+    AdamW(state.params, lr=1e-3)
+    for key, p in state.params.items():
+        assert p.tobytes() == before[key].tobytes(), key
+    save(state, tmp_path / "packed.npz")
+    assert (tmp_path / "packed.npz").read_bytes() == (tmp_path / "plain.npz").read_bytes()
+    # a loaded checkpoint packs the same way
+    loaded = load(tmp_path / "packed.npz")
+    AdamW(loaded.params, lr=1e-3)
+    save(loaded, tmp_path / "again.npz")
+    assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "plain.npz").read_bytes()
 
 
 def test_zero_weight_decay_keeps_signed_zeros_of_the_reference():
@@ -83,8 +141,8 @@ def test_zero_weight_decay_keeps_signed_zeros_of_the_reference():
     for _ in range(5):
         grads = _grads(rng, ours)
         grads["emb"][:] = -0.0
-        opt.step(ours, grads)
-        oracle.step(ref, {k: g.copy() for k, g in grads.items()})
+        opt.step(ours, _into_workspace(opt, grads))
+        oracle.step(ref, grads)
         for key in ours:
             assert ours[key].tobytes() == ref[key].tobytes(), key
             assert opt.m[key].tobytes() == oracle.m[key].tobytes(), key
@@ -112,25 +170,29 @@ def test_add_rows_at_refuses_a_strided_destination():
     assert not dest.any()
 
 
-def test_missing_grad_key_leaves_parameter_untouched():
+def test_step_refuses_a_dict_that_is_not_its_own():
     params = _params(2)
     before = {k: v.copy() for k, v in params.items()}
     opt = AdamW(params, lr=1e-2, weight_decay=0.01)
-    rng = np.random.default_rng(3)
-    for _ in range(3):
-        grads = _grads(rng, params)
-        del grads["w"]
+    grads = _grads(np.random.default_rng(3), params)
+    del grads["w"]
+    with pytest.raises(ValueError, match=r"\['emb', 'w', 'b'\].*\['emb', 'b'\]"):
         opt.step(params, grads)
-    assert params["w"].tobytes() == before["w"].tobytes()
-    assert not np.any(opt.m["w"]) and not np.any(opt.v["w"])
-    assert not np.array_equal(params["emb"], before["emb"])
+    with pytest.raises(ValueError, match="gradient workspace"):
+        opt.step(params, {k: g.copy() for k, g in opt.grads.items()})
+    with pytest.raises(ValueError, match="dict it packed"):
+        opt.step(dict(params), opt.grads)
+    assert opt.t == 0
+    for key, p in params.items():
+        assert p.tobytes() == before[key].tobytes(), key
+        assert not opt.m[key].any() and not opt.v[key].any(), key
 
 
 def test_step_allocates_no_parameter_sized_temporaries():
     rng = np.random.default_rng(4)
     params = {"emb": rng.normal(size=(300, 40)), "b": rng.normal(size=300)}
-    grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
     opt = AdamW(params, lr=1e-3, weight_decay=0.01)
+    grads = _into_workspace(opt, {k: rng.normal(size=v.shape) for k, v in params.items()})
     opt.step(params, grads)  # warm any lazy interpreter state
     param_bytes = sum(v.nbytes for v in params.values())
     tracemalloc.start()
@@ -143,11 +205,24 @@ def test_step_allocates_no_parameter_sized_temporaries():
 
 
 def test_check_finite_names_the_bad_key():
-    check_finite(1.0, {"a": np.ones(3)}, "ctx")
-    with pytest.raises(FloatingPointError, match="'b'"):
-        check_finite(1.0, {"a": np.ones(3), "b": np.array([0.0, np.inf])}, "ctx")
+    vocab = Vocabulary.build(["alpha beta gamma delta"])
+    state = init_scorer(vocab, d=4, max_len=16, seed=0)
+    grads = AdamW(state.params, lr=1e-3).grads
+    grads.flat[:] = np.random.default_rng(9).normal(size=grads.flat.size)
+    check_finite(1.0, grads, "ctx")
+    grads["w_enc"][1, 2] = np.inf
+    with pytest.raises(FloatingPointError, match="'w_enc'.*ctx"):
+        check_finite(1.0, grads, "ctx")
+    grads["w_enc"][1, 2] = 0.5
+    grads["b_out"][-1] = np.nan
+    with pytest.raises(FloatingPointError, match="'b_out'"):
+        check_finite(1.0, grads, "ctx")
+    grads["b_out"][-1] = 0.5
     with pytest.raises(FloatingPointError, match="non-finite loss"):
-        check_finite(float("nan"), {"a": np.ones(3)}, "ctx")
+        check_finite(float("nan"), grads, "ctx")
+    with pytest.raises(FloatingPointError, match="non-finite loss"):
+        check_finite(float("-inf"), grads, "ctx")
+    check_finite(1.0, grads, "ctx")
 
 
 @pytest.mark.parametrize("setting", [

@@ -178,19 +178,19 @@ class TestFinetune:
         words = " ".join(f"w{i}" for i in range(3000))
         state = init_scorer(Vocabulary.build([words]), d=8, max_len=32, seed=0)
         opt = AdamW(state.params, lr=1e-3)
-        grads = gradient_workspace(state)
-        finetune_step(state, "w1 w2 w3", "w4", opt, grads)  # warm lazy state
+        finetune_step(state, "w1 w2 w3", "w4", opt)  # warm lazy state
         param_bytes = sum(v.nbytes for v in state.params.values())
         peaks = []
-        for workspace in (grads, None):
+        for call in (lambda: finetune_step(state, "w1 w2 w3", "w4", opt),
+                     lambda: nll_and_grads(state, "w1 w2 w3", "w4")):
             tracemalloc.start()
             try:
-                finetune_step(state, "w1 w2 w3", "w4", opt, workspace)
+                call()
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert peaks[0] < param_bytes / 4, (peaks, param_bytes)
-        assert peaks[1] > param_bytes  # without one, a step makes fresh gradients
+        assert peaks[1] > param_bytes  # without one, the gradients are fresh arrays
 
     def test_negative_lr_rejected(self):
         state = _micro_scorer()
@@ -397,10 +397,12 @@ class TestBitExactAgainstOracle:
         fresh, reused = _oracle_scorer(3), _oracle_scorer(3)
         opt_fresh = AdamW(fresh.params, lr=0.05)
         opt_reused = AdamW(reused.params, lr=0.05)
-        grads = gradient_workspace(reused)
         for prompt, target in list(ORACLE_CASES.values()) * 2:
-            finetune_step(fresh, prompt, target, opt_fresh)
-            finetune_step(reused, prompt, target, opt_reused, grads)
+            _, grads = nll_and_grads(fresh, prompt, target)
+            for key, g in grads.items():
+                opt_fresh.grads[key][...] = g
+            opt_fresh.step(fresh.params, opt_fresh.grads)
+            finetune_step(reused, prompt, target, opt_reused)
         for key, p in fresh.params.items():
             assert p.tobytes() == reused.params[key].tobytes(), key
 
