@@ -38,7 +38,7 @@ def check_finite(loss, grads, context):
     if np.isfinite(grads.flat).all():
         return
     for key, g in grads.items():
-        if not np.isfinite(g).all():
+        if not np.all(np.isfinite(g)):
             raise FloatingPointError(
                 f"non-finite gradient in {key!r} (loss={loss}, {context})"
             )

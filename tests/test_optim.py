@@ -103,14 +103,13 @@ def test_packing_keeps_every_byte_in_one_buffer():
             assert views[key].base is views.flat and views[key].shape == p.shape, key
 
 
-@pytest.mark.parametrize("model", ["scorer", "retriever"])
-def test_packing_leaves_checkpoint_bytes_unchanged(tmp_path, model):
-    vocab = Vocabulary.build(["alpha beta gamma delta"])
-    if model == "scorer":
-        state, save, load = init_scorer(vocab, d=6, max_len=16, seed=3), save_scorer, load_scorer
-    else:
-        state, save, load = (init_retriever(vocab, d_r=6, max_len=16, seed=3),
-                             save_retriever, load_retriever)
+@pytest.mark.parametrize("init, save, load", [
+    (lambda vocab: init_scorer(vocab, d=6, max_len=16, seed=3), save_scorer, load_scorer),
+    (lambda vocab: init_retriever(vocab, d_r=6, max_len=16, seed=3),
+     save_retriever, load_retriever),
+], ids=["scorer", "retriever"])
+def test_packing_leaves_checkpoint_bytes_unchanged(tmp_path, init, save, load):
+    state = init(Vocabulary.build(["alpha beta gamma delta"]))
     before = {k: v.copy() for k, v in state.params.items()}
     save(state, tmp_path / "plain.npz")
     AdamW(state.params, lr=1e-3)
