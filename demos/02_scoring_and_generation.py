@@ -26,14 +26,14 @@ print(f"  total log-likelihood {ll.total:.4f}  "
       f"(-L ln|V| = {-len(ll.per_token) * np.log(V):.4f})")
 
 print("\nhand backprop vs central finite differences (spot check):")
-loss, grads = nll_and_grads(scorer, prompt, target)
+loss, grads = nll_and_grads(scorer, prompt, target, scorer.params.zeros_like())
 eps = 1e-5
 key, idx = "b_enc", 0
 orig = scorer.params[key][idx]
 scorer.params[key][idx] = orig + eps
-up, _ = nll_and_grads(scorer, prompt, target)
+up, _ = nll_and_grads(scorer, prompt, target, scorer.params.zeros_like())
 scorer.params[key][idx] = orig - eps
-dn, _ = nll_and_grads(scorer, prompt, target)
+dn, _ = nll_and_grads(scorer, prompt, target, scorer.params.zeros_like())
 scorer.params[key][idx] = orig
 print(f"  d(loss)/d({key}[{idx}]): analytic {grads[key][idx]:+.6f}  "
       f"numeric {(up - dn) / (2 * eps):+.6f}")

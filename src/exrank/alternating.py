@@ -125,10 +125,10 @@ def check_schedule_inputs(train, dev, cfg, resume_step=None):
     """Refuse a config or data ``run_schedule`` cannot use, before it writes."""
     if cfg.t < 1:
         raise ValueError("t must be at least 1")
-    check_label_sizes(cfg)
     for dataset in (train, dev):
         if not dataset.samples:
             raise ValueError(f"the {dataset.split.value} split has no samples")
+    check_label_sizes(cfg, train)
     if resume_step is not None and not 0 <= resume_step < cfg.t:
         raise ValueError(f"resume_step must be in [0, t), got {resume_step}")
 

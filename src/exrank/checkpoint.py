@@ -11,6 +11,7 @@ import os
 import numpy as np
 
 from .atomic import replacing
+from .optim import FlatViews
 from .vocab import Vocabulary
 
 
@@ -56,6 +57,5 @@ def load(path, state_cls, tag, width, shapes):
                     f"checkpoint parameter {key!r} has shape {params[key].shape}, "
                     f"expected {shape} for n_vocab={n_vocab}, {width}={size}"
                 )
-        return state_cls(
-            vocab=vocab, max_len=int(blob["max_len"]), params=params, **{width: size}
-        )
+        return state_cls(vocab=vocab, max_len=int(blob["max_len"]),
+                         params=FlatViews.pack(params), **{width: size})

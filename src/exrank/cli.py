@@ -163,8 +163,8 @@ def _init_or_load_retriever(args, cfg, vocab):
 
 def _cmd_train_retriever(args):
     cfg = _resolve_config(args)
-    check_label_sizes(cfg)  # before a warm-up that would be thrown away
     train = _load(args.train_file, cfg, "train")
+    check_label_sizes(cfg, train)  # before a warm-up that would be thrown away
     scorer_state = _init_or_load_scorer(args, cfg, train)
     retr = _init_or_load_retriever(args, cfg, scorer_state.vocab)
     report = []
@@ -303,6 +303,10 @@ def _cmd_sweep(args):
     return 0
 
 
+_OWN_SUBSTREAMS = ("Its seeded draws are its own, not those of a schedule step, so "
+                   "train-retriever then finetune-lm does not reproduce alternate --t 1.")
+
+
 def _build_parser():
     parser = _Parser(prog="exrank", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -314,7 +318,8 @@ def _build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_data)
 
-    p = sub.add_parser("train-retriever", help="contrastive retriever training")
+    p = sub.add_parser("train-retriever", help="contrastive retriever training",
+                       description="Contrastive retriever training. " + _OWN_SUBSTREAMS)
     _add_config_flags(p)
     p.add_argument("--train-file", required=True)
     p.add_argument("--scorer")
@@ -323,7 +328,8 @@ def _build_parser():
     p.set_defaults(func=_cmd_train_retriever)
 
     p = sub.add_parser(
-        "finetune-lm", help="fine-tune the scorer with the top finetune_k examples")
+        "finetune-lm", help="fine-tune the scorer with the top finetune_k examples",
+        description="Fine-tune the scorer with retrieved examples. " + _OWN_SUBSTREAMS)
     _add_config_flags(p)
     p.add_argument("--train-file", required=True)
     p.add_argument("--scorer")

@@ -55,13 +55,19 @@ def label_candidates(query, cands, scorer, templates, k, task):
     return scored[:k], scored[-k:]
 
 
-def check_label_sizes(cfg):
-    """Reject a k or m that label_candidates would refuse, before training starts."""
+def check_label_sizes(cfg, train):
+    """Reject a k, m or train split too small to label, before training starts."""
     if cfg.k < 1:
         raise ValueError(f"k must be at least 1 for training, got {cfg.k}")
     if cfg.m < 2 * cfg.k:
         raise ValueError(
             f"m must be at least 2k = {2 * cfg.k} for training, got m={cfg.m}"
+        )
+    if len(train.samples) < 2 * cfg.k + 1:
+        raise ValueError(
+            f"the {train.split.value} split has {len(train.samples)} samples; "
+            f"training at k={cfg.k} needs 2k + 1 = {2 * cfg.k + 1}, "
+            "as no query is its own candidate"
         )
 
 
@@ -95,20 +101,16 @@ def infonce_loss(q, pos, negs):
     return _infonce(np.concatenate([[q @ pos], [q @ n for n in negs]]))[0]
 
 
-def _batch_loss_and_grads(state, batch, out=None):
+def _batch_loss_and_grads(state, batch, out):
     """Mean InfoNCE over the batch and parameter gradients.
 
     ``batch`` is a list of (query_render, pos_render, neg_render), one per
     query.  A query's negatives are its own, then the positive and negative of
     every other query in batch order: the 2(B-1) in-batch negatives of DPR.
-    The gradients are summed into ``out``, an optimizer's ``grads``, after it
-    is zero-filled; fresh zeros are used when ``out`` is None.
+    The gradients are summed into ``out``, a ``FlatViews`` shaped like
+    ``state.params``, after it is zero-filled; ``out`` is returned.
     """
-    if out is None:
-        grads = {k: np.zeros_like(v) for k, v in state.params.items()}
-    else:
-        grads = out
-        grads.flat.fill(0.0)
+    out.flat.fill(0.0)
     total = 0.0
     scale = 1.0 / len(batch)
     for i, (q_text, pos_text, own_neg) in enumerate(batch):
@@ -122,11 +124,11 @@ def _batch_loss_and_grads(state, batch, out=None):
         dq = dsims[0] * hp
         for j, hn in enumerate(hns):
             dq += dsims[j + 1] * hn
-        encode_text_backward(state, q_text, scale * dq, grads)
-        encode_text_backward(state, pos_text, scale * dsims[0] * hq, grads)
+        encode_text_backward(state, q_text, scale * dq, out)
+        encode_text_backward(state, pos_text, scale * dsims[0] * hq, out)
         for j, t in enumerate(neg_texts):
-            encode_text_backward(state, t, scale * dsims[j + 1] * hq, grads)
-    return total * scale, grads
+            encode_text_backward(state, t, scale * dsims[j + 1] * hq, out)
+    return total * scale, out
 
 
 def _label_and_draw(query, cands, scorer, templates, k, task, pos_rng, neg_rng):
@@ -159,12 +161,10 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
     retriever has nothing useful to say); later epochs retrieve with the
     current retriever against an index rebuilt once per epoch.
     """
-    check_label_sizes(cfg)
+    check_label_sizes(cfg, train)
     templates = load_templates(cfg.template_dir)
     # step-dependent name: each alternating step labels a fresh subset
     subset = sample_training_subset(train, cfg.r, cfg.seed, name=f"{seed_tag}/subset")
-    if not subset.samples:
-        return retr
     opt = AdamW(retr.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     B = cfg.batch_size
     for epoch in range(cfg.epochs_retriever):
@@ -192,9 +192,9 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
                 batch.append(
                     (query_text(q_input), candidate_text(pos), candidate_text(neg))
                 )
-            loss, grads = _batch_loss_and_grads(retr, batch, out=opt.grads)
+            loss, grads = _batch_loss_and_grads(retr, batch, opt.grads)
             check_finite(loss, grads, f"retriever epoch {epoch} batch {n_batches}")
-            opt.step(retr.params, grads)
+            opt.step()
             retr.version += 1
             epoch_loss += loss
             n_batches += 1

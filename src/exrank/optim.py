@@ -1,5 +1,5 @@
-"""AdamW over one flat parameter buffer, with decoupled weight decay, and the
-gradient helpers the models share."""
+"""The parameter and gradient container of both models, AdamW over it with
+decoupled weight decay, and the gradient helpers the models share."""
 
 import math
 
@@ -13,7 +13,9 @@ EPS = 1e-8
 class FlatViews(dict):
     """Named C-contiguous views, in key order, of one 1-D buffer ``flat``.
 
-    An operation on ``flat`` is one pass over every value at once.
+    It holds a model's parameters, an optimizer's moments and every gradient.
+    An operation on ``flat`` is one pass over every value at once.  Assigning
+    to a key copies into its view, so the buffer stays whole.
     """
 
     def __init__(self, flat, shapes):
@@ -22,16 +24,32 @@ class FlatViews(dict):
         start = 0
         for key, shape in shapes.items():
             size = math.prod(shape)
-            self[key] = flat[start:start + size].reshape(shape)
+            super().__setitem__(key, flat[start:start + size].reshape(shape))
             start += size
+
+    @classmethod
+    def pack(cls, arrays):
+        """A copy of the dict ``arrays`` in one new buffer, keys in its order."""
+        return cls(np.concatenate([np.ravel(v) for v in arrays.values()]),
+                   {k: np.shape(v) for k, v in arrays.items()})
+
+    def zeros_like(self):
+        """Zeros with the keys and shapes of these views, in a buffer of their own."""
+        return FlatViews(np.zeros_like(self.flat),
+                         {k: v.shape for k, v in self.items()})
+
+    def __setitem__(self, key, value):
+        view = self[key]
+        if np.shape(value) != view.shape:
+            raise ValueError(f"{key!r} has shape {view.shape}, got {np.shape(value)}")
+        view[...] = value
 
 
 def check_finite(loss, grads, context):
     """Raise FloatingPointError before a non-finite loss or gradient is applied.
 
-    ``grads`` is an optimizer's workspace (``AdamW.grads``): one pass over its
-    flat buffer checks every key, and only a failure scans the keys, in order,
-    to name the first bad one.
+    ``grads`` is a ``FlatViews``: one pass over its flat buffer checks every
+    key, and only a failure scans the keys, in order, to name the first bad one.
     """
     if not np.isfinite(loss):
         raise FloatingPointError(f"non-finite loss {loss} ({context})")
@@ -67,14 +85,11 @@ def add_rows_at(dest, *parts):
 
 
 class AdamW:
-    """AdamW whose parameters, moments, scratch and gradients each live in
-    one flat buffer.
+    """AdamW over ``params``, a ``FlatViews``, updated in place.
 
-    Construction packs ``params``: each value of the dict is replaced by a view
-    of one new buffer that holds the same bytes, so the model keeps reading
-    ``params[key]`` as before.  ``m``, ``v`` and ``grads`` are views, with the
-    same keys, of the optimizer's own buffers.  ``grads`` is the gradient
-    workspace: the model's backward pass writes into it, and ``step`` reads it.
+    ``m``, ``v`` and ``grads`` are zeroed ``FlatViews`` with the keys of
+    ``params``.  ``grads`` is the gradient workspace: the model's backward pass
+    writes into it, and ``step`` reads it.
     """
 
     def __init__(self, params, lr, weight_decay=0.0):
@@ -84,21 +99,13 @@ class AdamW:
         self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
-        shapes = {k: v.shape for k, v in params.items()}
-        packed = FlatViews(np.concatenate([v.reshape(-1) for v in params.values()]),
-                           shapes)
-        params.update(packed)
-        self._params = params
-        self._p = packed.flat
-        self.m = FlatViews(np.zeros_like(self._p), shapes)
-        self.v = FlatViews(np.zeros_like(self._p), shapes)
-        self.grads = FlatViews(np.zeros_like(self._p), shapes)
+        self._p = params.flat
+        self.m, self.v, self.grads = (params.zeros_like() for _ in range(3))
         # two scratch buffers, so a step allocates nothing parameter-sized
         self._a, self._b = np.empty_like(self._p), np.empty_like(self._p)
 
-    def step(self, params, grads):
-        """One update in place of ``params`` from ``grads``, which must be the
-        dict this optimizer packed and its own ``grads`` workspace.
+    def step(self):
+        """One update in place of the parameters from ``grads``.
 
         Computes, bit for bit, ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)``
         with ``m_hat = m / (1 - b1**t)`` and ``v_hat = v / (1 - b2**t)``.  Every
@@ -114,17 +121,6 @@ class AdamW:
         exactly 1.0.  Division by 1.0 is exact, so ``m / c1`` is then ``m`` bit
         for bit, and the step divides ``m`` by the denominator directly.
         """
-        if grads is not self.grads:
-            raise ValueError(
-                f"AdamW.step needs its own gradient workspace, the optimizer's "
-                f"grads with keys {list(self.grads)}; got a dict with keys "
-                f"{list(grads)}"
-            )
-        if params is not self._params:
-            raise ValueError(
-                f"AdamW.step updates only the dict it packed, with keys "
-                f"{list(self._params)}; got one with keys {list(params)}"
-            )
         self.t += 1
         b1, b2 = BETAS
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t

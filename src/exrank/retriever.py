@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .optim import add_rows_at
+from .optim import FlatViews, add_rows_at
 from .template import candidate_text, make_candidate, query_text
 from .vocab import Vocabulary
 
@@ -30,7 +30,7 @@ class RetrieverState:
     vocab: Vocabulary
     d_r: int
     max_len: int
-    params: dict  # emb (V,d_r), w (d_r,d_r), b (d_r,)
+    params: dict  # FlatViews: emb (V,d_r), w (d_r,d_r), b (d_r,)
     version: int = 0
 
 
@@ -56,11 +56,11 @@ class CandidateIndex:
 def init_retriever(vocab, d_r=64, max_len=128, seed=0):
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x2E72]))
     V = len(vocab)
-    params = {
+    params = FlatViews.pack({
         "emb": rng.normal(0.0, 0.5, size=(V, d_r)),
         "w": rng.normal(0.0, 1.0 / np.sqrt(d_r), size=(d_r, d_r)),
         "b": np.zeros(d_r),
-    }
+    })
     return RetrieverState(vocab=vocab, d_r=d_r, max_len=max_len, params=params)
 
 

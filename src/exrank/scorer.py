@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .optim import add_rows_at, check_finite
+from .optim import FlatViews, add_rows_at, check_finite
 from .vocab import BOS_ID, EOS_ID, Vocabulary
 
 POS_DIM = 16
@@ -44,7 +44,8 @@ class ScorerState:
     vocab: Vocabulary
     d: int
     max_len: int
-    params: dict  # emb (V,d), w_enc (d,d), b_enc (d,), w_out (V,2d+POS_DIM), b_out (V,)
+    params: dict  # FlatViews: emb (V,d), w_enc (d,d), b_enc (d,),
+                  # w_out (V,2d+POS_DIM), b_out (V,)
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,13 +67,13 @@ def init_scorer(vocab, d=64, max_len=128, seed=0):
     exactly uniform over the vocabulary."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5C0E]))
     V = len(vocab)
-    params = {
+    params = FlatViews.pack({
         "emb": rng.normal(0.0, 0.5, size=(V, d)),
         "w_enc": rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)),
         "b_enc": np.zeros(d),
         "w_out": np.zeros((V, 2 * d + POS_DIM)),
         "b_out": np.zeros(V),
-    }
+    })
     return ScorerState(vocab=vocab, d=d, max_len=max_len, params=params)
 
 
@@ -191,20 +192,12 @@ def generate(state, prompt, max_len):
     return state.vocab.decode(out)
 
 
-def gradient_workspace(state):
-    """Uninitialised arrays for ``nll_and_grads``'s ``out``, one per parameter,
-    keyed in the order the gradients have always been returned in."""
-    return {k: np.empty_like(state.params[k])
-            for k in ("w_out", "b_out", "emb", "w_enc", "b_enc")}
-
-
-def nll_and_grads(state, prompt, target, out=None):
+def nll_and_grads(state, prompt, target, out):
     """Negative log-likelihood and its analytic gradients for every parameter.
 
-    The gradients are written into ``out``, a dict holding an array of each
-    parameter's shape under its key (``gradient_workspace(state)`` or an
-    optimizer's ``grads``), which is overwritten whole and returned; a fresh
-    one is made when ``out`` is None.
+    The gradients are written into ``out``, a ``FlatViews`` shaped like
+    ``state.params`` (an optimizer's ``grads``, or ``state.params.zeros_like()``),
+    which is overwritten whole and returned.
     """
     p = state.params
     d = state.d
@@ -216,8 +209,6 @@ def nll_and_grads(state, prompt, target, out=None):
     dZ = np.exp(logp, out=logp)  # softmax rows
     dZ[rows, tids] -= 1.0
 
-    if out is None:
-        out = gradient_workspace(state)
     np.matmul(dZ.T, F, out=out["w_out"])
     np.add.reduce(dZ, axis=0, out=out["b_out"])
     dF = dZ @ p["w_out"]  # (L, 2d+POS_DIM)
@@ -240,9 +231,9 @@ def finetune_step(state, prompt, target, optimizer):
     optimizer's workspace, so a step allocates nothing parameter-sized.
     Loss is the pre-update value.
     """
-    loss, grads = nll_and_grads(state, prompt, target, out=optimizer.grads)
+    loss, grads = nll_and_grads(state, prompt, target, optimizer.grads)
     check_finite(loss, grads, f"prompt={prompt[:60]!r}")
-    optimizer.step(state.params, grads)
+    optimizer.step()
     return state, loss
 
 

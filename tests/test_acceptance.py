@@ -91,16 +91,16 @@ def test_acceptance_1_gradient_suites(capsys):
     scorer.params["w_out"] = rng.normal(0.0, 0.3, scorer.params["w_out"].shape)
     scorer.params["b_out"] = rng.normal(0.0, 0.3, scorer.params["b_out"].shape)
     prompt, target = "alpha beta gamma", "delta alpha"
-    _, grads = nll_and_grads(scorer, prompt, target)
+    _, grads = nll_and_grads(scorer, prompt, target, scorer.params.zeros_like())
     for key, g in grads.items():
         flat = scorer.params[key].reshape(-1)
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up, _ = nll_and_grads(scorer, prompt, target)
+            up, _ = nll_and_grads(scorer, prompt, target, scorer.params.zeros_like())
             flat[i] = orig - eps
-            dn, _ = nll_and_grads(scorer, prompt, target)
+            dn, _ = nll_and_grads(scorer, prompt, target, scorer.params.zeros_like())
             flat[i] = orig
             num = (up - dn) / (2 * eps)
             if max(abs(num), abs(gflat[i])) < 1e-8:
@@ -111,7 +111,7 @@ def test_acceptance_1_gradient_suites(capsys):
     retr = init_retriever(vocab, d_r=3, max_len=16, seed=23)
     batch = [("Input: alpha", "Input: beta Output: gamma",
               "Input: delta Output: alpha")]  # B=1: one own negative
-    _, rgrads = _batch_loss_and_grads(retr, batch)
+    _, rgrads = _batch_loss_and_grads(retr, batch, retr.params.zeros_like())
     worst = 0.0
     for key, g in rgrads.items():
         flat = retr.params[key].reshape(-1)
@@ -119,9 +119,9 @@ def test_acceptance_1_gradient_suites(capsys):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up, _ = _batch_loss_and_grads(retr, batch)
+            up, _ = _batch_loss_and_grads(retr, batch, retr.params.zeros_like())
             flat[i] = orig - eps
-            dn, _ = _batch_loss_and_grads(retr, batch)
+            dn, _ = _batch_loss_and_grads(retr, batch, retr.params.zeros_like())
             flat[i] = orig
             num = (up - dn) / (2 * eps)
             if max(abs(num), abs(gflat[i])) < 1e-8:

@@ -441,6 +441,27 @@ def test_alternate_writes_nothing_when_it_refuses_its_inputs(
     assert _files_in(out) == []
 
 
+@pytest.mark.parametrize("command", ["alternate", "train-retriever"])
+def test_a_train_split_too_small_to_label_is_refused_before_warm_up(
+        tmp_path, data_dir, monkeypatch, command, capsys):
+    # k=4 needs 2k = 8 candidates besides the query itself: 9 samples, not 5
+    warmups = []
+    monkeypatch.setattr(cli, "warmup_scorer", lambda *args: warmups.append(args))
+    train_file = tmp_path / "train.jsonl"
+    lines = data_dir.joinpath("train.jsonl").read_text().splitlines(keepends=True)
+    train_file.write_text("".join(lines[:5]))
+    out = tmp_path / "out"
+    argv = [command, "--train-file", str(train_file), "--out", str(out), *FAST,
+            "--t", "1", "--k", "4", "--m", "8"]
+    if command == "alternate":
+        argv += ["--test-file", str(data_dir / "test.jsonl")]
+    assert main(argv) == 2
+    assert ("the train split has 5 samples; training at k=4 needs 2k + 1 = 9"
+            in capsys.readouterr().err)
+    assert warmups == []
+    assert _files_in(out) == []
+
+
 @pytest.mark.parametrize("command, empty", [
     ("alternate", "train"), ("alternate", "test"), ("train-retriever", "train"),
     ("finetune-lm", "train"), ("retrieve", "train"), ("evaluate", "test"),

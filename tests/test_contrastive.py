@@ -163,23 +163,24 @@ class TestBatchGradients:
             for q, pos, negs in items
         ]
         # summed in item order, then scaled by 1/B, as training does
-        assert _batch_loss_and_grads(state, chosen)[0] == sum(losses) * (1.0 / B)
+        out = state.params.zeros_like()
+        assert _batch_loss_and_grads(state, chosen, out)[0] == sum(losses) * (1.0 / B)
 
     def test_matches_finite_differences(self):
         vocab = Vocabulary.build(["alpha beta gamma delta"])
         state = init_retriever(vocab, d_r=3, max_len=16, seed=13)
         batch = [("Input: alpha", "Input: beta Output: gamma",
                   "Input: delta Output: alpha")]
-        _, grads = _batch_loss_and_grads(state, batch)
+        _, grads = _batch_loss_and_grads(state, batch, state.params.zeros_like())
         eps = 1e-6
         for key, g in grads.items():
             flat = state.params[key].reshape(-1)
             for i in RNG.choice(flat.size, size=min(15, flat.size), replace=False):
                 orig = flat[i]
                 flat[i] = orig + eps
-                up, _ = _batch_loss_and_grads(state, batch)
+                up, _ = _batch_loss_and_grads(state, batch, state.params.zeros_like())
                 flat[i] = orig - eps
-                dn, _ = _batch_loss_and_grads(state, batch)
+                dn, _ = _batch_loss_and_grads(state, batch, state.params.zeros_like())
                 flat[i] = orig
                 num = (up - dn) / (2 * eps)
                 ana = g.reshape(-1)[i]
@@ -191,7 +192,7 @@ class TestBatchGradients:
                                max_len=16, seed=5)
         batch = [("Input: w1 w2", "Input: w3 Output: w4", "Input: w5 Output: w6"),
                  ("Input: w7", "Input: w8 w9 Output: w10", "Input: w11 Output: w0")]
-        fresh_loss, fresh = _batch_loss_and_grads(state, batch)
+        fresh_loss, fresh = _batch_loss_and_grads(state, batch, state.params.zeros_like())
         out = AdamW(state.params, lr=1e-3).grads
         out.flat.fill(np.nan)  # a stale value that survived would show
         for _ in range(2):

@@ -1,9 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from exrank.optim import AdamW, add_rows_at, check_finite
+from exrank.optim import AdamW, FlatViews, add_rows_at, check_finite
 from exrank.retriever import init_retriever, load_retriever, save_retriever
 from exrank.scorer import init_scorer, load_scorer, save_scorer
 from exrank.vocab import Vocabulary
@@ -61,13 +62,14 @@ def _into_workspace(opt, grads):
 
 
 def _assert_matches_reference(steps, weight_decay):
-    ours, ref = _params(0), _params(0)
+    ours, ref = FlatViews.pack(_params(0)), _params(0)
     opt = AdamW(ours, lr=3e-3, weight_decay=weight_decay)
     oracle = _ReferenceAdamW(ref, lr=3e-3, weight_decay=weight_decay)
     rng = np.random.default_rng(1)
     for _ in range(steps):
         grads = _grads(rng, ours)
-        opt.step(ours, _into_workspace(opt, grads))
+        _into_workspace(opt, grads)
+        opt.step()
         oracle.step(ref, grads)
         for key in ours:
             assert ours[key].tobytes() == ref[key].tobytes(), key
@@ -89,45 +91,87 @@ def test_bit_identical_to_reference_past_the_first_moment_correction(weight_deca
     assert opt.t == 400
 
 
-def test_packing_keeps_every_byte_in_one_buffer():
-    params = _params(8)
-    before = {k: v.copy() for k, v in params.items()}
-    opt = AdamW(params, lr=1e-3)
-    buffer = params["emb"].base
-    assert buffer.ndim == 1 and buffer.size == sum(v.size for v in before.values())
-    assert list(params) == list(before) == list(opt.m) == list(opt.v) == list(opt.grads)
+def _assert_one_buffer(params, plain):
+    """``params`` holds the bytes of the dict ``plain`` in views of one buffer."""
+    assert params.flat.ndim == 1 and params.flat.flags.c_contiguous
+    assert params.flat.size == sum(v.size for v in plain.values())
+    assert list(params) == list(plain)
     for key, p in params.items():
-        assert p.base is buffer and p.flags.c_contiguous, key
-        assert p.shape == before[key].shape and p.tobytes() == before[key].tobytes(), key
-        for views in (opt.m, opt.v, opt.grads):
+        assert p.base is params.flat and p.flags.c_contiguous, key
+        assert p.shape == plain[key].shape and p.tobytes() == plain[key].tobytes(), key
+
+
+def test_packing_keeps_every_byte_in_one_buffer():
+    plain = _params(8)
+    params = FlatViews.pack(plain)
+    _assert_one_buffer(params, plain)
+    zeros = params.zeros_like()
+    assert zeros.flat is not params.flat and not zeros.flat.any()
+    _assert_one_buffer(zeros, {k: np.zeros_like(v) for k, v in plain.items()})
+
+
+def test_assigning_a_key_writes_into_the_buffer():
+    params = FlatViews.pack(_params(8))
+    view = params["w"]
+    params["w"] = np.full((8, 8), 2.5)
+    assert params["w"] is view and (params.flat[37 * 8:37 * 8 + 64] == 2.5).all()
+    with pytest.raises(ValueError, match=r"'b' has shape \(8,\), got \(\)"):
+        params["b"] = 0.0
+    assert params["b"].tobytes() == _params(8)["b"].tobytes()
+
+
+def test_optimizer_keeps_the_params_it_is_given():
+    state = init_scorer(Vocabulary.build(["alpha beta gamma delta"]), d=4, max_len=16)
+    params, values = state.params, dict(state.params)
+    before = {k: v.copy() for k, v in values.items()}
+    opt = AdamW(state.params, lr=1e-3)
+    assert state.params is params and list(params) == list(values)
+    assert all(params[k] is v for k, v in values.items()), "values were rebound"
+    assert list(params) == list(opt.m) == list(opt.v) == list(opt.grads)
+    for views in (opt.m, opt.v, opt.grads):
+        assert views.flat is not params.flat and not views.flat.any()
+        for key, p in params.items():
             assert views[key].base is views.flat and views[key].shape == p.shape, key
+    opt.grads.flat.fill(1.0)
+    opt.step()
+    for key, v in values.items():  # the update reached the arrays the caller holds
+        assert params[key] is v and not np.array_equal(v, before[key]), key
 
 
-@pytest.mark.parametrize("init, save, load", [
+_MODELS = pytest.mark.parametrize("init, save, load", [
     (lambda vocab: init_scorer(vocab, d=6, max_len=16, seed=3), save_scorer, load_scorer),
     (lambda vocab: init_retriever(vocab, d_r=6, max_len=16, seed=3),
      save_retriever, load_retriever),
 ], ids=["scorer", "retriever"])
+
+
+@_MODELS
+def test_models_are_flat_from_init_and_load(tmp_path, init, save, load):
+    state = init(Vocabulary.build(["alpha beta gamma delta"]))
+    plain = {k: v.copy() for k, v in state.params.items()}
+    _assert_one_buffer(state.params, plain)
+    save(state, tmp_path / "flat.npz")
+    _assert_one_buffer(load(tmp_path / "flat.npz").params, plain)
+
+
+@_MODELS
 def test_packing_leaves_checkpoint_bytes_unchanged(tmp_path, init, save, load):
     state = init(Vocabulary.build(["alpha beta gamma delta"]))
-    before = {k: v.copy() for k, v in state.params.items()}
-    save(state, tmp_path / "plain.npz")
-    AdamW(state.params, lr=1e-3)
-    for key, p in state.params.items():
-        assert p.tobytes() == before[key].tobytes(), key
-    save(state, tmp_path / "packed.npz")
-    assert (tmp_path / "packed.npz").read_bytes() == (tmp_path / "plain.npz").read_bytes()
-    # a loaded checkpoint packs the same way
-    loaded = load(tmp_path / "packed.npz")
-    AdamW(loaded.params, lr=1e-3)
-    save(loaded, tmp_path / "again.npz")
+    plain = dataclasses.replace(
+        state, params={k: v.copy() for k, v in state.params.items()})
+    assert isinstance(state.params, FlatViews) and not isinstance(plain.params, FlatViews)
+    save(plain, tmp_path / "plain.npz")
+    save(state, tmp_path / "flat.npz")
+    assert (tmp_path / "flat.npz").read_bytes() == (tmp_path / "plain.npz").read_bytes()
+    # a loaded checkpoint is packed the same way
+    save(load(tmp_path / "flat.npz"), tmp_path / "again.npz")
     assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "plain.npz").read_bytes()
 
 
 def test_zero_weight_decay_keeps_signed_zeros_of_the_reference():
     # the skipped ``a + 0*p`` matters only at a = -0, p = +0; a first moment
     # of -0 and gradients of -0 produce exactly that a
-    ours, ref = _params(5), _params(5)
+    ours, ref = FlatViews.pack(_params(5)), _params(5)
     for params in (ours, ref):
         params["emb"][::2] = 0.0
         params["emb"][1::2] = -0.0
@@ -140,7 +184,8 @@ def test_zero_weight_decay_keeps_signed_zeros_of_the_reference():
     for _ in range(5):
         grads = _grads(rng, ours)
         grads["emb"][:] = -0.0
-        opt.step(ours, _into_workspace(opt, grads))
+        _into_workspace(opt, grads)
+        opt.step()
         oracle.step(ref, grads)
         for key in ours:
             assert ours[key].tobytes() == ref[key].tobytes(), key
@@ -169,34 +214,16 @@ def test_add_rows_at_refuses_a_strided_destination():
     assert not dest.any()
 
 
-def test_step_refuses_a_dict_that_is_not_its_own():
-    params = _params(2)
-    before = {k: v.copy() for k, v in params.items()}
-    opt = AdamW(params, lr=1e-2, weight_decay=0.01)
-    grads = _grads(np.random.default_rng(3), params)
-    del grads["w"]
-    with pytest.raises(ValueError, match=r"\['emb', 'w', 'b'\].*\['emb', 'b'\]"):
-        opt.step(params, grads)
-    with pytest.raises(ValueError, match="gradient workspace"):
-        opt.step(params, {k: g.copy() for k, g in opt.grads.items()})
-    with pytest.raises(ValueError, match="dict it packed"):
-        opt.step(dict(params), opt.grads)
-    assert opt.t == 0
-    for key, p in params.items():
-        assert p.tobytes() == before[key].tobytes(), key
-        assert not opt.m[key].any() and not opt.v[key].any(), key
-
-
 def test_step_allocates_no_parameter_sized_temporaries():
     rng = np.random.default_rng(4)
-    params = {"emb": rng.normal(size=(300, 40)), "b": rng.normal(size=300)}
+    params = FlatViews.pack({"emb": rng.normal(size=(300, 40)), "b": rng.normal(size=300)})
     opt = AdamW(params, lr=1e-3, weight_decay=0.01)
-    grads = _into_workspace(opt, {k: rng.normal(size=v.shape) for k, v in params.items()})
-    opt.step(params, grads)  # warm any lazy interpreter state
+    _into_workspace(opt, {k: rng.normal(size=v.shape) for k, v in params.items()})
+    opt.step()  # warm any lazy interpreter state
     param_bytes = sum(v.nbytes for v in params.values())
     tracemalloc.start()
     try:
-        opt.step(params, grads)
+        opt.step()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
