@@ -58,7 +58,6 @@ def _grads(rng, params):
 def _into_workspace(opt, grads):
     for key, g in grads.items():
         opt.grads[key][...] = g
-    return opt.grads
 
 
 def _assert_matches_reference(steps, weight_decay):
