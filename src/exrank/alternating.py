@@ -14,11 +14,11 @@ from . import scorer as scorer_mod
 from .atomic import write_table
 from .config import substream
 from .contrastive import check_label_sizes, train_retriever
-from .corpus import Task, serialize_label
+from .corpus import serialize_label
 from .evaluation import METRIC_COLUMNS, AblationMode, run_inference
 from .retriever import build_index, init_retriever, retrieve
 from .scorer import finetune_step, init_scorer
-from .template import load_templates, render, task_input
+from .template import load_templates, render, scaffold, task_input
 from .optim import AdamW
 from .vocab import Vocabulary
 
@@ -32,17 +32,10 @@ class ScheduleState:
 
 
 def build_vocabulary(train, cfg):
-    """Deterministic shared vocabulary: definitions, the loaded template blocks
-    (example indices 1 to the largest of 8, ``k`` and ``finetune_k``), then
-    each sample's prompt-side input and gold output."""
-    templates = load_templates(cfg.template_dir)
-    texts = [templates.definitions[t] for t in Task]
-    # this line first keeps the token order of the built-in templates
-    texts.append("Definition: Example Now complete the following- Input: Output:")
-    texts.extend(templates.example_block.format(index=i, input="", output="")
-                 for i in range(1, max(8, cfg.k, cfg.finetune_k) + 1))
-    texts.append(templates.target_block.format(input=""))
-    texts.append("The aspect is")
+    """Deterministic shared vocabulary: the ``template.scaffold`` of the loaded
+    templates (example indices 1 to the largest of 8, ``k`` and
+    ``finetune_k``), then each sample's prompt-side input and gold output."""
+    texts = scaffold(load_templates(cfg.template_dir), max(8, cfg.k, cfg.finetune_k))
     for s in train.samples:
         texts.append(task_input(s, train.task))
         texts.append(serialize_label(s, train.task))

@@ -40,7 +40,8 @@ def load(path, state_cls, tag, width, shapes):
     """Read a ``state_cls`` written by ``save``.
 
     ``shapes(n_vocab, width)`` maps each parameter, in the model's order, to
-    the shape the header implies; any other shape is refused.
+    the shape the header implies; any other shape, or a dtype other than
+    float64, is refused.
     """
     with np.load(path, allow_pickle=False) as blob:
         if str(blob["format"]) != tag:
@@ -57,5 +58,8 @@ def load(path, state_cls, tag, width, shapes):
                     f"checkpoint parameter {key!r} has shape {params[key].shape}, "
                     f"expected {shape} for n_vocab={n_vocab}, {width}={size}"
                 )
+            if params[key].dtype != np.float64:
+                raise ValueError(f"checkpoint parameter {key!r} has dtype "
+                                 f"{params[key].dtype}, expected float64")
         return state_cls(vocab=vocab, max_len=int(blob["max_len"]),
                          params=FlatViews.pack(params), **{width: size})

@@ -35,7 +35,7 @@ from .corpus import (
 from .evaluation import METRIC_COLUMNS, AblationMode, k_sweep, run_inference
 from .retriever import build_index, init_retriever, retrieve
 from .scorer import init_scorer, load_scorer, save_scorer, score
-from .template import load_templates, task_input
+from .template import digest, load_templates, task_input
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(Config)]
 
@@ -88,18 +88,11 @@ def _resolve_config(args):
 
 
 def _sha256(path):
-    digest = hashlib.sha256()
+    h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _templates_sha256(template_dir):
-    """Digest of the prompt assets loaded from ``template_dir``."""
-    t = load_templates(template_dir)
-    assets = [t.definitions[task] for task in Task] + [t.example_block, t.target_block]
-    return hashlib.sha256(json.dumps(assets).encode("utf-8")).hexdigest()
+            h.update(chunk)
+    return h.hexdigest()
 
 
 def _write_manifest(out_dir, command, cfg, extra=None):
@@ -221,7 +214,7 @@ def _cmd_alternate(args):
     cfg = _resolve_config(args)
     data = {"train_sha256": _sha256(args.train_file),
             "test_sha256": _sha256(args.test_file),
-            "templates_sha256": _templates_sha256(cfg.template_dir)}
+            "templates_sha256": digest(load_templates(cfg.template_dir))}
     train, dev = _load_data(args, cfg)
     check_schedule_inputs(train, dev, cfg, args.resume_step)
     if args.resume_step is None:

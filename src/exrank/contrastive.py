@@ -212,7 +212,9 @@ def separation(retr, queries, scorer, cfg, train):
     agrees with the scorer's labeling.  A query that is a member of ``train``
     (a pool candidate with its id and input) excludes itself from retrieval;
     a held-out query keeps the train candidate that merely shares its id.
+    A k, m or train split too small to label is refused, as in training.
     """
+    check_label_sizes(cfg, train)
     templates = load_templates(cfg.template_dir)
     index = build_index(retr, train)
     pool_inputs = {c.id: c.input for c in index.candidates}
@@ -227,8 +229,6 @@ def separation(retr, queries, scorer, cfg, train):
             for sc in retrieve(retr, index, q_input, cfg.m,
                                exclude_id=query.id if member else None)
         ]
-        if len(cands) < 2 * cfg.k:
-            continue
         pos, neg = _label_and_draw(query, cands, scorer, templates, cfg.k,
                                    train.task, pos_rng, neg_rng)
         hq = encode_text(retr, query_text(q_input))

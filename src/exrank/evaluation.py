@@ -20,7 +20,7 @@ from .corpus import (
     serialize_label,
 )
 from .retriever import build_index, retrieve
-from .template import load_templates, make_candidate, render, task_input
+from .template import load_templates, make_candidate, no_instruction_prompt, render, task_input
 from .vocab import tokenize
 
 
@@ -151,7 +151,7 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg):
         else:
             examples = fixed
         if mode == AblationMode.NO_INSTRUCTION:
-            prompt = f"Input: {q_input} Output:"
+            prompt = no_instruction_prompt(q_input)
         else:
             prompt = render(templates, task, examples, q_input)
         raw = scorer_mod.generate(scorer, prompt, cfg.max_gen_len)

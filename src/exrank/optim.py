@@ -15,7 +15,8 @@ class FlatViews(dict):
 
     It holds a model's parameters, an optimizer's moments and every gradient.
     An operation on ``flat`` is one pass over every value at once.  Assigning
-    to a key copies into its view, so the buffer stays whole.
+    to a key copies into its view, so the buffer stays whole; the dict methods
+    that would rebind or remove a key raise TypeError.
     """
 
     def __init__(self, flat, shapes):
@@ -43,6 +44,12 @@ class FlatViews(dict):
         if np.shape(value) != view.shape:
             raise ValueError(f"{key!r} has shape {view.shape}, got {np.shape(value)}")
         view[...] = value
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("FlatViews keys are fixed views of one buffer; "
+                        "assign to a key to copy into it")
+
+    update = __ior__ = setdefault = pop = popitem = __delitem__ = clear = _refuse
 
 
 def check_finite(loss, grads, context):

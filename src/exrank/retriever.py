@@ -2,8 +2,7 @@
 
 Reference encoder: per-token u = tanh(W @ emb[token] + b), mean-pooled over
 positions.  It carries no position information, so candidate encodings are
-permutation-invariant; position-aware encoders can replace it behind the same
-functions.
+permutation-invariant.
 """
 
 import logging

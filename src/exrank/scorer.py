@@ -4,8 +4,7 @@ Reference model, fully differentiable by hand:
   encoder  h = tanh(W_enc @ mean(emb[prompt tokens]) + b_enc)
   decoder  logits_l = W_out @ [h ; emb[prev token] ; pos_l] + b_out
 Scoring is teacher-forced log-likelihood of the target plus its end token;
-generation is greedy.  Any object providing score/generate/finetune_step with
-the same contracts can stand in for this implementation.
+generation is greedy.
 
 Greedy decoding picks the argmax of the softmax-normalised distribution, but
 it normalises only when that could change the winner.  Each step takes the

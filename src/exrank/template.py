@@ -1,17 +1,21 @@
-"""Instruction prompt rendering: task definition, example slots, target input.
+"""The prompt grammar: every prompt, retriever text and vocabulary scaffold.
 
 The grammar is frozen on purpose: the scorer conditions on byte-exact prompts,
 so every separator is a single space and the prompt always ends with the
-"Output:" cue.
+"Output:" cue.  No other module holds a prompt literal.
 """
 
 import functools
+import hashlib
+import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 
 from .corpus import Task, serialize_label
+
+ASPECT_CUE = "The aspect is"
 
 
 @dataclass(frozen=True)
@@ -64,11 +68,36 @@ def render(templates, task, examples, input_text):
     return " ".join(parts)
 
 
+def no_instruction_prompt(input_text):
+    """The prompt without definition or examples."""
+    return f"Input: {input_text} Output:"
+
+
+def scaffold(templates, n_examples):
+    """Fixed texts of prompts with up to ``n_examples`` examples, in vocabulary order."""
+    return [
+        *(templates.definitions[t] for t in Task),
+        # this line first keeps the token order of the built-in templates
+        "Definition: Example Now complete the following- Input: Output:",
+        *(templates.example_block.format(index=i, input="", output="")
+          for i in range(1, n_examples + 1)),
+        templates.target_block.format(input=""),
+        ASPECT_CUE,
+    ]
+
+
+def digest(templates):
+    """sha256 hex of the assets: the definitions in task order, then the blocks."""
+    assets = [*(templates.definitions[t] for t in Task),
+              templates.example_block, templates.target_block]
+    return hashlib.sha256(json.dumps(assets).encode("utf-8")).hexdigest()
+
+
 def atsc_input(text, aspect):
     """Splice the designated aspect onto the review text."""
     if not aspect:
         raise ValueError("aspect must be non-empty")
-    return f"{text} The aspect is {aspect}."
+    return f"{text} {ASPECT_CUE} {aspect}."
 
 
 def candidate_text(candidate):

@@ -17,7 +17,7 @@ from exrank.evaluation import AblationMode, run_inference
 from exrank.retriever import init_retriever, load_retriever
 from exrank.scorer import init_scorer, load_scorer, score
 from exrank.template import load_templates, make_candidate, render, task_input
-from exrank.vocab import UNK_ID
+from exrank.vocab import UNK_ID, Vocabulary
 
 
 def _cfg(seed=0, **over):
@@ -79,6 +79,15 @@ class TestVocabulary:
         (tmp_path / "target_block.txt").write_text("Query: {input} Reply:")
         train, _ = generate_synthetic(40, 1, 0)
         assert self._unknown_tokens(train, _cfg(template_dir=str(tmp_path))) == 0
+
+    def test_scaffold_keeps_the_token_order_of_the_built_in_templates(self):
+        # every fingerprint depends on this order
+        train, _ = generate_synthetic(40, 1, 0)
+        tokens = build_vocabulary(train, _cfg()).tokens
+        definitions = Vocabulary.build(load_templates().definitions[t] for t in Task).tokens
+        scaffold = ["Definition:", "Example", "Now", "complete", "following-", "Input:",
+                    "Output:", *(f"{i}-" for i in range(1, 9)), "The"]
+        assert tokens[:len(definitions) + len(scaffold)] == definitions + scaffold
 
     def test_deterministic(self):
         train, _ = generate_synthetic(40, 5, 0)

@@ -60,3 +60,14 @@ def test_parameter_shape_mismatch_is_rejected_at_load(tmp_path, model, key, shap
     _write_by_hand(path, make(), tag, width, **{key: np.zeros(shape)})
     with pytest.raises(ValueError, match=f"'{key}' has shape"):
         load(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_parameter_dtype_other_than_float64_is_rejected_at_load(tmp_path, model, dtype):
+    make, _, load, tag, width = MODELS[model]
+    state = make()
+    path = tmp_path / "bad.ckpt.npz"
+    _write_by_hand(path, state, tag, width, emb=state.params["emb"].astype(dtype))
+    with pytest.raises(ValueError, match=f"'emb' has dtype {np.dtype(dtype)}, expected"):
+        load(path)

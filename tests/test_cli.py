@@ -406,6 +406,20 @@ def test_resume_with_edited_templates_is_refused(tmp_path, data_dir, capsys):
     assert _snapshot(out) == before
 
 
+def test_run_json_digest_of_a_custom_template_dir_is_pinned(tmp_path, data_dir):
+    tpl = tmp_path / "tpl"
+    tpl.mkdir()
+    for task in ("aspe", "ate", "atsc"):
+        (tpl / f"def_{task}.txt").write_text(f"Solve {task}.")
+    (tpl / "example_block.txt").write_text("Sample {index}: Question {input} Answer {output}")
+    (tpl / "target_block.txt").write_text("Query: {input} Reply:")
+    out = tmp_path / "alt"
+    assert main(_alternate_argv(data_dir, data_dir / "train.jsonl", out)
+                + ["--t", "1", "--template-dir", str(tpl)]) == 0
+    assert json.loads((out / "run.json").read_text())["templates_sha256"] == (
+        "b65bff6c4cb01f6f49322236ab344f4a630330966cc4876e1f31ea8aa65ac976")
+
+
 def test_train_retriever_checks_k_and_m_before_warm_up(tmp_path, data_dir,
                                                        monkeypatch, capsys):
     warmups = []

@@ -264,6 +264,12 @@ class TestTrainRetriever:
         assert labeled[held_out.text] == {s.id for s in train.samples}
         assert labeled[member.text] == {s.id for s in train.samples} - {member.id}
 
+    def test_separation_refuses_m_below_2k(self):
+        train, test, cfg, scorer, retr = _prepped(5, n=20)
+        cfg = Config(**{**cfg.to_dict(), "m": 2 * cfg.k - 1})
+        with pytest.raises(ValueError, match="m must be at least 2k"):
+            separation(retr, test.samples, scorer, cfg, train)
+
     def test_separation_positive_over_seeds(self):
         # the training objective's literal target, on held-out queries
         wins = 0

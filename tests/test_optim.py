@@ -119,6 +119,23 @@ def test_assigning_a_key_writes_into_the_buffer():
     assert params["b"].tobytes() == _params(8)["b"].tobytes()
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda p: p.update(w=np.ones((8, 8))),
+    lambda p: p.__ior__({"w": np.ones((8, 8))}),
+    lambda p: p.setdefault("extra", np.ones(3)),
+    lambda p: p.pop("w"),
+    lambda p: p.popitem(),
+    lambda p: p.__delitem__("w"),
+    lambda p: p.clear(),
+], ids=["update", "ior", "setdefault", "pop", "popitem", "delitem", "clear"])
+def test_dict_mutators_that_bypass_the_buffer_are_refused(mutate):
+    plain = _params(8)
+    params = FlatViews.pack(plain)
+    with pytest.raises(TypeError, match="fixed views"):
+        mutate(params)
+    _assert_one_buffer(params, plain)
+
+
 def test_optimizer_keeps_the_params_it_is_given():
     state = init_scorer(Vocabulary.build(["alpha beta gamma delta"]), d=4, max_len=16)
     params, values = state.params, dict(state.params)

@@ -1,12 +1,17 @@
+from pathlib import Path
+
 import pytest
 
+import exrank
 from exrank.corpus import AspectLabel, Polarity, Sample, Task
 from exrank.template import (
     Candidate,
     atsc_input,
     candidate_text,
+    digest,
     load_templates,
     make_candidate,
+    no_instruction_prompt,
     query_text,
     render,
     task_input,
@@ -111,3 +116,25 @@ def test_template_dir_override(tmp_path):
     assert "Definition: CUSTOM aspe" in out
     assert "EX1 IN=a OUT=b" in out
     assert "TARGET=q" in out
+
+
+def test_no_instruction_prompt_has_neither_definition_nor_examples():
+    assert no_instruction_prompt("a b") == "Input: a b Output:"
+
+
+def test_digest_of_the_built_in_assets_is_pinned():
+    # the run.json templates_sha256 of every run made with the built-ins
+    assert digest(BUILT_IN) == (
+        "2dd13d6dc71904ddd4268d125bbb7591bcd358d2b692dc0f2b9f6fe87e102249")
+
+
+def test_no_other_module_holds_a_prompt_literal():
+    sources = sorted(Path(exrank.__file__).parent.glob("*.py"))
+    assert "template.py" in {path.name for path in sources}
+    found = [
+        (path.name, literal)
+        for path in sources if path.name != "template.py"
+        for literal in ("Input:", "Output:", "Definition:", "The aspect is")
+        if literal in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
