@@ -20,7 +20,14 @@ from .corpus import (
     serialize_label,
 )
 from .retriever import build_index, retrieve
-from .template import load_templates, make_candidate, no_instruction_prompt, render, task_input
+from .template import (
+    load_templates,
+    make_candidate,
+    no_instruction_prompt,
+    render,
+    scaffold,
+    task_input,
+)
 from .vocab import tokenize
 
 
@@ -117,6 +124,20 @@ def _fixed_examples(pool, k, seed):
     return [make_candidate(pool.samples[i], pool.task) for i in picks]
 
 
+def check_prompt_tokens(vocab, templates, k):
+    """Refuse prompts of up to ``k`` examples whose fixed text, the
+    ``template.scaffold``, holds a token ``vocab`` would encode as ``<unk>``."""
+    unknown = dict.fromkeys(
+        tok for text in scaffold(templates, k) for tok in tokenize(text)
+        if tok not in vocab.index
+    )
+    if unknown:
+        raise ValueError(
+            f"the scorer's vocabulary encodes the prompt tokens {list(unknown)} "
+            f"as <unk> at k={k}; it was built for fewer examples per prompt"
+        )
+
+
 def run_inference(scorer, retriever, test, k, mode, pool, cfg):
     """Generate and score predictions for one split under one ablation mode.
 
@@ -133,6 +154,9 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg):
     use_retrieval = mode == AblationMode.FULL and k > 0
     index = build_index(retriever, pool) if use_retrieval else None
     same_split = test.split == pool.split
+    # the most examples a prompt carries
+    carried = 0 if mode == AblationMode.NO_INSTRUCTION else min(k, len(pool.samples))
+    check_prompt_tokens(scorer.vocab, templates, carried)
     fixed = (
         _fixed_examples(pool, k, cfg.seed) if mode == AblationMode.NO_RETRIEVER else []
     )
@@ -162,8 +186,8 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg):
         dump.append(
             {
                 "id": s.id,
-                "prompt": prompt,
-                "prompt_len": len(tokenize(prompt)),
+                "prompt": str(prompt),  # the text alone, not the blocks
+                "prompt_len": len(scorer.vocab.prompt_ids(prompt)),
                 "raw_output": raw,
                 "parsed": [
                     [l.term, getattr(l.polarity, "value", l.polarity)] for l in labels
@@ -198,6 +222,8 @@ def k_sweep(scorer, retriever, test, k_max, pool, cfg):
     A row is ``truncated`` when some prompt is longer than the scorer's
     ``max_len``, the limit at which the scorer cuts it.
     """
+    check_prompt_tokens(scorer.vocab, load_templates(cfg.template_dir),
+                        min(k_max, len(pool.samples)))
     rows = []
     for k in range(k_max + 1):
         metrics, dump = run_inference(scorer, retriever, test, k, AblationMode.FULL,

@@ -89,11 +89,13 @@ def _encode_prompt(state, prompt):
 
 
 def _target_ids(state, target):
-    ids = state.vocab.encode(target)
-    if not ids:
+    ids = state.vocab.ids(target)
+    if not len(ids):
         raise ValueError("target is empty after tokenization")
-    ids.append(EOS_ID)
-    return np.array(ids, dtype=np.intp)
+    tids = np.empty(len(ids) + 1, dtype=np.intp)
+    tids[:-1] = ids
+    tids[-1] = EOS_ID
+    return tids
 
 
 def _forward(state, prompt, target):

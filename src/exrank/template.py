@@ -56,16 +56,32 @@ def load_templates(template_dir=None):
     )
 
 
+class Prompt(str):
+    """A rendered prompt: its text, which is its ``blocks`` joined by single
+    spaces.  ``Vocabulary.prompt_ids`` encodes each block once and reuses its
+    ids in every prompt that holds it; keep ``str(prompt)`` to hold the text
+    alone."""
+
+    def __new__(cls, blocks):
+        prompt = super().__new__(cls, " ".join(blocks))
+        prompt.blocks = tuple(blocks)
+        return prompt
+
+    def __getnewargs__(self):  # copy and pickle rebuild from the blocks
+        return (self.blocks,)
+
+
 def render(templates, task, examples, input_text):
     """Render the full instruction prompt for ``task`` with every example, in
-    order, from the definition and blocks of ``templates``."""
+    order, from the definition and blocks of ``templates``, as a ``Prompt``
+    whose blocks are the definition, each example block and the target block."""
     parts = [f"Definition: {templates.definitions[Task(task)]}"]
     for i, ex in enumerate(examples):
         parts.append(
             templates.example_block.format(index=i + 1, input=ex.input, output=ex.output)
         )
     parts.append(templates.target_block.format(input=input_text))
-    return " ".join(parts)
+    return Prompt(parts)
 
 
 def no_instruction_prompt(input_text):

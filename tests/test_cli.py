@@ -175,6 +175,21 @@ def test_sweep_command(tmp_path, data_dir, trained_dir):
     assert ks == [0, 1, 2, 3]
 
 
+def test_sweep_beyond_the_vocabulary_example_indices_is_refused(tmp_path, data_dir,
+                                                               trained_dir, capsys):
+    # the schedule's vocabulary holds the example indices 1 to 8
+    out = tmp_path / "sweep"
+    rc = main(["sweep", "--train-file", str(data_dir / "train.jsonl"),
+               "--test-file", str(data_dir / "test.jsonl"),
+               "--scorer", str(trained_dir / "scorer_1.ckpt.npz"),
+               "--retriever", str(trained_dir / "retriever_1.ckpt.npz"),
+               "--k-max", "9", "--out", str(out), *FAST])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "['9-']" in err and "k=9" in err
+    assert not out.exists()
+
+
 def test_config_file_and_flag_precedence(tmp_path, data_dir):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("seed = 5\nk = 3\n# comment\n")

@@ -223,6 +223,16 @@ class TestTrainRetriever:
         assert len(report) == cfg.epochs_retriever
         assert all(np.isfinite(loss) for _, loss in report)
 
+    def test_encodes_each_distinct_block_at_most_once(self, monkeypatch):
+        encoded = []
+        encode = Vocabulary.encode
+        monkeypatch.setattr(Vocabulary, "encode",
+                            lambda self, text: encoded.append(text) or encode(self, text))
+        train, _, cfg, scorer, retr = _prepped(3, n=30)
+        train_retriever(retr, train, scorer, cfg)
+        assert encoded
+        assert len(encoded) == len(set(encoded))
+
     def test_lr_zero_null_training(self):
         train, _, cfg, scorer, retr = _prepped(1)
         cfg = Config(**{**cfg.to_dict(), "lr": 0.0, "weight_decay": 0.0})

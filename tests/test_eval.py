@@ -161,13 +161,34 @@ class TestRunInference:
             assert rec["id"] not in rec["example_ids"]
 
     def test_test_split_examples_may_share_the_query_id(self, trained_small):
-        train, test, cfg, scorer, retr = trained_small
+        from exrank.alternating import build_vocabulary
+        from exrank.scorer import init_scorer
+
+        train, test, cfg, _, retr = trained_small
         k = len(train)
+        # a scorer whose vocabulary holds the example indices up to k
+        vocab = build_vocabulary(train, Config(**{**cfg.to_dict(), "k": k}))
+        scorer = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=0)
         _, dump = run_inference(scorer, retr, test, k, AblationMode.FULL, train, cfg)
         pool_ids = sorted(s.id for s in train.samples)
         assert {rec["id"] for rec in dump} <= set(pool_ids)  # the ids do collide
         for rec in dump:
             assert sorted(rec["example_ids"]) == pool_ids
+
+    def test_k_beyond_the_vocabulary_example_indices_is_refused(self, trained_small):
+        train, test, cfg, scorer, retr = trained_small
+        for mode in (AblationMode.FULL, AblationMode.NO_RETRIEVER):
+            with pytest.raises(ValueError, match=r"\['9-', '10-'\] as <unk> at k=10"):
+                run_inference(scorer, retr, test, 10, mode, train, cfg)
+        # a no_instruction prompt carries no example
+        run_inference(scorer, retr, test, 10, AblationMode.NO_INSTRUCTION, train, cfg)
+
+    def test_prompt_len_counts_the_tokens_of_the_prompt(self, trained_small):
+        train, test, cfg, scorer, retr = trained_small
+        _, dump = run_inference(scorer, retr, test, 2, AblationMode.FULL, train, cfg)
+        for rec in dump:
+            assert type(rec["prompt"]) is str
+            assert rec["prompt_len"] == len(rec["prompt"].split())
 
     def test_no_instruction_prompt_shape(self, trained_small):
         train, test, cfg, scorer, retr = trained_small

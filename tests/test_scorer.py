@@ -139,18 +139,20 @@ class TestGenerate:
     def test_encodes_prompt_once_and_matches_step_logits_loop(self, seed, monkeypatch):
         state = _micro_scorer(seed=seed)
         prompt = "alpha beta gamma"
+        encoded = []
+        encode = state.vocab.encode
+        monkeypatch.setattr(
+            state.vocab, "encode", lambda text: encoded.append(text) or encode(text)
+        )
         out = []
         for _ in range(6):
             nxt = int(np.argmax(step_logits(state, prompt, out)))
             if nxt == EOS_ID:
                 break
             out.append(nxt)
-        encoded = []
-        encode = state.vocab.encode
-        monkeypatch.setattr(
-            state.vocab, "encode", lambda text: encoded.append(text) or encode(text)
-        )
         assert generate(state, prompt, max_len=6) == state.vocab.decode(out)
+        # the step_logits loop and generate together: the vocabulary's memo
+        # encodes the prompt once for every later call
         assert encoded == [prompt]
 
 

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from exrank.template import Prompt
 from exrank.vocab import (
     BOS_ID,
     EOS_ID,
@@ -70,3 +72,38 @@ def test_encode_equals_the_plain_lookup(pieces):
     got = v.encode(text)
     assert type(got) is list
     assert got == expected
+
+
+_BLOCKS = st.lists(
+    st.one_of(
+        st.just(""),
+        st.text(alphabet=" \t\n\u00a0\u2003\u3000", max_size=4),  # whitespace only
+        st.lists(st.one_of(st.sampled_from(_WORDS),
+                           st.sampled_from([" ", "\t", "\u00a0", "\u3000", "\x85"])),
+                 max_size=8).map("".join),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+@given(_BLOCKS, st.integers(min_value=1, max_value=40))
+def test_prompt_tail_ids_equal_those_of_its_text(blocks, max_len):
+    v = Vocabulary.build(["the food was good bad"])
+    prompt = Prompt(blocks)
+    text = str(prompt)
+    got = v.tail_ids(prompt, max_len)
+    assert got.dtype == np.intp
+    assert got.tolist() == v.tail_ids(text, max_len).tolist()
+    assert got.tolist() == v.encode(text)[-max_len:]
+    assert len(v.prompt_ids(prompt)) == len(tokenize(text))
+
+
+def test_memoized_ids_are_read_only_and_shared():
+    v = Vocabulary.build(["the food was good"])
+    ids = v.ids("the food")
+    assert ids.dtype == np.intp and ids.tolist() == v.encode("the food")
+    assert v.ids("the food") is ids
+    with pytest.raises(ValueError, match="read-only"):
+        ids[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        v.tail_ids("the food was", 2)[0] = 0
