@@ -124,7 +124,7 @@ def _fixed_examples(pool, k, seed):
     return [make_candidate(pool.samples[i], pool.task) for i in picks]
 
 
-def check_prompt_tokens(vocab, templates, k):
+def _check_prompt_tokens(vocab, templates, k):
     """Refuse prompts of up to ``k`` examples whose fixed text, the
     ``template.scaffold``, holds a token ``vocab`` would encode as ``<unk>``."""
     unknown = dict.fromkeys(
@@ -156,7 +156,7 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg):
     same_split = test.split == pool.split
     # the most examples a prompt carries
     carried = 0 if mode == AblationMode.NO_INSTRUCTION else min(k, len(pool.samples))
-    check_prompt_tokens(scorer.vocab, templates, carried)
+    _check_prompt_tokens(scorer.vocab, templates, carried)
     fixed = (
         _fixed_examples(pool, k, cfg.seed) if mode == AblationMode.NO_RETRIEVER else []
     )
@@ -222,7 +222,7 @@ def k_sweep(scorer, retriever, test, k_max, pool, cfg):
     A row is ``truncated`` when some prompt is longer than the scorer's
     ``max_len``, the limit at which the scorer cuts it.
     """
-    check_prompt_tokens(scorer.vocab, load_templates(cfg.template_dir),
+    _check_prompt_tokens(scorer.vocab, load_templates(cfg.template_dir),
                         min(k_max, len(pool.samples)))
     rows = []
     for k in range(k_max + 1):

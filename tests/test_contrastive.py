@@ -232,6 +232,8 @@ class TestTrainRetriever:
         train_retriever(retr, train, scorer, cfg)
         assert encoded
         assert len(encoded) == len(set(encoded))
+        # blocks only: a whole prompt would hold the definition and the target
+        assert not any("Definition:" in t and "Now complete" in t for t in encoded)
 
     def test_lr_zero_null_training(self):
         train, _, cfg, scorer, retr = _prepped(1)

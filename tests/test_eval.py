@@ -239,6 +239,17 @@ class TestKSweep:
         )
         assert rows[0].metrics == direct
 
+    def test_k_max_beyond_the_vocabulary_is_refused_before_any_generation(
+            self, trained_small, monkeypatch):
+        from exrank import scorer as scorer_mod
+
+        train, test, cfg, scorer, retr = trained_small
+        generated = []
+        monkeypatch.setattr(scorer_mod, "generate", lambda *args: generated.append(args))
+        with pytest.raises(ValueError, match=r"\['9-'\] as <unk> at k=9"):
+            k_sweep(scorer, retr, test, 9, train, cfg)
+        assert generated == []
+
     def test_truncation_flag(self, trained_small):
         train, test, cfg, scorer, retr = trained_small
         tight = Config(**{**cfg.to_dict(), "max_len": 8})
