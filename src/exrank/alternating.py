@@ -121,6 +121,9 @@ def check_schedule_inputs(train, dev, cfg, resume_step=None):
     for dataset in (train, dev):
         if not dataset.samples:
             raise ValueError(f"the {dataset.split.value} split has no samples")
+    if train.task != dev.task:
+        raise ValueError(f"the train and {dev.split.value} splits hold different "
+                         f"tasks: {train.task.value} and {dev.task.value}")
     check_label_sizes(cfg, train)
     if resume_step is not None and not 0 <= resume_step < cfg.t:
         raise ValueError(f"resume_step must be in [0, t), got {resume_step}")

@@ -15,6 +15,13 @@ from .optim import FlatViews
 from .vocab import Vocabulary
 
 
+def check_max_len(max_len):
+    """Refuse a model ``max_len`` below 1: ``Vocabulary.tail_ids`` would keep
+    every token at 0 and drop the first tokens below it."""
+    if max_len < 1:
+        raise ValueError(f"max_len must be at least 1, got {max_len}")
+
+
 def save(state, path, tag, width):
     """Write ``state`` through ``replacing``; ``width`` is "d" or "d_r".
 
@@ -50,6 +57,8 @@ def load(path, state_cls, tag, width, shapes):
         n_vocab, size = int(blob["n_vocab"]), int(blob[width])
         if len(vocab) != n_vocab:
             raise ValueError("vocabulary size does not match checkpoint header")
+        max_len = int(blob["max_len"])
+        check_max_len(max_len)
         params = {}
         for key, shape in shapes(n_vocab, size).items():
             params[key] = blob[key]
@@ -61,5 +70,5 @@ def load(path, state_cls, tag, width, shapes):
             if params[key].dtype != np.float64:
                 raise ValueError(f"checkpoint parameter {key!r} has dtype "
                                  f"{params[key].dtype}, expected float64")
-        return state_cls(vocab=vocab, max_len=int(blob["max_len"]),
+        return state_cls(vocab=vocab, max_len=max_len,
                          params=FlatViews.pack(params), **{width: size})

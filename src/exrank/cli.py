@@ -1,9 +1,9 @@
 """Command-line pipeline: data generation, training stages, the alternating
 schedule, scoring/retrieval inspection, and evaluation.
 
-Option precedence is flag > config file > default.  Every run writes a
-run.json manifest (resolved config, seed, checkpoint hashes) into its output
-directory.
+Option precedence is flag > config file > default.  Every command with --out
+writes a run.json manifest (resolved config, seed, checkpoint hashes) into its
+output directory.
 """
 
 import argparse
@@ -69,13 +69,6 @@ def _non_negative_int(text):
     return value
 
 
-def _add_config_flags(parser):
-    parser.add_argument("--config", help="flat key=value config file")
-    for key in CONFIG_KEYS:
-        flag = _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
-        parser.add_argument(flag, dest=key, default=None)
-
-
 def _resolve_config(args):
     values = {}
     if getattr(args, "config", None):
@@ -95,9 +88,16 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, command, cfg, extra=None):
-    out = Path(out_dir)
+def _out_dir(path):
+    """The output directory ``path``, made if missing.  Commands call this
+    where they first write, after their work, so a refused run makes none."""
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_manifest(out_dir, command, cfg, extra=None):
+    out = _out_dir(out_dir)
     checkpoints = {
         p.name: _sha256(p) for p in sorted(out.glob("*.ckpt.npz"))
     }
@@ -124,24 +124,10 @@ def _load_data(args, cfg):
     return _load(args.train_file, cfg, "train"), _load(args.test_file, cfg, "test")
 
 
-def _cmd_gen_data(args):
-    cfg = _resolve_config(args)
-    train, test = generate_synthetic(args.train, args.test, cfg.seed)
-    if cfg.task == Task.ATSC:
-        train, test = to_atsc(train), to_atsc(test)
-    elif cfg.task != Task.ASPE:
-        train, test = with_task(train, cfg.task), with_task(test, cfg.task)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_dataset(train, out / "train.jsonl")
-    save_dataset(test, out / "test.jsonl")
-    _write_manifest(out, "gen-data", cfg, {"n_train": len(train), "n_test": len(test)})
-    print(f"wrote {len(train)} train / {len(test)} test samples to {out}")
-    return 0
-
-
 def _init_or_load_scorer(args, cfg, train):
-    if getattr(args, "scorer", None):
+    """The --scorer checkpoint, else a fresh scorer warmed up on ``train``.
+    Without ``train`` (None) the scorer can only be loaded."""
+    if args.scorer or train is None:
         return load_scorer(args.scorer)
     vocab = build_vocabulary(train, cfg)
     state = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=cfg.seed)
@@ -149,21 +135,37 @@ def _init_or_load_scorer(args, cfg, train):
 
 
 def _init_or_load_retriever(args, cfg, vocab):
-    if getattr(args, "retriever", None):
+    """The --retriever checkpoint, else a fresh retriever over ``vocab``.
+    Without ``vocab`` (None) the retriever can only be loaded."""
+    if args.retriever or vocab is None:
         return retriever_mod.load_retriever(args.retriever)
     return init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed)
 
 
-def _cmd_train_retriever(args):
-    cfg = _resolve_config(args)
+# Each command does its own work and returns the keys its run.json adds, if
+# any; ``main`` resolves the config, writes run.json and sets the exit code.
+
+def _cmd_gen_data(args, cfg):
+    train, test = generate_synthetic(args.train, args.test, cfg.seed)
+    if cfg.task == Task.ATSC:
+        train, test = to_atsc(train), to_atsc(test)
+    elif cfg.task != Task.ASPE:
+        train, test = with_task(train, cfg.task), with_task(test, cfg.task)
+    out = _out_dir(args.out)
+    save_dataset(train, out / "train.jsonl")
+    save_dataset(test, out / "test.jsonl")
+    print(f"wrote {len(train)} train / {len(test)} test samples to {out}")
+    return {"n_train": len(train), "n_test": len(test)}
+
+
+def _cmd_train_retriever(args, cfg):
     train = _load(args.train_file, cfg, "train")
     check_label_sizes(cfg, train)  # before a warm-up that would be thrown away
     scorer_state = _init_or_load_scorer(args, cfg, train)
     retr = _init_or_load_retriever(args, cfg, scorer_state.vocab)
     report = []
     train_retriever(retr, train, scorer_state, cfg, report=report)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     retriever_mod.save_retriever(retr, out / "retriever.ckpt.npz")
     save_scorer(scorer_state, out / "scorer.ckpt.npz")
     sep = separation(retr, train.samples[: min(50, len(train.samples))],
@@ -172,25 +174,19 @@ def _cmd_train_retriever(args):
         *({"epoch": epoch, "mean_infonce": f"{loss:.6f}"} for epoch, loss in report),
         {"epoch": "separation", "mean_infonce": f"{sep:.6f}"},
     ])
-    _write_manifest(out, "train-retriever", cfg)
     for epoch, loss in report:
         print(f"{epoch}\t{loss:.6f}")
     print(f"separation\t{sep:.6f}")
-    return 0
 
 
-def _cmd_finetune_lm(args):
-    cfg = _resolve_config(args)
+def _cmd_finetune_lm(args, cfg):
     train = _load(args.train_file, cfg, "train")
     scorer_state = _init_or_load_scorer(args, cfg, train)
-    retr = retriever_mod.load_retriever(args.retriever)
+    retr = _init_or_load_retriever(args, cfg, scorer_state.vocab)
     finetune_lm(scorer_state, retr, train, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     save_scorer(scorer_state, out / "scorer.ckpt.npz")
-    _write_manifest(out, "finetune-lm", cfg)
     print(f"saved fine-tuned scorer to {out / 'scorer.ckpt.npz'}")
-    return 0
 
 
 def _check_resumable(out_dir, cfg, data):
@@ -210,8 +206,7 @@ def _check_resumable(out_dir, cfg, data):
         raise ValueError(f"cannot resume: data differs from run.json in {files}")
 
 
-def _cmd_alternate(args):
-    cfg = _resolve_config(args)
+def _cmd_alternate(args, cfg):
     data = {"train_sha256": _sha256(args.train_file),
             "test_sha256": _sha256(args.test_file),
             "templates_sha256": digest(load_templates(cfg.template_dir))}
@@ -223,47 +218,41 @@ def _cmd_alternate(args):
     else:
         _check_resumable(args.out, cfg, data)
     state = run_schedule(train, dev, cfg, args.out, resume_step=args.resume_step)
-    _write_manifest(args.out, "alternate", cfg, data)
     for row in state.metrics_log:
         print("\t".join(str(row[c]) for c in row))
-    return 0
+    return data
 
 
-def _cmd_retrieve(args):
-    cfg = _resolve_config(args)
+def _cmd_retrieve(args, cfg):
     train = _load(args.train_file, cfg, "train")
     if not 0 <= args.query_id < len(train):  # load_dataset numbers records from 0
         raise ValueError(f"unknown query id {args.query_id}: the ids of "
                          f"{args.train_file} run from 0 to {len(train) - 1}")
     query = train.samples[args.query_id]
-    retr = retriever_mod.load_retriever(args.retriever)
+    retr = _init_or_load_retriever(args, cfg, None)
     index = build_index(retr, train)
     results = retrieve(
         retr, index, task_input(query, cfg.task), cfg.m, exclude_id=query.id
     )
     for sc in results:
         print(f"{sc.id}\t{sc.similarity:.6f}\t{sc.candidate.input} -> {sc.candidate.output}")
-    return 0
 
 
-def _cmd_score(args):
-    state = load_scorer(args.scorer)
+def _cmd_score(args, cfg):
+    state = _init_or_load_scorer(args, cfg, None)
     ll = score(state, args.prompt, args.target)
     print(f"total\t{ll.total:.6f}")
     for i, lp in enumerate(ll.per_token):
         print(f"token_{i}\t{lp:.6f}")
-    return 0
 
 
-def _cmd_evaluate(args):
-    cfg = _resolve_config(args)
+def _cmd_evaluate(args, cfg):
     train, test = _load_data(args, cfg)
     mode = AblationMode(args.mode)
     scorer_state = _init_or_load_scorer(args, cfg, train)
     retr = _init_or_load_retriever(args, cfg, scorer_state.vocab)
     metrics, dump = run_inference(scorer_state, retr, test, cfg.k, mode, train, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     # k is the most examples a prompt carried: none for no_instruction, and
     # fewer than cfg.k when the pool is smaller
     carried = max((len(rec["example_ids"]) for rec in dump), default=0)
@@ -271,106 +260,86 @@ def _cmd_evaluate(args):
         {"mode": mode.value, "task": cfg.task.value, "k": carried, **metrics.row()},
     ])
     write_lines(out / "predictions.jsonl", (json.dumps(rec) for rec in dump))
-    _write_manifest(out, "evaluate", cfg, {"mode": mode.value})
     print(
         f"{mode.value}\tP={metrics.precision:.4f}\tR={metrics.recall:.4f}\t"
         f"F1={metrics.f1:.4f}\tacc={metrics.accuracy:.4f}"
     )
-    return 0
+    return {"mode": mode.value}
 
 
-def _cmd_sweep(args):
-    cfg = _resolve_config(args)
+def _cmd_sweep(args, cfg):
     train, test = _load_data(args, cfg)
     scorer_state = _init_or_load_scorer(args, cfg, train)
-    retr = retriever_mod.load_retriever(args.retriever)
+    retr = _init_or_load_retriever(args, cfg, scorer_state.vocab)
     rows = k_sweep(scorer_state, retr, test, args.k_max, train, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     write_table(out / "sweep.tsv", ["k", *METRIC_COLUMNS, "truncated"], (
         {"k": r.k, **r.metrics.row(), "truncated": int(r.truncated)} for r in rows
     ))
-    _write_manifest(out, "sweep", cfg)
     for row in rows:
         print(f"{row.k}\t{row.metrics.f1:.4f}\t{row.metrics.accuracy:.4f}")
-    return 0
 
 
 _OWN_SUBSTREAMS = ("Its seeded draws are its own, not those of a schedule step, so "
                    "train-retriever then finetune-lm does not reproduce alternate --t 1.")
 
+# Options as (flag, add_argument keywords).  Every command but score takes the
+# --config file and a flag per Config key, each None unless given.
+_CONFIG_OPTIONS = [("--config", {"help": "flat key=value config file"})] + [
+    (_FLAG_NAMES.get(key, "--" + key.replace("_", "-")), {"dest": key})
+    for key in CONFIG_KEYS
+]
+_TRAIN_FILE = ("--train-file", {"required": True})
+_TEST_FILE = ("--test-file", {"required": True})
+_SCORER = ("--scorer", {})
+_RETRIEVER = ("--retriever", {})
+_OUT = ("--out", {"required": True})
+
+
+def _required(option):
+    flag, kwargs = option
+    return flag, {**kwargs, "required": True}
+
+
+# (name, function, help, description, options in the order --help lists them)
+_COMMANDS = [
+    ("gen-data", _cmd_gen_data, "write a synthetic corpus", None, [
+        *_CONFIG_OPTIONS, ("--train", {"type": int, "required": True}),
+        ("--test", {"type": int, "required": True}), _OUT]),
+    ("train-retriever", _cmd_train_retriever, "contrastive retriever training",
+     "Contrastive retriever training. " + _OWN_SUBSTREAMS,
+     [*_CONFIG_OPTIONS, _TRAIN_FILE, _SCORER, _RETRIEVER, _OUT]),
+    ("finetune-lm", _cmd_finetune_lm,
+     "fine-tune the scorer with the top finetune_k examples",
+     "Fine-tune the scorer with retrieved examples. " + _OWN_SUBSTREAMS,
+     [*_CONFIG_OPTIONS, _TRAIN_FILE, _SCORER, _required(_RETRIEVER), _OUT]),
+    ("alternate", _cmd_alternate, "run the alternating schedule", None, [
+        *_CONFIG_OPTIONS, _TRAIN_FILE, _TEST_FILE,
+        ("--resume-step", {"type": _non_negative_int}), _OUT]),
+    ("retrieve", _cmd_retrieve, "inspect retrieval results for a query", None, [
+        *_CONFIG_OPTIONS, _TRAIN_FILE, _required(_RETRIEVER),
+        ("--query-id", {"type": int, "required": True})]),
+    ("score", _cmd_score, "print total and per-token log-likelihood", None, [
+        _required(_SCORER), ("--prompt", {"required": True}),
+        ("--target", {"required": True})]),
+    ("evaluate", _cmd_evaluate, "evaluate one ablation mode", None, [
+        *_CONFIG_OPTIONS, _TRAIN_FILE, _TEST_FILE,
+        ("--mode", {"choices": [m.value for m in AblationMode], "default": "full"}),
+        _SCORER, _RETRIEVER, _OUT]),
+    ("sweep", _cmd_sweep, "k-sweep evaluation", None, [
+        *_CONFIG_OPTIONS, _TRAIN_FILE, _TEST_FILE, _SCORER, _required(_RETRIEVER),
+        ("--k-max", {"type": _non_negative_int, "default": 7}), _OUT]),
+]
+
 
 def _build_parser():
     parser = _Parser(prog="exrank", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("gen-data", parents=[], help="write a synthetic corpus")
-    _add_config_flags(p)
-    p.add_argument("--train", type=int, required=True)
-    p.add_argument("--test", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = sub.add_parser("train-retriever", help="contrastive retriever training",
-                       description="Contrastive retriever training. " + _OWN_SUBSTREAMS)
-    _add_config_flags(p)
-    p.add_argument("--train-file", required=True)
-    p.add_argument("--scorer")
-    p.add_argument("--retriever")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train_retriever)
-
-    p = sub.add_parser(
-        "finetune-lm", help="fine-tune the scorer with the top finetune_k examples",
-        description="Fine-tune the scorer with retrieved examples. " + _OWN_SUBSTREAMS)
-    _add_config_flags(p)
-    p.add_argument("--train-file", required=True)
-    p.add_argument("--scorer")
-    p.add_argument("--retriever", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_finetune_lm)
-
-    p = sub.add_parser("alternate", help="run the alternating schedule")
-    _add_config_flags(p)
-    p.add_argument("--train-file", required=True)
-    p.add_argument("--test-file", required=True)
-    p.add_argument("--resume-step", dest="resume_step", type=_non_negative_int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_alternate)
-
-    p = sub.add_parser("retrieve", help="inspect retrieval results for a query")
-    _add_config_flags(p)
-    p.add_argument("--train-file", required=True)
-    p.add_argument("--retriever", required=True)
-    p.add_argument("--query-id", type=int, required=True)
-    p.set_defaults(func=_cmd_retrieve)
-
-    p = sub.add_parser("score", help="print total and per-token log-likelihood")
-    p.add_argument("--scorer", required=True)
-    p.add_argument("--prompt", required=True)
-    p.add_argument("--target", required=True)
-    p.set_defaults(func=_cmd_score)
-
-    p = sub.add_parser("evaluate", help="evaluate one ablation mode")
-    _add_config_flags(p)
-    p.add_argument("--train-file", required=True)
-    p.add_argument("--test-file", required=True)
-    p.add_argument("--mode", choices=[m.value for m in AblationMode], default="full")
-    p.add_argument("--scorer")
-    p.add_argument("--retriever")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("sweep", help="k-sweep evaluation")
-    _add_config_flags(p)
-    p.add_argument("--train-file", required=True)
-    p.add_argument("--test-file", required=True)
-    p.add_argument("--scorer")
-    p.add_argument("--retriever", required=True)
-    p.add_argument("--k-max", dest="k_max", type=_non_negative_int, default=7)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sweep)
-
+    for name, func, summary, description, options in _COMMANDS:
+        p = sub.add_parser(name, help=summary, description=description)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -380,14 +349,18 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except UsageError:
         return 1
-    if not getattr(args, "command", None):
+    if not args.command:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        cfg = _resolve_config(args)
+        extra = args.func(args, cfg)
+        if hasattr(args, "out"):
+            _write_manifest(args.out, args.command, cfg, extra)
     except Exception as exc:  # runtime failure
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def entry():

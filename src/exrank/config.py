@@ -45,6 +45,9 @@ class Config:
         for key in ("batch_size", "d", "d_r", "max_len", "max_gen_len"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1")
+        if self.template_dir == "":
+            raise ValueError("template_dir must not be empty; use '.' for the "
+                             "working directory")
         for key in ("lr", "weight_decay"):
             value = getattr(self, key)
             if not (math.isfinite(value) and value >= 0):

@@ -124,9 +124,13 @@ def _fixed_examples(pool, k, seed):
     return [make_candidate(pool.samples[i], pool.task) for i in picks]
 
 
-def _check_prompt_tokens(vocab, templates, k):
-    """Refuse prompts of up to ``k`` examples whose fixed text, the
+def _check_prompts(vocab, templates, test, pool, k):
+    """Refuse prompts of up to ``k`` examples drawn from ``pool`` for queries of
+    ``test`` when the two hold different tasks, or when their fixed text, the
     ``template.scaffold``, holds a token ``vocab`` would encode as ``<unk>``."""
+    if k > 0 and pool.task != test.task:
+        raise ValueError(f"the queries are {test.task.value} but the example pool "
+                         f"is {pool.task.value}; a prompt would mix two tasks")
     unknown = dict.fromkeys(
         tok for text in scaffold(templates, k) for tok in tokenize(text)
         if tok not in vocab.index
@@ -151,12 +155,12 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg):
     mode = AblationMode(mode)
     task = test.task
     templates = load_templates(cfg.template_dir)
+    # the most examples a prompt carries
+    carried = 0 if mode == AblationMode.NO_INSTRUCTION else min(k, len(pool.samples))
+    _check_prompts(scorer.vocab, templates, test, pool, carried)
     use_retrieval = mode == AblationMode.FULL and k > 0
     index = build_index(retriever, pool) if use_retrieval else None
     same_split = test.split == pool.split
-    # the most examples a prompt carries
-    carried = 0 if mode == AblationMode.NO_INSTRUCTION else min(k, len(pool.samples))
-    _check_prompt_tokens(scorer.vocab, templates, carried)
     fixed = (
         _fixed_examples(pool, k, cfg.seed) if mode == AblationMode.NO_RETRIEVER else []
     )
@@ -222,8 +226,8 @@ def k_sweep(scorer, retriever, test, k_max, pool, cfg):
     A row is ``truncated`` when some prompt is longer than the scorer's
     ``max_len``, the limit at which the scorer cuts it.
     """
-    _check_prompt_tokens(scorer.vocab, load_templates(cfg.template_dir),
-                        min(k_max, len(pool.samples)))
+    _check_prompts(scorer.vocab, load_templates(cfg.template_dir), test, pool,
+                   min(k_max, len(pool.samples)))
     rows = []
     for k in range(k_max + 1):
         metrics, dump = run_inference(scorer, retriever, test, k, AblationMode.FULL,

@@ -53,6 +53,7 @@ class CandidateIndex:
 
 
 def init_retriever(vocab, d_r=64, max_len=128, seed=0):
+    checkpoint.check_max_len(max_len)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x2E72]))
     V = len(vocab)
     params = FlatViews.pack({

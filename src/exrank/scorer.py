@@ -64,6 +64,7 @@ def position_codes(n_positions):
 def init_scorer(vocab, d=64, max_len=128, seed=0):
     """Fresh state.  Output weights start at zero, so the untrained decoder is
     exactly uniform over the vocabulary."""
+    checkpoint.check_max_len(max_len)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5C0E]))
     V = len(vocab)
     params = FlatViews.pack({

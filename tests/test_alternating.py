@@ -296,6 +296,13 @@ class TestSchedule:
             run_schedule(splits["train"], splits["dev"], _cfg(t=1), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    def test_splits_of_two_tasks_rejected_before_any_write(self, tmp_path):
+        train, dev = generate_synthetic(40, 8, 0)
+        dev = Dataset(samples=dev.samples, task=Task.ATE, split=dev.split)
+        with pytest.raises(ValueError, match="hold different tasks: aspe and ate"):
+            run_schedule(train, dev, _cfg(t=1), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_resume_step_validation(self, tmp_path):
         train, test = generate_synthetic(40, 8, 0)
         cfg = _cfg(t=1, r=0.3, m=6)

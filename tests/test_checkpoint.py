@@ -71,3 +71,19 @@ def test_parameter_dtype_other_than_float64_is_rejected_at_load(tmp_path, model,
     _write_by_hand(path, state, tag, width, emb=state.params["emb"].astype(dtype))
     with pytest.raises(ValueError, match=f"'emb' has dtype {np.dtype(dtype)}, expected"):
         load(path)
+
+
+@pytest.mark.parametrize("max_len", [0, -2])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_max_len_below_one_is_refused_at_init_and_at_load(tmp_path, model, max_len):
+    make, _, load, tag, width = MODELS[model]
+    init = {"scorer": init_scorer, "retriever": init_retriever}[model]
+    assert init(VOCAB, 8, max_len=1).max_len == 1
+    with pytest.raises(ValueError, match=f"max_len must be at least 1, got {max_len}"):
+        init(VOCAB, 8, max_len=max_len)
+    state = make()
+    state.max_len = max_len
+    path = tmp_path / "bad.ckpt.npz"
+    _write_by_hand(path, state, tag, width)
+    with pytest.raises(ValueError, match=f"max_len must be at least 1, got {max_len}"):
+        load(path)

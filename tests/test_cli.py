@@ -45,6 +45,61 @@ def test_missing_required_flag_is_usage_error():
     assert main(["gen-data", "--train", "10"]) == 1
 
 
+# each command's required flags, with a value each
+_REQUIRED = {
+    "gen-data": {"--train": "5", "--test": "2", "--out": "o"},
+    "train-retriever": {"--train-file": "t.jsonl", "--out": "o"},
+    "finetune-lm": {"--train-file": "t.jsonl", "--retriever": "r.npz", "--out": "o"},
+    "alternate": {"--train-file": "t.jsonl", "--test-file": "x.jsonl", "--out": "o"},
+    "retrieve": {"--train-file": "t.jsonl", "--retriever": "r.npz", "--query-id": "0"},
+    "score": {"--scorer": "s.npz", "--prompt": "p", "--target": "t"},
+    "evaluate": {"--train-file": "t.jsonl", "--test-file": "x.jsonl", "--out": "o"},
+    "sweep": {"--train-file": "t.jsonl", "--test-file": "x.jsonl",
+              "--retriever": "r.npz", "--out": "o"},
+}
+
+
+def _argv(command, flags):
+    return [command, *(item for pair in flags.items() for item in pair)]
+
+
+@pytest.mark.parametrize("command, missing", [
+    (command, flag) for command, flags in _REQUIRED.items() for flag in flags])
+def test_each_required_flag_is_a_usage_error(tmp_path, monkeypatch, command, missing,
+                                             capsys):
+    monkeypatch.chdir(tmp_path)
+    flags = {f: v for f, v in _REQUIRED[command].items() if f != missing}
+    assert main(_argv(command, flags)) == 1
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+    assert _files_in(tmp_path) == []
+
+
+@pytest.mark.parametrize("command, own", [
+    ("gen-data", {"train": 5, "test": 2, "out": "o"}),
+    ("train-retriever", {"train_file": "t.jsonl", "scorer": None, "retriever": None,
+                         "out": "o"}),
+    ("finetune-lm", {"train_file": "t.jsonl", "scorer": None, "retriever": "r.npz",
+                     "out": "o"}),
+    ("alternate", {"train_file": "t.jsonl", "test_file": "x.jsonl",
+                   "resume_step": None, "out": "o"}),
+    ("retrieve", {"train_file": "t.jsonl", "retriever": "r.npz", "query_id": 0}),
+    ("score", {"scorer": "s.npz", "prompt": "p", "target": "t"}),
+    ("evaluate", {"train_file": "t.jsonl", "test_file": "x.jsonl", "mode": "full",
+                  "scorer": None, "retriever": None, "out": "o"}),
+    ("sweep", {"train_file": "t.jsonl", "test_file": "x.jsonl", "scorer": None,
+               "retriever": "r.npz", "k_max": 7, "out": "o"}),
+])
+def test_each_command_has_its_options_and_defaults(command, own):
+    args = vars(cli._build_parser().parse_args(_argv(command, _REQUIRED[command])))
+    config_keys = ["config", *cli.CONFIG_KEYS]
+    if command == "score":
+        assert not set(config_keys) & set(args)
+    else:
+        assert all(args[key] is None for key in config_keys)
+    assert {k: v for k, v in args.items()
+            if k not in ("command", "func", *config_keys)} == own
+
+
 def test_gen_data_writes_corpus_and_manifest(data_dir):
     assert (data_dir / "train.jsonl").exists()
     assert (data_dir / "test.jsonl").exists()
@@ -510,6 +565,21 @@ def test_every_command_refuses_an_empty_data_file(tmp_path, data_dir, trained_di
     assert main(argv) == 2
     assert f"{files[empty]} holds no records" in capsys.readouterr().err
     assert _files_in(out) == []
+
+
+@pytest.mark.parametrize("source", ["flag", "config file"])
+def test_an_empty_template_dir_is_refused_before_any_write(tmp_path, source, capsys):
+    out = tmp_path / "gen"
+    argv = ["gen-data", "--train", "25", "--test", "5", "--out", str(out)]
+    if source == "flag":
+        argv += ["--template-dir", ""]
+    else:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("template_dir =\n")
+        argv += ["--config", str(cfgfile)]
+    assert main(argv) == 2
+    assert "template_dir must not be empty; use '.'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

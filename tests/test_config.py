@@ -35,6 +35,17 @@ def test_smallest_accepted_widths_and_batch_size():
     assert (cfg.d, cfg.d_r, cfg.batch_size) == (1, 1, 1)
 
 
+def test_empty_template_dir_is_rejected(tmp_path):
+    message = "template_dir must not be empty; use '.' for the working directory"
+    with pytest.raises(ValueError, match=message):
+        Config(template_dir="")
+    path = tmp_path / "run.cfg"
+    path.write_text("template_dir =\n")
+    with pytest.raises(ValueError, match=message):
+        Config.from_dict(read_config_file(path))
+    assert Config(template_dir=".").template_dir == "."
+
+
 def test_config_file_error_counts_lines_from_one(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# a comment\nk = 2\nnot a setting\n")

@@ -183,6 +183,26 @@ class TestRunInference:
         # a no_instruction prompt carries no example
         run_inference(scorer, retr, test, 10, AblationMode.NO_INSTRUCTION, train, cfg)
 
+    def test_a_pool_of_another_task_is_refused_before_any_index_or_answer(
+            self, trained_small, monkeypatch):
+        from exrank import evaluation
+        from exrank import scorer as scorer_mod
+        from exrank.corpus import with_task
+
+        train, test, cfg, scorer, retr = trained_small
+        ate_test = with_task(test, Task.ATE)
+        # prompts that carry no pool example mix no tasks
+        run_inference(scorer, retr, ate_test, 0, AblationMode.FULL, train, cfg)
+        run_inference(scorer, retr, ate_test, 2, AblationMode.NO_INSTRUCTION, train, cfg)
+        calls = []
+        monkeypatch.setattr(evaluation, "build_index", lambda *args: calls.append(args))
+        monkeypatch.setattr(scorer_mod, "generate", lambda *args: calls.append(args))
+        for mode in (AblationMode.FULL, AblationMode.NO_RETRIEVER):
+            with pytest.raises(ValueError, match="the queries are ate but the example "
+                                                 "pool is aspe"):
+                run_inference(scorer, retr, ate_test, 1, mode, train, cfg)
+        assert calls == []
+
     def test_prompt_len_counts_the_tokens_of_the_prompt(self, trained_small):
         train, test, cfg, scorer, retr = trained_small
         _, dump = run_inference(scorer, retr, test, 2, AblationMode.FULL, train, cfg)
@@ -248,6 +268,19 @@ class TestKSweep:
         monkeypatch.setattr(scorer_mod, "generate", lambda *args: generated.append(args))
         with pytest.raises(ValueError, match=r"\['9-'\] as <unk> at k=9"):
             k_sweep(scorer, retr, test, 9, train, cfg)
+        assert generated == []
+
+    def test_a_pool_of_another_task_is_refused_before_any_generation(
+            self, trained_small, monkeypatch):
+        from exrank import scorer as scorer_mod
+        from exrank.corpus import with_task
+
+        train, test, cfg, scorer, retr = trained_small
+        generated = []
+        monkeypatch.setattr(scorer_mod, "generate", lambda *args: generated.append(args))
+        with pytest.raises(ValueError, match="the queries are ate but the example "
+                                             "pool is aspe"):
+            k_sweep(scorer, retr, with_task(test, Task.ATE), 2, train, cfg)
         assert generated == []
 
     def test_truncation_flag(self, trained_small):
