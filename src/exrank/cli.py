@@ -126,7 +126,7 @@ def _load_data(args, cfg):
 
 def _init_or_load_scorer(args, cfg, train):
     """The --scorer checkpoint, else a fresh scorer warmed up on ``train``.
-    Without ``train`` (None) the scorer can only be loaded."""
+    A command whose --scorer is required passes None: it only loads."""
     if args.scorer or train is None:
         return load_scorer(args.scorer)
     vocab = build_vocabulary(train, cfg)
@@ -136,7 +136,7 @@ def _init_or_load_scorer(args, cfg, train):
 
 def _init_or_load_retriever(args, cfg, vocab):
     """The --retriever checkpoint, else a fresh retriever over ``vocab``.
-    Without ``vocab`` (None) the retriever can only be loaded."""
+    A command whose --retriever is required passes None: it only loads."""
     if args.retriever or vocab is None:
         return retriever_mod.load_retriever(args.retriever)
     return init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed)
@@ -182,7 +182,7 @@ def _cmd_train_retriever(args, cfg):
 def _cmd_finetune_lm(args, cfg):
     train = _load(args.train_file, cfg, "train")
     scorer_state = _init_or_load_scorer(args, cfg, train)
-    retr = _init_or_load_retriever(args, cfg, scorer_state.vocab)
+    retr = _init_or_load_retriever(args, cfg, None)
     finetune_lm(scorer_state, retr, train, cfg)
     out = _out_dir(args.out)
     save_scorer(scorer_state, out / "scorer.ckpt.npz")
@@ -270,7 +270,7 @@ def _cmd_evaluate(args, cfg):
 def _cmd_sweep(args, cfg):
     train, test = _load_data(args, cfg)
     scorer_state = _init_or_load_scorer(args, cfg, train)
-    retr = _init_or_load_retriever(args, cfg, scorer_state.vocab)
+    retr = _init_or_load_retriever(args, cfg, None)
     rows = k_sweep(scorer_state, retr, test, args.k_max, train, cfg)
     out = _out_dir(args.out)
     write_table(out / "sweep.tsv", ["k", *METRIC_COLUMNS, "truncated"], (
