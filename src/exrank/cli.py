@@ -1,9 +1,13 @@
 """Command-line pipeline: data generation, training stages, the alternating
 schedule, scoring/retrieval inspection, and evaluation.
 
-Option precedence is flag > config file > default.  Every command with --out
-writes a run.json manifest (resolved config, seed, checkpoint hashes) into its
-output directory.
+Each command offers a flag for each config key it reads, and none for the
+others; a --config file may hold any key, as one file serves every command.
+A flag beats the config file, which beats the default.  A loaded model's
+sizes (d and max_len of a scorer, d_r and max_len of a retriever) are the
+run's: they replace the config file's, and a flag that disagrees is refused.
+Every command with --out writes a run.json manifest (resolved config, seed,
+checkpoint hashes) into its output directory.
 """
 
 import argparse
@@ -39,7 +43,13 @@ from .template import digest, load_templates, task_input
 
 CONFIG_KEYS = [f.name for f in dataclasses.fields(Config)]
 
-_FLAG_NAMES = {"r": "--ratio"}
+# The sizes a loaded model fixes, by the option that names its checkpoint
+_MODELS = {"scorer": (load_scorer, ("d", "max_len")),
+           "retriever": (retriever_mod.load_retriever, ("d_r", "max_len"))}
+
+
+def _flag(key):
+    return "--ratio" if key == "r" else "--" + key.replace("_", "-")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,15 +79,40 @@ def _non_negative_int(text):
     return value
 
 
+def _path(text):
+    """argparse type for a file or directory: an empty path is refused, as it
+    would name the working directory or no model."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return text
+
+
 def _resolve_config(args):
-    values = {}
-    if getattr(args, "config", None):
-        values.update(read_config_file(args.config))
-    for key in CONFIG_KEYS:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            values[key] = flag_value
-    return Config.from_dict(values)
+    """The run's config and the models its --scorer and --retriever name.
+
+    Flags beat the --config file, which beats the defaults.  A loaded model's
+    sizes replace the file's values; a flag that disagrees is refused, and so
+    are a scorer and a retriever of two ``max_len``.
+    """
+    values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    flags = {key for key in CONFIG_KEYS if getattr(args, key, None) is not None}
+    values.update((key, getattr(args, key)) for key in flags)
+    cfg = Config.from_dict(values)
+    models = {option: load(getattr(args, option)) for option, (load, _) in _MODELS.items()
+              if getattr(args, option, None)}
+    sizes = {}
+    for option, model in models.items():
+        path = getattr(args, option)
+        for key in _MODELS[option][1]:
+            value = getattr(model, key)
+            if key in flags and getattr(cfg, key) != value:
+                raise ValueError(f"{_flag(key)} {getattr(cfg, key)} disagrees with "
+                                 f"--{option} {path}, whose {key} is {value}")
+            if sizes.get(key, value) != value:  # max_len, which the scorer fixed
+                raise ValueError(f"--scorer {args.scorer} has {key} {sizes[key]} but "
+                                 f"--retriever {path} has {key} {value}")
+            sizes[key] = value
+    return dataclasses.replace(cfg, **sizes), models
 
 
 def _sha256(path):
@@ -124,28 +159,26 @@ def _load_data(args, cfg):
     return _load(args.train_file, cfg, "train"), _load(args.test_file, cfg, "test")
 
 
-def _init_or_load_scorer(args, cfg, train):
-    """The --scorer checkpoint, else a fresh scorer warmed up on ``train``.
-    A command whose --scorer is required passes None: it only loads."""
-    if args.scorer or train is None:
-        return load_scorer(args.scorer)
+def _scorer(models, cfg, train):
+    """The --scorer model, else a fresh scorer warmed up on ``train``."""
+    if "scorer" in models:
+        return models["scorer"]
     vocab = build_vocabulary(train, cfg)
     state = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=cfg.seed)
     return warmup_scorer(state, train, cfg)
 
 
-def _init_or_load_retriever(args, cfg, vocab):
-    """The --retriever checkpoint, else a fresh retriever over ``vocab``.
-    A command whose --retriever is required passes None: it only loads."""
-    if args.retriever or vocab is None:
-        return retriever_mod.load_retriever(args.retriever)
-    return init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed)
+def _retriever(models, cfg, vocab):
+    """The --retriever model, else a fresh retriever over ``vocab``."""
+    return models.get("retriever") or init_retriever(
+        vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed)
 
 
-# Each command does its own work and returns the keys its run.json adds, if
-# any; ``main`` resolves the config, writes run.json and sets the exit code.
+# Each command does its own work with the resolved config and the loaded
+# models, and returns the keys its run.json adds, if any; ``main`` resolves
+# the config, writes run.json and sets the exit code.
 
-def _cmd_gen_data(args, cfg):
+def _cmd_gen_data(args, cfg, models):
     train, test = generate_synthetic(args.train, args.test, cfg.seed)
     if cfg.task == Task.ATSC:
         train, test = to_atsc(train), to_atsc(test)
@@ -158,11 +191,11 @@ def _cmd_gen_data(args, cfg):
     return {"n_train": len(train), "n_test": len(test)}
 
 
-def _cmd_train_retriever(args, cfg):
+def _cmd_train_retriever(args, cfg, models):
     train = _load(args.train_file, cfg, "train")
     check_label_sizes(cfg, train)  # before a warm-up that would be thrown away
-    scorer_state = _init_or_load_scorer(args, cfg, train)
-    retr = _init_or_load_retriever(args, cfg, scorer_state.vocab)
+    scorer_state = _scorer(models, cfg, train)
+    retr = _retriever(models, cfg, scorer_state.vocab)
     report = []
     train_retriever(retr, train, scorer_state, cfg, report=report)
     out = _out_dir(args.out)
@@ -179,11 +212,10 @@ def _cmd_train_retriever(args, cfg):
     print(f"separation\t{sep:.6f}")
 
 
-def _cmd_finetune_lm(args, cfg):
+def _cmd_finetune_lm(args, cfg, models):
     train = _load(args.train_file, cfg, "train")
-    scorer_state = _init_or_load_scorer(args, cfg, train)
-    retr = _init_or_load_retriever(args, cfg, None)
-    finetune_lm(scorer_state, retr, train, cfg)
+    scorer_state = _scorer(models, cfg, train)
+    finetune_lm(scorer_state, models["retriever"], train, cfg)
     out = _out_dir(args.out)
     save_scorer(scorer_state, out / "scorer.ckpt.npz")
     print(f"saved fine-tuned scorer to {out / 'scorer.ckpt.npz'}")
@@ -206,7 +238,7 @@ def _check_resumable(out_dir, cfg, data):
         raise ValueError(f"cannot resume: data differs from run.json in {files}")
 
 
-def _cmd_alternate(args, cfg):
+def _cmd_alternate(args, cfg, models):
     data = {"train_sha256": _sha256(args.train_file),
             "test_sha256": _sha256(args.test_file),
             "templates_sha256": digest(load_templates(cfg.template_dir))}
@@ -223,13 +255,13 @@ def _cmd_alternate(args, cfg):
     return data
 
 
-def _cmd_retrieve(args, cfg):
+def _cmd_retrieve(args, cfg, models):
     train = _load(args.train_file, cfg, "train")
     if not 0 <= args.query_id < len(train):  # load_dataset numbers records from 0
         raise ValueError(f"unknown query id {args.query_id}: the ids of "
                          f"{args.train_file} run from 0 to {len(train) - 1}")
     query = train.samples[args.query_id]
-    retr = _init_or_load_retriever(args, cfg, None)
+    retr = models["retriever"]
     index = build_index(retr, train)
     results = retrieve(
         retr, index, task_input(query, cfg.task), cfg.m, exclude_id=query.id
@@ -238,19 +270,18 @@ def _cmd_retrieve(args, cfg):
         print(f"{sc.id}\t{sc.similarity:.6f}\t{sc.candidate.input} -> {sc.candidate.output}")
 
 
-def _cmd_score(args, cfg):
-    state = _init_or_load_scorer(args, cfg, None)
-    ll = score(state, args.prompt, args.target)
+def _cmd_score(args, cfg, models):
+    ll = score(models["scorer"], args.prompt, args.target)
     print(f"total\t{ll.total:.6f}")
     for i, lp in enumerate(ll.per_token):
         print(f"token_{i}\t{lp:.6f}")
 
 
-def _cmd_evaluate(args, cfg):
+def _cmd_evaluate(args, cfg, models):
     train, test = _load_data(args, cfg)
     mode = AblationMode(args.mode)
-    scorer_state = _init_or_load_scorer(args, cfg, train)
-    retr = _init_or_load_retriever(args, cfg, scorer_state.vocab)
+    scorer_state = _scorer(models, cfg, train)
+    retr = _retriever(models, cfg, scorer_state.vocab)
     metrics, dump = run_inference(scorer_state, retr, test, cfg.k, mode, train, cfg)
     out = _out_dir(args.out)
     # k is the most examples a prompt carried: none for no_instruction, and
@@ -267,11 +298,10 @@ def _cmd_evaluate(args, cfg):
     return {"mode": mode.value}
 
 
-def _cmd_sweep(args, cfg):
+def _cmd_sweep(args, cfg, models):
     train, test = _load_data(args, cfg)
-    scorer_state = _init_or_load_scorer(args, cfg, train)
-    retr = _init_or_load_retriever(args, cfg, None)
-    rows = k_sweep(scorer_state, retr, test, args.k_max, train, cfg)
+    scorer_state = _scorer(models, cfg, train)
+    rows = k_sweep(scorer_state, models["retriever"], test, args.k_max, train, cfg)
     out = _out_dir(args.out)
     write_table(out / "sweep.tsv", ["k", *METRIC_COLUMNS, "truncated"], (
         {"k": r.k, **r.metrics.row(), "truncated": int(r.truncated)} for r in rows
@@ -283,17 +313,27 @@ def _cmd_sweep(args, cfg):
 _OWN_SUBSTREAMS = ("Its seeded draws are its own, not those of a schedule step, so "
                    "train-retriever then finetune-lm does not reproduce alternate --t 1.")
 
-# Options as (flag, add_argument keywords).  Every command but score takes the
-# --config file and a flag per Config key, each None unless given.
-_CONFIG_OPTIONS = [("--config", {"help": "flat key=value config file"})] + [
-    (_FLAG_NAMES.get(key, "--" + key.replace("_", "-")), {"dest": key})
-    for key in CONFIG_KEYS
-]
-_TRAIN_FILE = ("--train-file", {"required": True})
-_TEST_FILE = ("--test-file", {"required": True})
-_SCORER = ("--scorer", {})
-_RETRIEVER = ("--retriever", {})
-_OUT = ("--out", {"required": True})
+# The Config keys that build_vocabulary, init_scorer and warmup_scorer read,
+# so every command that can warm up a fresh scorer reads them
+_FRESH_SCORER = {"d", "max_len", "seed", "task", "template_dir", "k", "finetune_k",
+                 "warmup_epochs", "lr", "weight_decay"}
+
+
+def _config_options(keys):
+    """--config and a flag per Config key in ``keys``, in Config's order, each
+    None unless given; none at all for a command that reads no key."""
+    if not keys:
+        return []
+    return [("--config", {"type": _path, "help": "flat key=value config file"})] + [
+        (_flag(key), {"dest": key}) for key in CONFIG_KEYS if key in keys]
+
+
+# Options as (flag, add_argument keywords)
+_TRAIN_FILE = ("--train-file", {"type": _path, "required": True})
+_TEST_FILE = ("--test-file", {"type": _path, "required": True})
+_SCORER = ("--scorer", {"type": _path})
+_RETRIEVER = ("--retriever", {"type": _path})
+_OUT = ("--out", {"type": _path, "required": True})
 
 
 def _required(option):
@@ -301,33 +341,37 @@ def _required(option):
     return flag, {**kwargs, "required": True}
 
 
-# (name, function, help, description, options in the order --help lists them)
+# (name, function, the Config keys it reads, help, description, its own options
+# in the order --help lists them after the config options)
 _COMMANDS = [
-    ("gen-data", _cmd_gen_data, "write a synthetic corpus", None, [
-        *_CONFIG_OPTIONS, ("--train", {"type": int, "required": True}),
+    ("gen-data", _cmd_gen_data, {"seed", "task"}, "write a synthetic corpus", None, [
+        ("--train", {"type": int, "required": True}),
         ("--test", {"type": int, "required": True}), _OUT]),
-    ("train-retriever", _cmd_train_retriever, "contrastive retriever training",
+    ("train-retriever", _cmd_train_retriever,
+     {*_FRESH_SCORER, "d_r", "m", "r", "batch_size", "epochs_retriever"},
+     "contrastive retriever training",
      "Contrastive retriever training. " + _OWN_SUBSTREAMS,
-     [*_CONFIG_OPTIONS, _TRAIN_FILE, _SCORER, _RETRIEVER, _OUT]),
-    ("finetune-lm", _cmd_finetune_lm,
+     [_TRAIN_FILE, _SCORER, _RETRIEVER, _OUT]),
+    ("finetune-lm", _cmd_finetune_lm, {*_FRESH_SCORER, "epochs_lm"},
      "fine-tune the scorer with the top finetune_k examples",
      "Fine-tune the scorer with retrieved examples. " + _OWN_SUBSTREAMS,
-     [*_CONFIG_OPTIONS, _TRAIN_FILE, _SCORER, _required(_RETRIEVER), _OUT]),
-    ("alternate", _cmd_alternate, "run the alternating schedule", None, [
-        *_CONFIG_OPTIONS, _TRAIN_FILE, _TEST_FILE,
-        ("--resume-step", {"type": _non_negative_int}), _OUT]),
-    ("retrieve", _cmd_retrieve, "inspect retrieval results for a query", None, [
-        *_CONFIG_OPTIONS, _TRAIN_FILE, _required(_RETRIEVER),
-        ("--query-id", {"type": int, "required": True})]),
-    ("score", _cmd_score, "print total and per-token log-likelihood", None, [
+     [_TRAIN_FILE, _SCORER, _required(_RETRIEVER), _OUT]),
+    ("alternate", _cmd_alternate, set(CONFIG_KEYS), "run the alternating schedule",
+     None, [_TRAIN_FILE, _TEST_FILE, ("--resume-step", {"type": _non_negative_int}),
+            _OUT]),
+    ("retrieve", _cmd_retrieve, {"task", "m"}, "inspect retrieval results for a query",
+     None, [_TRAIN_FILE, _required(_RETRIEVER),
+            ("--query-id", {"type": int, "required": True})]),
+    ("score", _cmd_score, set(), "print total and per-token log-likelihood", None, [
         _required(_SCORER), ("--prompt", {"required": True}),
         ("--target", {"required": True})]),
-    ("evaluate", _cmd_evaluate, "evaluate one ablation mode", None, [
-        *_CONFIG_OPTIONS, _TRAIN_FILE, _TEST_FILE,
-        ("--mode", {"choices": [m.value for m in AblationMode], "default": "full"}),
-        _SCORER, _RETRIEVER, _OUT]),
-    ("sweep", _cmd_sweep, "k-sweep evaluation", None, [
-        *_CONFIG_OPTIONS, _TRAIN_FILE, _TEST_FILE, _SCORER, _required(_RETRIEVER),
+    ("evaluate", _cmd_evaluate, {*_FRESH_SCORER, "d_r", "max_gen_len"},
+     "evaluate one ablation mode", None, [
+         _TRAIN_FILE, _TEST_FILE,
+         ("--mode", {"choices": [m.value for m in AblationMode], "default": "full"}),
+         _SCORER, _RETRIEVER, _OUT]),
+    ("sweep", _cmd_sweep, {*_FRESH_SCORER, "max_gen_len"}, "k-sweep evaluation", None, [
+        _TRAIN_FILE, _TEST_FILE, _SCORER, _required(_RETRIEVER),
         ("--k-max", {"type": _non_negative_int, "default": 7}), _OUT]),
 ]
 
@@ -335,9 +379,9 @@ _COMMANDS = [
 def _build_parser():
     parser = _Parser(prog="exrank", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name, func, summary, description, options in _COMMANDS:
+    for name, func, keys, summary, description, options in _COMMANDS:
         p = sub.add_parser(name, help=summary, description=description)
-        for flag, kwargs in options:
+        for flag, kwargs in [*_config_options(keys), *options]:
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
     return parser
@@ -353,8 +397,8 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        cfg = _resolve_config(args)
-        extra = args.func(args, cfg)
+        cfg, models = _resolve_config(args)
+        extra = args.func(args, cfg, models)
         if hasattr(args, "out"):
             _write_manifest(args.out, args.command, cfg, extra)
     except Exception as exc:  # runtime failure

@@ -55,19 +55,29 @@ def label_candidates(query, cands, scorer, templates, k, task):
     return scored[:k], scored[-k:]
 
 
-def check_label_sizes(cfg, train):
-    """Reject a k, m or train split too small to label, before training starts."""
+def check_label_sizes(cfg, train, member_queries=True):
+    """Reject a k, m or train split too small to label, before training starts.
+
+    With ``member_queries`` the queries are samples of ``train``, so each has
+    n - 1 candidates and an ``m`` above that is refused too.
+    """
+    n = len(train.samples)
     if cfg.k < 1:
         raise ValueError(f"k must be at least 1 for training, got {cfg.k}")
     if cfg.m < 2 * cfg.k:
         raise ValueError(
             f"m must be at least 2k = {2 * cfg.k} for training, got m={cfg.m}"
         )
-    if len(train.samples) < 2 * cfg.k + 1:
+    if n < 2 * cfg.k + 1:
         raise ValueError(
-            f"the {train.split.value} split has {len(train.samples)} samples; "
+            f"the {train.split.value} split has {n} samples; "
             f"training at k={cfg.k} needs 2k + 1 = {2 * cfg.k + 1}, "
             "as no query is its own candidate"
+        )
+    if member_queries and cfg.m > n - 1:
+        raise ValueError(
+            f"m={cfg.m} is more than the {n - 1} candidates a query of the "
+            f"{train.split.value} split has, as no query is its own candidate"
         )
 
 
@@ -142,8 +152,7 @@ def _label_and_draw(query, cands, scorer, templates, k, task, pos_rng, neg_rng):
 def _candidates_for_query(state, index, query, query_input, m, bootstrap_rng):
     if bootstrap_rng is not None:
         eligible = [c for c in index.candidates if c.id != query.id]
-        take = min(m, len(eligible))
-        picks = bootstrap_rng.choice(len(eligible), size=take, replace=False)
+        picks = bootstrap_rng.choice(len(eligible), size=m, replace=False)
         return [eligible[i] for i in sorted(picks)]
     return [
         sc.candidate
@@ -212,9 +221,10 @@ def separation(retr, queries, scorer, cfg, train):
     agrees with the scorer's labeling.  A query that is a member of ``train``
     (a pool candidate with its id and input) excludes itself from retrieval;
     a held-out query keeps the train candidate that merely shares its id.
-    A k, m or train split too small to label is refused, as in training.
+    A k, m or train split too small to label is refused, as in training; a
+    held-out query has all n candidates, so ``m`` may reach n.
     """
-    check_label_sizes(cfg, train)
+    check_label_sizes(cfg, train, member_queries=False)
     templates = load_templates(cfg.template_dir)
     index = build_index(retr, train)
     pool_inputs = {c.id: c.input for c in index.candidates}

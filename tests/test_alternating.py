@@ -6,6 +6,7 @@ import pytest
 from exrank import alternating
 from exrank.alternating import (
     build_vocabulary,
+    check_schedule_inputs,
     finetune_lm,
     run_schedule,
     warmup_scorer,
@@ -286,6 +287,24 @@ class TestSchedule:
         retr = init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=0)
         with pytest.raises(ValueError, match="k must be at least 1|m must be at least"):
             train_retriever(retr, train, scorer, cfg)
+
+    def test_m_above_the_candidates_of_a_train_query_rejected_before_any_checkpoint(
+            self, tmp_path):
+        # a query of the split is not its own candidate: 40 samples give 39
+        train, test = generate_synthetic(40, 8, 0)
+        cfg = _cfg(m=40)
+        message = "m=40 is more than the 39 candidates a query of the train split has"
+        with pytest.raises(ValueError, match=message):
+            run_schedule(train, test, cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+        vocab = build_vocabulary(train, cfg)
+        scorer = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=0)
+        retr = init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=0)
+        before = retr.params.flat.copy()
+        with pytest.raises(ValueError, match=message):
+            train_retriever(retr, train, scorer, cfg)
+        assert np.array_equal(retr.params.flat, before)
+        check_schedule_inputs(train, test, _cfg(m=39))
 
     @pytest.mark.parametrize("empty", ["train", "dev"])
     def test_empty_split_rejected_before_any_write(self, tmp_path, empty):

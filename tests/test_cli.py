@@ -1,17 +1,28 @@
 import json
+import re
 
 import pytest
 
 from exrank import cli
+from exrank.alternating import build_vocabulary
 from exrank.cli import _sha256, main
 from exrank.config import Config
+from exrank.corpus import Task, load_dataset
+from exrank.retriever import init_retriever, load_retriever, save_retriever
+from exrank.scorer import load_scorer
 from exrank.template import load_templates
 
-FAST = [
-    "--k", "2", "--m", "6", "--ratio", "0.4", "--lr", "0.003",
-    "--weight-decay", "0", "--epochs-retriever", "1", "--epochs-lm", "1",
-    "--d", "16", "--d-r", "16", "--warmup-epochs", "1", "--max-gen-len", "12",
-]
+# the shared settings of the runs below, as one config file: each command
+# reads the keys it needs and ignores the others
+FAST = {"k": 2, "m": 6, "r": 0.4, "lr": 0.003, "weight_decay": 0, "epochs_retriever": 1,
+        "epochs_lm": 1, "d": 16, "d_r": 16, "warmup_epochs": 1, "max_gen_len": 12}
+
+
+@pytest.fixture(scope="module")
+def fast(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "fast.cfg"
+    path.write_text("".join(f"{key} = {value}\n" for key, value in FAST.items()))
+    return ["--config", str(path)]
 
 
 @pytest.fixture(scope="module")
@@ -24,11 +35,11 @@ def data_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def trained_dir(tmp_path_factory, data_dir):
+def trained_dir(tmp_path_factory, data_dir, fast):
     out = tmp_path_factory.mktemp("trained")
     rc = main(["alternate", "--train-file", str(data_dir / "train.jsonl"),
                "--test-file", str(data_dir / "test.jsonl"),
-               "--t", "1", "--out", str(out), *FAST])
+               "--t", "1", "--out", str(out), *fast])
     assert rc == 0
     return out
 
@@ -57,6 +68,9 @@ _REQUIRED = {
     "sweep": {"--train-file": "t.jsonl", "--test-file": "x.jsonl",
               "--retriever": "r.npz", "--out": "o"},
 }
+
+
+_ROW_KEYS = {name: keys for name, _, keys, *_ in cli._COMMANDS}
 
 
 def _argv(command, flags):
@@ -91,11 +105,9 @@ def test_each_required_flag_is_a_usage_error(tmp_path, monkeypatch, command, mis
 ])
 def test_each_command_has_its_options_and_defaults(command, own):
     args = vars(cli._build_parser().parse_args(_argv(command, _REQUIRED[command])))
-    config_keys = ["config", *cli.CONFIG_KEYS]
-    if command == "score":
-        assert not set(config_keys) & set(args)
-    else:
-        assert all(args[key] is None for key in config_keys)
+    keys = _ROW_KEYS[command]
+    config_keys = ["config", *keys] if keys else []
+    assert all(args[key] is None for key in config_keys)
     assert {k: v for k, v in args.items()
             if k not in ("command", "func", *config_keys)} == own
 
@@ -129,10 +141,10 @@ def test_alternate_writes_lf_line_endings(trained_dir):
     assert (trained_dir / "run.json").read_bytes().endswith(b"}\n")
 
 
-def test_train_retriever_command(tmp_path, data_dir, capsys):
+def test_train_retriever_command(tmp_path, data_dir, fast, capsys):
     out = tmp_path / "retr"
     rc = main(["train-retriever", "--train-file", str(data_dir / "train.jsonl"),
-               "--out", str(out), *FAST])
+               "--out", str(out), *fast])
     assert rc == 0
     assert (out / "retriever.ckpt.npz").exists()
     assert (out / "training.tsv").exists()
@@ -141,20 +153,20 @@ def test_train_retriever_command(tmp_path, data_dir, capsys):
     assert lines[-1].startswith("separation\t")
 
 
-def test_finetune_lm_command(tmp_path, data_dir, trained_dir):
+def test_finetune_lm_command(tmp_path, data_dir, trained_dir, fast):
     out = tmp_path / "ft"
     rc = main(["finetune-lm", "--train-file", str(data_dir / "train.jsonl"),
                "--retriever", str(trained_dir / "retriever_1.ckpt.npz"),
                "--scorer", str(trained_dir / "scorer_1.ckpt.npz"),
-               "--out", str(out), *FAST])
+               "--out", str(out), *fast])
     assert rc == 0
     assert (out / "scorer.ckpt.npz").exists()
 
 
-def test_retrieve_command(data_dir, trained_dir, capsys):
+def test_retrieve_command(data_dir, trained_dir, fast, capsys):
     rc = main(["retrieve", "--train-file", str(data_dir / "train.jsonl"),
                "--retriever", str(trained_dir / "retriever_1.ckpt.npz"),
-               "--query-id", "3", *FAST, "--m", "4"])
+               "--query-id", "3", *fast, "--m", "4"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 4
@@ -177,14 +189,14 @@ def test_score_command(trained_dir, capsys):
     assert abs(total - sum(per)) < 1e-6
 
 
-def test_evaluate_full_smoke(tmp_path, data_dir, trained_dir):
+def test_evaluate_full_smoke(tmp_path, data_dir, trained_dir, fast):
     # without --scorer: evaluate warms up a fresh scorer
     out = tmp_path / "eval"
     rc = main(["evaluate", "--train-file", str(data_dir / "train.jsonl"),
                "--test-file", str(data_dir / "test.jsonl"),
                "--mode", "full",
                "--retriever", str(trained_dir / "retriever_1.ckpt.npz"),
-               "--out", str(out), *FAST])
+               "--out", str(out), *fast])
     assert rc == 0
     lines = (out / "metrics.tsv").read_text().strip().splitlines()
     assert len(lines) == 2
@@ -199,14 +211,14 @@ def test_evaluate_full_smoke(tmp_path, data_dir, trained_dir):
 
 
 def test_evaluate_records_the_examples_its_prompts_carried(tmp_path, data_dir,
-                                                          trained_dir):
+                                                          trained_dir, fast):
     out = tmp_path / "eval"
     rc = main(["evaluate", "--train-file", str(data_dir / "train.jsonl"),
                "--test-file", str(data_dir / "test.jsonl"),
                "--mode", "no_instruction",
                "--scorer", str(trained_dir / "scorer_1.ckpt.npz"),
                "--retriever", str(trained_dir / "retriever_1.ckpt.npz"),
-               "--out", str(out), *FAST])  # FAST sets --k 2
+               "--out", str(out), *fast])  # FAST sets k 2
     assert rc == 0
     header, row = (l.split("\t") for l in
                    (out / "metrics.tsv").read_text().strip().splitlines())
@@ -216,13 +228,13 @@ def test_evaluate_records_the_examples_its_prompts_carried(tmp_path, data_dir,
     assert all(rec["example_ids"] == [] for rec in preds)
 
 
-def test_sweep_command(tmp_path, data_dir, trained_dir):
+def test_sweep_command(tmp_path, data_dir, trained_dir, fast):
     out = tmp_path / "sweep"
     rc = main(["sweep", "--train-file", str(data_dir / "train.jsonl"),
                "--test-file", str(data_dir / "test.jsonl"),
                "--scorer", str(trained_dir / "scorer_1.ckpt.npz"),
                "--retriever", str(trained_dir / "retriever_1.ckpt.npz"),
-               "--k-max", "3", "--out", str(out), *FAST])
+               "--k-max", "3", "--out", str(out), *fast])
     assert rc == 0
     lines = (out / "sweep.tsv").read_text().strip().splitlines()
     assert len(lines) == 5  # header + k in 0..3
@@ -231,14 +243,14 @@ def test_sweep_command(tmp_path, data_dir, trained_dir):
 
 
 def test_sweep_beyond_the_vocabulary_example_indices_is_refused(tmp_path, data_dir,
-                                                               trained_dir, capsys):
+                                                               trained_dir, fast, capsys):
     # the schedule's vocabulary holds the example indices 1 to 8
     out = tmp_path / "sweep"
     rc = main(["sweep", "--train-file", str(data_dir / "train.jsonl"),
                "--test-file", str(data_dir / "test.jsonl"),
                "--scorer", str(trained_dir / "scorer_1.ckpt.npz"),
                "--retriever", str(trained_dir / "retriever_1.ckpt.npz"),
-               "--k-max", "9", "--out", str(out), *FAST])
+               "--k-max", "9", "--out", str(out), *fast])
     assert rc == 2
     err = capsys.readouterr().err
     assert "['9-']" in err and "k=9" in err
@@ -281,20 +293,21 @@ def test_accept_hash_is_no_longer_a_config_key(tmp_path):
     _assert_not_a_config_key(tmp_path, "accept_hash", "true")
 
 
-def test_out_of_range_max_gen_len_is_rejected_before_any_checkpoint(tmp_path, data_dir):
+def test_out_of_range_max_gen_len_is_rejected_before_any_checkpoint(tmp_path, data_dir,
+                                                                    fast):
     out = tmp_path / "run"
     rc = main(["alternate", "--train-file", str(data_dir / "train.jsonl"),
                "--test-file", str(data_dir / "test.jsonl"),
-               "--t", "1", "--out", str(out), *FAST, "--max-gen-len", "0"])
+               "--t", "1", "--out", str(out), *fast, "--max-gen-len", "0"])
     assert rc != 0
     assert not list(tmp_path.rglob("*.ckpt.npz"))
 
 
-def test_abbreviated_flag_is_a_usage_error(tmp_path, data_dir, capsys):
+def test_abbreviated_flag_is_a_usage_error(tmp_path, data_dir, fast, capsys):
     out = tmp_path / "run"
     rc = main(["alternate", "--train-file", str(data_dir / "train.jsonl"),
                "--test-file", str(data_dir / "test.jsonl"),
-               "--t", "1", "--out", str(out), *FAST, "--warm", "3"])
+               "--t", "1", "--out", str(out), *fast, "--warm", "3"])
     assert rc == 1
     assert "unrecognized arguments: --warm 3" in capsys.readouterr().err
     assert not out.exists()
@@ -317,6 +330,18 @@ def test_negative_seed_is_rejected_before_any_work(tmp_path, capsys):
      "--test-file", "x.jsonl"],
     ["retrieve", "--train-file", "t.jsonl", "--retriever", "r.npz", "--query-id", "0",
      "--m-results", "4"],
+    # a config key the command does not read
+    ["gen-data", "--train", "5", "--test", "0", "--out", "o", "--template-dir", "x"],
+    ["train-retriever", "--train-file", "t.jsonl", "--out", "o", "--t", "2"],
+    ["finetune-lm", "--train-file", "t.jsonl", "--retriever", "r.npz", "--out", "o",
+     "--m", "4"],
+    ["retrieve", "--train-file", "t.jsonl", "--retriever", "r.npz", "--query-id", "0",
+     "--lr", "9"],
+    ["score", "--scorer", "s.npz", "--prompt", "p", "--target", "t", "--seed", "1"],
+    ["evaluate", "--train-file", "t.jsonl", "--test-file", "x.jsonl", "--out", "o",
+     "--epochs-lm", "2"],
+    ["sweep", "--train-file", "t.jsonl", "--test-file", "x.jsonl", "--retriever", "r.npz",
+     "--out", "o", "--d-r", "8"],
 ])
 def test_options_nothing_read_are_usage_errors(argv, capsys):
     assert main(argv) == 1  # without the last option: a runtime error, exit 2
@@ -329,11 +354,11 @@ def test_missing_file_is_runtime_error(tmp_path):
     assert rc == 2
 
 
-def test_alternate_resume(tmp_path, data_dir):
+def test_alternate_resume(tmp_path, data_dir, fast):
     out = tmp_path / "alt"
     base = ["alternate", "--train-file", str(data_dir / "train.jsonl"),
             "--test-file", str(data_dir / "test.jsonl"),
-            "--t", "2", "--out", str(out), *FAST]
+            "--t", "2", "--out", str(out), *fast]
     assert main(base) == 0
     assert main(base + ["--resume-step", "1"]) == 0
     rows = (out / "metrics.tsv").read_text().strip().splitlines()
@@ -381,18 +406,18 @@ def test_non_integer_counts_and_ids_are_usage_errors(argv, capsys):
 
 
 @pytest.fixture(scope="module")
-def resumable_dir(tmp_path_factory, data_dir):
+def resumable_dir(tmp_path_factory, data_dir, fast):
     """A finished --seed 1 --k 2 run with t=2 that later tests must not change."""
     out = tmp_path_factory.mktemp("resumable")
-    rc = main(_alternate_argv(data_dir, data_dir / "train.jsonl", out))
+    rc = main(_alternate_argv(fast, data_dir, data_dir / "train.jsonl", out))
     assert rc == 0
     return out
 
 
-def _alternate_argv(data_dir, train_file, out):
+def _alternate_argv(fast, data_dir, train_file, out):
     return ["alternate", "--train-file", str(train_file),
             "--test-file", str(data_dir / "test.jsonl"),
-            "--t", "2", "--out", str(out), *FAST, "--seed", "1", "--k", "2"]
+            "--t", "2", "--out", str(out), *fast, "--seed", "1", "--k", "2"]
 
 
 def _snapshot(out):
@@ -407,54 +432,56 @@ def test_alternate_run_json_records_config_and_data_hashes(resumable_dir, data_d
     assert len(manifest["checkpoints"]) == 7  # init, then scorer and retriever 0..2
 
 
-def test_alternate_writes_run_json_before_training(tmp_path, data_dir, monkeypatch):
+def test_alternate_writes_run_json_before_training(tmp_path, data_dir, fast, monkeypatch):
     def crash(*args, **kwargs):
         raise RuntimeError("crashed mid-run")
 
     monkeypatch.setattr(cli, "run_schedule", crash)
     out = tmp_path / "alt"
-    assert main(_alternate_argv(data_dir, data_dir / "train.jsonl", out)) == 2
+    assert main(_alternate_argv(fast, data_dir, data_dir / "train.jsonl", out)) == 2
     manifest = json.loads((out / "run.json").read_text())
     assert manifest["config"]["seed"] == 1
     assert manifest["train_sha256"] == _sha256(data_dir / "train.jsonl")
     assert manifest["checkpoints"] == {}
 
 
-def test_resume_with_another_config_is_refused(resumable_dir, data_dir, capsys):
+def test_resume_with_another_config_is_refused(resumable_dir, data_dir, fast, capsys):
     before = _snapshot(resumable_dir)
-    argv = _alternate_argv(data_dir, data_dir / "train.jsonl", resumable_dir)
+    argv = _alternate_argv(fast, data_dir, data_dir / "train.jsonl", resumable_dir)
     rc = main(argv + ["--resume-step", "1", "--seed", "9", "--k", "1"])
     assert rc != 0
     assert "config differs from run.json in ['k', 'seed']" in capsys.readouterr().err
     assert _snapshot(resumable_dir) == before
 
 
-def test_resume_with_other_data_is_refused(resumable_dir, data_dir, tmp_path, capsys):
+def test_resume_with_other_data_is_refused(resumable_dir, data_dir, tmp_path, fast,
+                                          capsys):
     before = _snapshot(resumable_dir)
     other = tmp_path / "train.jsonl"
     lines = (data_dir / "train.jsonl").read_text().splitlines(keepends=True)
     other.write_text("".join(lines[:-1]))
-    rc = main(_alternate_argv(data_dir, other, resumable_dir) + ["--resume-step", "1"])
+    rc = main(_alternate_argv(fast, data_dir, other, resumable_dir) + ["--resume-step", "1"])
     assert rc != 0
     assert "data differs from run.json in ['train_sha256']" in capsys.readouterr().err
     assert _snapshot(resumable_dir) == before
 
 
-def test_resume_without_run_json_is_refused(resumable_dir, data_dir, tmp_path, capsys):
+def test_resume_without_run_json_is_refused(resumable_dir, data_dir, tmp_path, fast,
+                                            capsys):
     out = tmp_path / "copy"
     out.mkdir()
     for name, data in _snapshot(resumable_dir).items():
         if name != "run.json":
             (out / name).write_bytes(data)
     before = _snapshot(out)
-    rc = main(_alternate_argv(data_dir, data_dir / "train.jsonl", out)
+    rc = main(_alternate_argv(fast, data_dir, data_dir / "train.jsonl", out)
               + ["--resume-step", "1"])
     assert rc != 0
     assert "no run.json" in capsys.readouterr().err
     assert _snapshot(out) == before
 
 
-def test_resume_with_edited_templates_is_refused(tmp_path, data_dir, capsys):
+def test_resume_with_edited_templates_is_refused(tmp_path, data_dir, fast, capsys):
     builtin = load_templates(None)
     tpl = tmp_path / "tpl"
     tpl.mkdir()
@@ -463,7 +490,7 @@ def test_resume_with_edited_templates_is_refused(tmp_path, data_dir, capsys):
     (tpl / "example_block.txt").write_text(builtin.example_block)
     (tpl / "target_block.txt").write_text(builtin.target_block)
     out = tmp_path / "alt"
-    argv = _alternate_argv(data_dir, data_dir / "train.jsonl", out) + [
+    argv = _alternate_argv(fast, data_dir, data_dir / "train.jsonl", out) + [
         "--template-dir", str(tpl)]
     assert main(argv) == 0
     assert json.loads((out / "run.json").read_text())["templates_sha256"]
@@ -476,7 +503,7 @@ def test_resume_with_edited_templates_is_refused(tmp_path, data_dir, capsys):
     assert _snapshot(out) == before
 
 
-def test_run_json_digest_of_a_custom_template_dir_is_pinned(tmp_path, data_dir):
+def test_run_json_digest_of_a_custom_template_dir_is_pinned(tmp_path, data_dir, fast):
     tpl = tmp_path / "tpl"
     tpl.mkdir()
     for task in ("aspe", "ate", "atsc"):
@@ -484,21 +511,36 @@ def test_run_json_digest_of_a_custom_template_dir_is_pinned(tmp_path, data_dir):
     (tpl / "example_block.txt").write_text("Sample {index}: Question {input} Answer {output}")
     (tpl / "target_block.txt").write_text("Query: {input} Reply:")
     out = tmp_path / "alt"
-    assert main(_alternate_argv(data_dir, data_dir / "train.jsonl", out)
+    assert main(_alternate_argv(fast, data_dir, data_dir / "train.jsonl", out)
                 + ["--t", "1", "--template-dir", str(tpl)]) == 0
     assert json.loads((out / "run.json").read_text())["templates_sha256"] == (
         "b65bff6c4cb01f6f49322236ab344f4a630330966cc4876e1f31ea8aa65ac976")
 
 
-def test_train_retriever_checks_k_and_m_before_warm_up(tmp_path, data_dir,
+def test_train_retriever_checks_k_and_m_before_warm_up(tmp_path, data_dir, fast,
                                                        monkeypatch, capsys):
     warmups = []
     monkeypatch.setattr(cli, "warmup_scorer", lambda *args: warmups.append(args))
     out = tmp_path / "retr"
     rc = main(["train-retriever", "--train-file", str(data_dir / "train.jsonl"),
-               "--out", str(out), *FAST, "--k", "4", "--m", "5"])
+               "--out", str(out), *fast, "--k", "4", "--m", "5"])
     assert rc == 2
     assert "m must be at least" in capsys.readouterr().err
+    assert warmups == []
+    assert not out.exists()
+
+
+def test_train_retriever_refuses_an_m_above_the_candidates_before_warm_up(
+        tmp_path, data_dir, fast, monkeypatch, capsys):
+    # the query is not its own candidate: 40 samples give 39
+    warmups = []
+    monkeypatch.setattr(cli, "warmup_scorer", lambda *args: warmups.append(args))
+    out = tmp_path / "retr"
+    rc = main(["train-retriever", "--train-file", str(data_dir / "train.jsonl"),
+               "--out", str(out), *fast, "--m", "40"])
+    assert rc == 2
+    assert ("m=40 is more than the 39 candidates a query of the train split has"
+            in capsys.readouterr().err)
     assert warmups == []
     assert not out.exists()
 
@@ -511,23 +553,24 @@ def _files_in(out):
     (["--t", "0"], "t must be at least 1"),
     (["--k", "4", "--m", "5"], "m must be at least"),
     ([], "malformed record"),
+    (["--m", "100"], "m=100 is more than the 39 candidates"),
 ])
 def test_alternate_writes_nothing_when_it_refuses_its_inputs(
-        tmp_path, data_dir, extra, message, capsys):
+        tmp_path, data_dir, fast, extra, message, capsys):
     train_file = data_dir / "train.jsonl"
     if not extra:  # the refused input is a malformed train record
         train_file = tmp_path / "train.jsonl"
         train_file.write_text(data_dir.joinpath("train.jsonl").read_text()
                               + '{"text": 5, "labels": []}\n')
     out = tmp_path / "alt"
-    assert main(_alternate_argv(data_dir, train_file, out) + extra) == 2
+    assert main(_alternate_argv(fast, data_dir, train_file, out) + extra) == 2
     assert message in capsys.readouterr().err
     assert _files_in(out) == []
 
 
 @pytest.mark.parametrize("command", ["alternate", "train-retriever"])
 def test_a_train_split_too_small_to_label_is_refused_before_warm_up(
-        tmp_path, data_dir, monkeypatch, command, capsys):
+        tmp_path, data_dir, fast, monkeypatch, command, capsys):
     # k=4 needs 2k = 8 candidates besides the query itself: 9 samples, not 5
     warmups = []
     monkeypatch.setattr(cli, "warmup_scorer", lambda *args: warmups.append(args))
@@ -535,10 +578,10 @@ def test_a_train_split_too_small_to_label_is_refused_before_warm_up(
     lines = data_dir.joinpath("train.jsonl").read_text().splitlines(keepends=True)
     train_file.write_text("".join(lines[:5]))
     out = tmp_path / "out"
-    argv = [command, "--train-file", str(train_file), "--out", str(out), *FAST,
-            "--t", "1", "--k", "4", "--m", "8"]
+    argv = [command, "--train-file", str(train_file), "--out", str(out), *fast,
+            "--k", "4", "--m", "8"]
     if command == "alternate":
-        argv += ["--test-file", str(data_dir / "test.jsonl")]
+        argv += ["--test-file", str(data_dir / "test.jsonl"), "--t", "1"]
     assert main(argv) == 2
     assert ("the train split has 5 samples; training at k=4 needs 2k + 1 = 9"
             in capsys.readouterr().err)
@@ -550,12 +593,12 @@ def test_a_train_split_too_small_to_label_is_refused_before_warm_up(
     ("alternate", "train"), ("alternate", "test"), ("train-retriever", "train"),
     ("finetune-lm", "train"), ("retrieve", "train"), ("evaluate", "test"),
     ("sweep", "test")])
-def test_every_command_refuses_an_empty_data_file(tmp_path, data_dir, trained_dir,
+def test_every_command_refuses_an_empty_data_file(tmp_path, data_dir, trained_dir, fast,
                                                   command, empty, capsys):
     files = {name: data_dir / f"{name}.jsonl" for name in ("train", "test")}
     files[empty] = tmp_path / "empty.jsonl"
     files[empty].write_text("\n")  # a blank line is no record
-    argv = [command, "--train-file", str(files["train"]), *FAST]
+    argv = [command, "--train-file", str(files["train"]), *fast]
     if command in ("alternate", "evaluate", "sweep"):
         argv += ["--test-file", str(files["test"])]
     if command in ("finetune-lm", "retrieve", "sweep"):
@@ -571,8 +614,10 @@ def test_every_command_refuses_an_empty_data_file(tmp_path, data_dir, trained_di
 def test_an_empty_template_dir_is_refused_before_any_write(tmp_path, source, capsys):
     out = tmp_path / "gen"
     argv = ["gen-data", "--train", "25", "--test", "5", "--out", str(out)]
-    if source == "flag":
-        argv += ["--template-dir", ""]
+    if source == "flag":  # gen-data reads no template_dir, so it has no such flag
+        argv = ["alternate", "--train-file", str(tmp_path / "nope.jsonl"),
+                "--test-file", str(tmp_path / "nope.jsonl"), "--out", str(out),
+                "--template-dir", ""]
     else:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("template_dir =\n")
@@ -599,3 +644,163 @@ def test_retrieve_names_an_unknown_query_id(data_dir, trained_dir, query_id, cap
     err = capsys.readouterr().err
     assert f"unknown query id {query_id}" in err
     assert "run from 0 to 39" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("gen-data", "--out"), ("gen-data", "--config"), ("train-retriever", "--train-file"),
+    ("train-retriever", "--scorer"), ("train-retriever", "--retriever"),
+    ("evaluate", "--test-file")])
+def test_an_empty_path_is_a_usage_error(tmp_path, monkeypatch, command, flag, capsys):
+    # an empty --out would name the working directory, an empty --scorer no model
+    monkeypatch.chdir(tmp_path)
+    assert main(_argv(command, {**_REQUIRED[command], flag: ""})) == 1
+    assert f"argument {flag}: expected a path, got ''" in capsys.readouterr().err
+    assert _files_in(tmp_path) == []
+
+
+@pytest.fixture(scope="module")
+def short_retriever(tmp_path_factory, data_dir):
+    """A retriever checkpoint of d_r 8 and max_len 32 over the data's vocabulary."""
+    train = load_dataset(data_dir / "train.jsonl", Task.ASPE)
+    state = init_retriever(build_vocabulary(train, Config()), d_r=8, max_len=32)
+    path = tmp_path_factory.mktemp("short") / "retriever.ckpt.npz"
+    save_retriever(state, path)
+    return path
+
+
+def _sweep_argv(data_dir, trained_dir, out, retriever=None):
+    return ["sweep", "--train-file", str(data_dir / "train.jsonl"),
+            "--test-file", str(data_dir / "test.jsonl"),
+            "--scorer", str(trained_dir / "scorer_1.ckpt.npz"),
+            "--retriever", str(retriever or trained_dir / "retriever_1.ckpt.npz"),
+            "--k-max", "1", "--out", str(out)]
+
+
+def _config_of(out):
+    return json.loads((out / "run.json").read_text())["config"]
+
+
+def test_run_json_records_the_sizes_of_the_loaded_models(tmp_path, data_dir, trained_dir):
+    # the schedule trained d 16, d_r 16 and max_len 128; the defaults are d 64, d_r 64
+    out = tmp_path / "sweep"
+    assert main(_sweep_argv(data_dir, trained_dir, out)) == 0
+    config = _config_of(out)
+    assert (config["d"], config["d_r"], config["max_len"]) == (16, 16, 128)
+
+
+def test_a_config_file_size_gives_way_to_the_loaded_model(tmp_path, data_dir,
+                                                          trained_dir):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("d = 999\nd_r = 7\nmax_len = 5\n")
+    out = tmp_path / "sweep"
+    assert main(_sweep_argv(data_dir, trained_dir, out) + ["--config", str(cfgfile)]) == 0
+    config = _config_of(out)
+    assert (config["d"], config["d_r"], config["max_len"]) == (16, 16, 128)
+
+
+def test_a_fresh_model_takes_the_max_len_of_the_loaded_one(tmp_path, data_dir, fast,
+                                                           short_retriever):
+    out = tmp_path / "retr"
+    assert main(["train-retriever", "--train-file", str(data_dir / "train.jsonl"),
+                 "--retriever", str(short_retriever), "--out", str(out), *fast]) == 0
+    assert load_scorer(out / "scorer.ckpt.npz").max_len == 32
+    assert load_retriever(out / "retriever.ckpt.npz").d_r == 8
+    config = _config_of(out)
+    assert (config["d"], config["d_r"], config["max_len"]) == (16, 8, 32)
+
+
+@pytest.mark.parametrize("flag, value, option, key, size", [
+    ("--d", "999", "scorer", "d", 16),
+    ("--max-len", "64", "scorer", "max_len", 128),
+    ("--d-r", "8", "retriever", "d_r", 16),
+])
+def test_a_size_flag_that_disagrees_with_the_loaded_model_is_refused(
+        tmp_path, data_dir, trained_dir, flag, value, option, key, size, capsys):
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--train-file", str(data_dir / "train.jsonl"),
+            "--test-file", str(data_dir / "test.jsonl"),
+            "--scorer", str(trained_dir / "scorer_1.ckpt.npz"),
+            "--retriever", str(trained_dir / "retriever_1.ckpt.npz"),
+            "--out", str(out), flag, value]
+    assert main(argv) == 2
+    path = trained_dir / f"{option}_1.ckpt.npz"
+    assert (f"{flag} {value} disagrees with --{option} {path}, whose {key} is {size}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_a_scorer_and_a_retriever_of_two_max_len_are_refused(
+        tmp_path, data_dir, trained_dir, short_retriever, capsys):
+    out = tmp_path / "sweep"
+    assert main(_sweep_argv(data_dir, trained_dir, out, short_retriever)) == 2
+    assert (f"--scorer {trained_dir / 'scorer_1.ckpt.npz'} has max_len 128 but "
+            f"--retriever {short_retriever} has max_len 32" in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def _modes(command, data_dir, trained_dir, out):
+    """The argv of each way to run ``command``: with fresh and loaded models,
+    and each evaluate mode."""
+    train = ["--train-file", str(data_dir / "train.jsonl")]
+    test = ["--test-file", str(data_dir / "test.jsonl")]
+    scorer = ["--scorer", str(trained_dir / "scorer_1.ckpt.npz")]
+    retriever = ["--retriever", str(trained_dir / "retriever_1.ckpt.npz")]
+    to = ["--out", str(out)]
+    return {
+        "gen-data": [["--train", "20", "--test", "4", *to]],
+        "train-retriever": [[*train, *s, *r, *to] for s in ([], scorer)
+                            for r in ([], retriever)],
+        "finetune-lm": [[*train, *s, *retriever, *to] for s in ([], scorer)],
+        "alternate": [[*train, *test, "--t", "1", *to],
+                      [*train, *test, "--t", "1", "--resume-step", "0", *to]],
+        "retrieve": [[*train, *retriever, "--query-id", "3"]],
+        "score": [[*scorer, "--prompt", "The food was good .", "--target", "food"]],
+        "evaluate": [[*train, *test, "--mode", mode, *s, *r, *to]
+                     for mode in ("full", "no_retriever", "no_instruction")
+                     for s, r in (([], []), (scorer, retriever))],
+        "sweep": [[*train, *test, *s, *retriever, "--k-max", "2", *to]
+                  for s in ([], scorer)],
+    }[command]
+
+
+@pytest.mark.parametrize("command", list(_ROW_KEYS))
+def test_each_command_reads_exactly_the_config_keys_of_its_row(
+        tmp_path, data_dir, trained_dir, fast, command, monkeypatch):
+    reads, seen = [], set()
+
+    class Recording(Config):
+        def __getattribute__(self, name):
+            if name in cli.CONFIG_KEYS:
+                reads.append(name)
+            return super().__getattribute__(name)
+
+    def recorded(func):
+        def run(*args):
+            reads.clear()  # drop the reads made while the config was resolved
+            try:
+                return func(*args)
+            finally:
+                seen.update(reads)
+        return run
+
+    monkeypatch.setattr(cli, "Config", Recording)
+    monkeypatch.setattr(cli, "_COMMANDS", [(name, recorded(func), *rest)
+                                           for name, func, *rest in cli._COMMANDS])
+    for argv in _modes(command, data_dir, trained_dir, tmp_path / "out"):
+        assert main([command, *argv, *(fast if _ROW_KEYS[command] else [])]) == 0, argv
+    assert seen == _ROW_KEYS[command]
+
+
+def test_every_config_key_is_read_by_some_command():
+    assert set().union(*_ROW_KEYS.values()) == set(cli.CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("command", list(_ROW_KEYS))
+def test_help_lists_exactly_the_flags_of_the_row(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    listed = set(re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.M))
+    keys = _ROW_KEYS[command]
+    options = next(row[-1] for row in cli._COMMANDS if row[0] == command)
+    assert listed == {"--help", *(["--config"] if keys else []),
+                      *(cli._flag(key) for key in keys), *(flag for flag, _ in options)}
