@@ -63,6 +63,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _CommandParser(_Parser):
+    """A command's parser.  argparse hands the arguments a command leaves over
+    to the top-level parser, whose usage does not list the command's flags;
+    this parser refuses them itself."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 class UsageError(Exception):
     pass
 
@@ -182,6 +194,13 @@ def _cmd_gen_data(args, cfg, models):
     train, test = generate_synthetic(args.train, args.test, cfg.seed)
     if cfg.task == Task.ATSC:
         train, test = to_atsc(train), to_atsc(test)
+        # to_atsc drops the samples that name no aspect, and every other
+        # command refuses a file that holds no records
+        for split, ds in (("train", train), ("test", test)):
+            if not ds.samples:
+                raise ValueError(
+                    f"the atsc {split} split would hold no records: no sample of "
+                    f"--{split} {getattr(args, split)} names an aspect; raise --{split}")
     elif cfg.task != Task.ASPE:
         train, test = with_task(train, cfg.task), with_task(test, cfg.task)
     out = _out_dir(args.out)
@@ -378,7 +397,7 @@ _COMMANDS = [
 
 def _build_parser():
     parser = _Parser(prog="exrank", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
     for name, func, keys, summary, description, options in _COMMANDS:
         p = sub.add_parser(name, help=summary, description=description)
         for flag, kwargs in [*_config_options(keys), *options]:

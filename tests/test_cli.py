@@ -348,6 +348,18 @@ def test_options_nothing_read_are_usage_errors(argv, capsys):
     assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, unknown", [
+    (["gen-data", "--train", "5", "--test", "2", "--out", "o"], ["--lr", "9"]),
+    (["gen-data", "--train", "5", "--test", "2", "--out", "o"], ["extra"]),
+    (["score", "--scorer", "s.npz", "--prompt", "p", "--target", "t"], ["--seed", "1"]),
+])
+def test_an_unknown_argument_shows_the_usage_of_its_command(argv, unknown, capsys):
+    assert main(argv + unknown) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: exrank {argv[0]} ")
+    assert f"unrecognized arguments: {' '.join(unknown)}" in err
+
+
 def test_missing_file_is_runtime_error(tmp_path):
     rc = main(["retrieve", "--train-file", str(tmp_path / "nope.jsonl"),
                "--retriever", str(tmp_path / "nope.npz"), "--query-id", "0"])
@@ -632,6 +644,17 @@ def test_gen_data_refuses_a_test_count_below_one(tmp_path, count, capsys):
     out = tmp_path / "gen"
     assert main(["gen-data", "--train", "25", "--test", count, "--out", str(out)]) == 2
     assert "n_test must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_refuses_an_empty_atsc_split_before_any_write(tmp_path, capsys):
+    # at seed 7 the one test sample names no aspect, and to_atsc drops it
+    out = tmp_path / "gen"
+    assert main(["gen-data", "--task", "atsc", "--seed", "7", "--train", "20",
+                 "--test", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the atsc test split would hold no records" in err
+    assert "--test 1" in err
     assert not out.exists()
 
 

@@ -1,10 +1,14 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exrank.corpus import (
+    _POLARITY_CHOICES,
+    _POLARITY_WEIGHTS,
     NO_ASPECT_TERM,
     REJECT,
     SENTINEL,
@@ -13,6 +17,7 @@ from exrank.corpus import (
     Sample,
     Task,
     _check_sample,
+    _draw_polarity,
     generate_synthetic,
     load_dataset,
     normalize_term,
@@ -196,6 +201,47 @@ class TestSynthetic:
         b = generate_synthetic(30, 5, 7)
         assert [s.text for s in a[0].samples] == [s.text for s in b[0].samples]
         assert [s.labels for s in a[1].samples] == [s.labels for s in b[1].samples]
+
+    # sha256 of save_dataset's bytes for generate_synthetic(500, 100, seed), the
+    # corpus of the paper's ABSA runs; a change to any draw changes them
+    PINNED = {
+        (0, "train"): "9595a972d1eedab8d5f1f6be5fd9dda1237d651f6d70916b4dd08a6f08d3c092",
+        (0, "test"): "9ffad6f7049be9ceaa0ec7b2878ad3b00633dd24ddea882eb875d409c9d4bba5",
+        (1, "train"): "c16f4fbc26cfc023628ae083aab42165bfa0c2900134964b0187c398f062fcc3",
+        (1, "test"): "09a23125f704f447f7ff3926065cdfa1318aa0c893ef11c37ee1af109312eb25",
+        (101, "train"): "40b2fc81063fec052484509d4b765364700bcd1ef08f0e00b38e82728d497829",
+        (101, "test"): "aa7adf9650c0f8715fde341b77a2dfc6ab5adcc922342a30f5cd6fc49fac4866",
+    }
+    PINNED_ATSC_1 = {
+        "train": "d9ef83939da2281545d64aba3a59888ca8a43ca8a1ad685bb7e62056af1b81dc",
+        "test": "12a92393449befa119ae62617bbc4f57722e8264aa5259b92e5fc8e5dd301a89",
+    }
+
+    @staticmethod
+    def _sha256(dataset, path):
+        save_dataset(dataset, path)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("seed", [0, 1, 101])
+    def test_corpus_bytes_are_pinned(self, seed, tmp_path):
+        train, test = generate_synthetic(500, 100, seed)
+        for split, ds in (("train", train), ("test", test)):
+            assert self._sha256(ds, tmp_path / "d.jsonl") == self.PINNED[seed, split]
+
+    def test_atsc_corpus_bytes_are_pinned(self, tmp_path):
+        train, test = generate_synthetic(500, 100, 1)
+        for split, ds in (("train", train), ("test", test)):
+            got = self._sha256(to_atsc(ds), tmp_path / "d.jsonl")
+            assert got == self.PINNED_ATSC_1[split]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_polarity_draw_is_generator_choice(self, seed):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(100_000):
+            want = _POLARITY_CHOICES[b.choice(len(_POLARITY_CHOICES), p=_POLARITY_WEIGHTS)]
+            assert _draw_polarity(a) == want
+        # and the two streams stand at the same place
+        assert a.bit_generator.state == b.bit_generator.state
 
     def test_sizes(self):
         train, test = generate_synthetic(500, 100, 0)
