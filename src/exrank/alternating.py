@@ -6,6 +6,7 @@ so a run can resume from any step and replay bit-identically.
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +24,11 @@ from .optim import AdamW
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
+
+# warmup_scorer warns when its last epoch's mean loss is above this share of
+# the untrained decoder's
+_WARMUP_CHANCE_SHARE = 0.9
+
 
 @dataclass
 class ScheduleState:
@@ -45,9 +51,11 @@ def build_vocabulary(train, cfg):
 def _lm_epochs(scorer, train, cfg, epochs, choose_examples, seed_tag, what):
     """The LM loop of warm-up and fine-tuning: per epoch, one ``finetune_step``
     per sample in seeded order, on a prompt carrying ``choose_examples(s, q_input)``.
+    Returns the last epoch's mean loss, or None after zero epochs.
     """
     templates = load_templates(cfg.template_dir)
     opt = AdamW(scorer.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    mean_loss = None
     for epoch in range(epochs):
         epoch_loss = 0.0
         rng = substream(cfg.seed, f"{seed_tag}/epoch{epoch}")
@@ -58,18 +66,36 @@ def _lm_epochs(scorer, train, cfg, epochs, choose_examples, seed_tag, what):
             prompt = render(templates, train.task, examples, q_input)
             _, loss = finetune_step(scorer, prompt, serialize_label(s, train.task), opt)
             epoch_loss += loss
-        logger.info(
-            "%s epoch %d done (mean loss %.4f)",
-            what, epoch, epoch_loss / max(1, len(train.samples)),
-        )
-    return scorer
+        mean_loss = epoch_loss / max(1, len(train.samples))
+        logger.info("%s epoch %d done (mean loss %.4f)", what, epoch, mean_loss)
+    return mean_loss
 
 
 def warmup_scorer(scorer, train, cfg):
-    """Zero-example fine-tuning pass standing in for pretraining."""
-    return _lm_epochs(
+    """Zero-example fine-tuning pass standing in for pretraining.
+
+    Logs a WARNING when the last epoch's mean loss is still above 0.9 of its
+    chance value: the mean over the targets of (L + 1)·ln V, the loss of the
+    untrained decoder, which is uniform over the V tokens at each of a
+    target's L tokens and its end token.
+    """
+    loss = _lm_epochs(
         scorer, train, cfg, cfg.warmup_epochs, lambda s, q_input: [], "warmup", "warmup"
     )
+    if loss is not None:
+        vocab = scorer.vocab
+        # the warm-up's own steps memoized every target's ids
+        tokens = sum(len(vocab.ids(serialize_label(s, train.task))) + 1
+                     for s in train.samples)
+        chance = math.log(len(vocab)) * tokens / max(1, len(train.samples))
+        if loss > _WARMUP_CHANCE_SHARE * chance:
+            logger.warning(
+                "the warm-up learned next to nothing: its last mean loss %.4f is "
+                "%.3f of the untrained decoder's %.4f at lr=%g and warmup_epochs=%d; "
+                "a larger lr, such as 3e-3, or more epochs is needed",
+                loss, loss / chance, chance, cfg.lr, cfg.warmup_epochs,
+            )
+    return scorer
 
 
 def finetune_lm(scorer, retriever, train, cfg, seed_tag="finetune-lm"):
@@ -91,7 +117,8 @@ def finetune_lm(scorer, retriever, train, cfg, seed_tag="finetune-lm"):
         top = retrieve(retriever, index, q_input, cfg.finetune_k, exclude_id=s.id)
         return [t.candidate for t in top]
 
-    return _lm_epochs(scorer, train, cfg, cfg.epochs_lm, top_examples, seed_tag, "lm")
+    _lm_epochs(scorer, train, cfg, cfg.epochs_lm, top_examples, seed_tag, "lm")
+    return scorer
 
 
 def _metrics_row(step, dataset, metrics):
@@ -166,7 +193,7 @@ def run_schedule(train, dev, cfg, out_dir, resume_step=None):
         retriever_mod.save_retriever(retr, ckpt("retriever", step))
         scorer_mod.save_scorer(scorer, ckpt("scorer", step))
         metrics, _ = run_inference(
-            scorer, retr, dev, cfg.k, AblationMode.FULL, train, cfg
+            scorer, retr, dev, cfg.k, AblationMode.FULL, train, cfg, records=False
         )
         rows.append(_metrics_row(step, dev, metrics))
         _write_metrics(metrics_path, rows)

@@ -6,6 +6,7 @@ trimmed; sentinel pairs are excluded on both sides; duplicate predictions are
 deduplicated before counting.
 """
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,6 +31,7 @@ from .template import (
 )
 from .vocab import tokenize
 
+logger = logging.getLogger(__name__)
 
 METRIC_COLUMNS = ["precision", "recall", "f1", "accuracy", "parse_failures"]
 
@@ -42,6 +44,7 @@ class Metrics:
     accuracy: float = 0.0
     counts: tuple = (0, 0, 0)  # (num_pred, num_gold, num_correct)
     parse_failures: int = 0
+    truncated: int = 0  # prompts longer than the scorer's max_len; not a column
 
     def row(self):
         """The METRIC_COLUMNS of a table row: rates at six decimals, then the count."""
@@ -142,7 +145,7 @@ def _check_prompts(vocab, templates, test, pool, k):
         )
 
 
-def run_inference(scorer, retriever, test, k, mode, pool, cfg):
+def run_inference(scorer, retriever, test, k, mode, pool, cfg, records=True):
     """Generate and score predictions for one split under one ablation mode.
 
     ``full`` prompts carry the top k retrieved examples, ``no_retriever`` the
@@ -150,7 +153,8 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg):
     definition nor any example.  A query excludes the pool candidate with its
     own id only when ``test`` and ``pool`` are the same split, since each
     split numbers its samples independently.  Returns (Metrics, prediction
-    dump).
+    dump); with ``records=False`` no per-query record is built and the dump
+    is None.
     """
     mode = AblationMode(mode)
     task = test.task
@@ -164,18 +168,23 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg):
     fixed = (
         _fixed_examples(pool, k, cfg.seed) if mode == AblationMode.NO_RETRIEVER else []
     )
+    # the candidates a query may retrieve: the pool less the query itself
+    members = {s.id for s in pool.samples} if same_split else set()
+    eligible = [len(pool.samples) - (s.id in members) for s in test.samples]
+    if use_retrieval and k > min(eligible, default=k):
+        logger.warning("k=%d exceeds the %d eligible pool candidates; "
+                       "prompts carry all of them", k, min(eligible))
 
-    dump = []
+    dump = [] if records else None
     preds, golds = [], []
-    failures = 0
-    for s in test.samples:
+    failures = truncated = 0
+    for s, n_eligible in zip(test.samples, eligible):
         q_input = task_input(s, task)
         if use_retrieval:
-            examples = [
-                sc.candidate
-                for sc in retrieve(retriever, index, q_input, k,
-                                   exclude_id=s.id if same_split else None)
-            ]
+            m = min(k, n_eligible)
+            top = retrieve(retriever, index, q_input, m,
+                           exclude_id=s.id if same_split else None) if m else []
+            examples = [sc.candidate for sc in top]
         else:
             examples = fixed
         if mode == AblationMode.NO_INSTRUCTION:
@@ -187,19 +196,23 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg):
         failures += dropped
         preds.append(labels)
         golds.append(s.labels)
-        dump.append(
-            {
-                "id": s.id,
-                "prompt": str(prompt),  # the text alone, not the blocks
-                "prompt_len": len(scorer.vocab.prompt_ids(prompt)),
-                "raw_output": raw,
-                "parsed": [
-                    [l.term, getattr(l.polarity, "value", l.polarity)] for l in labels
-                ],
-                "gold": serialize_label(s, task),
-                "example_ids": [e.id for e in examples],
-            }
-        )
+        prompt_len = len(scorer.vocab.prompt_ids(prompt))
+        truncated += prompt_len > scorer.max_len
+        if records:
+            dump.append(
+                {
+                    "id": s.id,
+                    "prompt": str(prompt),  # the text alone, not the blocks
+                    "prompt_len": prompt_len,
+                    "raw_output": raw,
+                    "parsed": [
+                        [l.term, getattr(l.polarity, "value", l.polarity)]
+                        for l in labels
+                    ],
+                    "gold": serialize_label(s, task),
+                    "example_ids": [e.id for e in examples],
+                }
+            )
 
     if task == Task.ATSC:
         pred_pols = [
@@ -210,6 +223,7 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg):
     else:
         metrics = tuple_f1(preds, golds, task)
     metrics.parse_failures = failures
+    metrics.truncated = truncated
     return metrics, dump
 
 
@@ -230,8 +244,7 @@ def k_sweep(scorer, retriever, test, k_max, pool, cfg):
                    min(k_max, len(pool.samples)))
     rows = []
     for k in range(k_max + 1):
-        metrics, dump = run_inference(scorer, retriever, test, k, AblationMode.FULL,
-                                      pool, cfg)
-        truncated = any(rec["prompt_len"] > scorer.max_len for rec in dump)
-        rows.append(SweepRow(k=k, metrics=metrics, truncated=truncated))
+        metrics, _ = run_inference(scorer, retriever, test, k, AblationMode.FULL,
+                                   pool, cfg, records=False)
+        rows.append(SweepRow(k=k, metrics=metrics, truncated=metrics.truncated > 0))
     return rows

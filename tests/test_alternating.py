@@ -108,6 +108,34 @@ class TestWarmup:
         after = _mean_dev_score(scorer, test, cfg)
         assert after > before
 
+    def test_a_fresh_scorer_scores_every_target_at_chance(self):
+        train, _ = generate_synthetic(20, 2, 0)
+        cfg = _cfg()
+        vocab = build_vocabulary(train, cfg)
+        scorer = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=0)
+        templates = load_templates(cfg.template_dir)
+        for s in train.samples:
+            target = serialize_label(s, train.task)
+            prompt = render(templates, train.task, [], task_input(s, train.task))
+            chance = (len(vocab.encode(target)) + 1) * np.log(len(vocab))
+            assert abs(score(scorer, prompt, target).total + chance) < 1e-12
+
+    @pytest.mark.parametrize("lr, warns", [(None, True), (3e-3, False)])
+    def test_warns_when_the_warm_up_stays_near_chance(self, caplog, lr, warns):
+        train, _ = generate_synthetic(120, 20, 3)
+        cfg = Config(seed=3, t=1) if lr is None else Config(seed=3, t=1, lr=lr)
+        vocab = build_vocabulary(train, cfg)
+        scorer = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=cfg.seed)
+        with caplog.at_level(logging.WARNING, logger="exrank.alternating"):
+            assert warmup_scorer(scorer, train, cfg) is scorer
+        warnings = [r.getMessage() for r in caplog.records]
+        if warns:  # the defaults: mean loss 17.33 against 17.59
+            assert len(warnings) == 1
+            assert "0.985 of the untrained decoder's 17.5875" in warnings[0]
+            assert "lr=5e-05 and warmup_epochs=1" in warnings[0]
+        else:  # mean loss 8.56
+            assert warnings == []
+
 
 class TestFinetuneLM:
     def test_zero_epochs_unchanged(self):

@@ -1,3 +1,4 @@
+import logging
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -11,6 +12,7 @@ from exrank.corpus import (
     REJECT,
     AspectLabel,
     Polarity,
+    Dataset,
     Task,
     generate_synthetic,
 )
@@ -241,6 +243,52 @@ class TestRunInference:
         assert 0.0 <= m.accuracy <= 1.0
         assert len(dump) == len(atsc_test)
 
+    @pytest.mark.parametrize("mode", list(AblationMode))
+    def test_without_records_the_dump_is_none_and_the_metrics_equal(
+            self, trained_small, mode):
+        train, test, cfg, scorer, retr = trained_small
+        tight = replace(scorer, max_len=40)
+        default, dump = run_inference(tight, retr, test, 2, mode, train, cfg)
+        metrics, none = run_inference(tight, retr, test, 2, mode, train, cfg,
+                                      records=False)
+        assert none is None and dump
+        assert metrics == default
+
+    def test_truncated_counts_the_prompts_longer_than_the_scorer_limit(
+            self, trained_small):
+        train, test, cfg, scorer, retr = trained_small
+        _, dump = run_inference(scorer, retr, test, 2, AblationMode.FULL, train, cfg)
+        lens = sorted(rec["prompt_len"] for rec in dump)
+        # a limit that cuts some prompts but not all
+        cut = replace(scorer, max_len=lens[len(lens) // 2])
+        metrics, dump = run_inference(cut, retr, test, 2, AblationMode.FULL, train, cfg)
+        truncated = sum(rec["prompt_len"] > cut.max_len for rec in dump)
+        assert 0 < truncated < len(test)
+        assert metrics.truncated == truncated
+        assert "truncated" not in metrics.row()
+
+    def test_k_above_the_eligible_pool_warns_once_per_call(self, caplog):
+        from exrank.alternating import build_vocabulary
+        from exrank.retriever import init_retriever
+        from exrank.scorer import init_scorer
+
+        train, test = generate_synthetic(20, 6, 0)
+        cfg = Config(k=30, d=8, d_r=8, max_gen_len=4, seed=0)
+        vocab = build_vocabulary(train, cfg)
+        scorer = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=0)
+        retr = init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=0)
+        # a query of the pool's own split may not retrieve itself
+        for queries, eligible in ((test, 20), (train, 19)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                _, dump = run_inference(scorer, retr, queries, 30, AblationMode.FULL,
+                                        train, cfg)
+            assert [r.getMessage() for r in caplog.records] == [
+                f"k=30 exceeds the {eligible} eligible pool candidates; "
+                "prompts carry all of them"
+            ]
+            assert all(len(rec["example_ids"]) == eligible for rec in dump)
+
 
 def test_readme_lists_the_ablation_modes():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -289,6 +337,20 @@ class TestKSweep:
         rows = k_sweep(replace(scorer, max_len=8), retr, test, 2, train, tight)
         assert all(row.truncated for row in rows)
 
+    def test_truncation_flags_equal_those_of_the_records(self, trained_small):
+        train, test, cfg, scorer, retr = trained_small
+        _, dump = run_inference(scorer, retr, test, 0, AblationMode.FULL, train, cfg)
+        # no k=0 prompt is cut, and some longer ones are
+        cut = replace(scorer, max_len=max(rec["prompt_len"] for rec in dump))
+        rows = k_sweep(cut, retr, test, 2, train, cfg)
+        for row in rows:
+            _, dump = run_inference(cut, retr, test, row.k, AblationMode.FULL, train,
+                                    cfg)
+            longer = [rec["prompt_len"] > cut.max_len for rec in dump]
+            assert row.truncated == any(longer)
+            assert row.metrics.truncated == sum(longer)
+        assert [row.truncated for row in rows] == [False, True, True]
+
     def test_truncation_is_against_the_scorer_limit(self):
         from exrank.alternating import build_vocabulary
         from exrank.retriever import init_retriever
@@ -307,3 +369,28 @@ class TestKSweep:
         tight = Config(**{**cfg.to_dict(), "max_len": 16})
         rows = k_sweep(wide, retr, test, 2, train, tight)
         assert not any(row.truncated for row in rows)
+
+
+def test_sweep_and_schedule_run_inference_through_their_module_without_records(
+        trained_small, tmp_path, monkeypatch):
+    from exrank import alternating, evaluation
+    from exrank.alternating import run_schedule
+
+    train, test, cfg, scorer, retr = trained_small
+    calls = []
+
+    def counting(site, original):
+        def wrapper(*args, **kwargs):
+            calls.append((site, kwargs))
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (evaluation, alternating):
+        monkeypatch.setattr(module, "run_inference",
+                            counting(module.__name__, module.run_inference))
+    k_sweep(scorer, retr, test, 2, train, cfg)
+    assert calls == [("exrank.evaluation", {"records": False})] * 3
+    calls.clear()
+    run_schedule(train, Dataset(test.samples[:4], test.task, test.split),
+                 replace(cfg, t=2, epochs_retriever=1, epochs_lm=1), tmp_path)
+    assert calls == [("exrank.alternating", {"records": False})] * 3
