@@ -16,8 +16,8 @@ from .atomic import write_table
 from .config import substream
 from .contrastive import check_label_sizes, train_retriever
 from .corpus import serialize_label
-from .evaluation import METRIC_COLUMNS, AblationMode, run_inference
-from .retriever import build_index, init_retriever, retrieve
+from .evaluation import METRIC_COLUMNS, AblationMode, example_chooser, run_inference
+from .retriever import init_retriever
 from .scorer import finetune_step, init_scorer
 from .template import load_templates, render, scaffold, task_input
 from .optim import AdamW
@@ -92,14 +92,15 @@ def warmup_scorer(scorer, train, cfg):
             logger.warning(
                 "the warm-up learned next to nothing: its last mean loss %.4f is "
                 "%.3f of the untrained decoder's %.4f at lr=%g and warmup_epochs=%d; "
-                "a larger lr, such as 3e-3, or more epochs is needed",
+                "a larger lr or more warmup_epochs is needed",
                 loss, loss / chance, chance, cfg.lr, cfg.warmup_epochs,
             )
     return scorer
 
 
 def finetune_lm(scorer, retriever, train, cfg, seed_tag="finetune-lm"):
-    """Fine-tune the scorer on prompts carrying the top retrieved examples.
+    """Fine-tune the scorer on prompts carrying the top retrieved examples,
+    chosen by ``evaluation.example_chooser`` as inference chooses them.
 
     ``cfg.finetune_k`` sets how many examples each fine-tuning prompt carries
     (default 1, the single top-scoring example).  Small from-scratch scorers
@@ -109,15 +110,9 @@ def finetune_lm(scorer, retriever, train, cfg, seed_tag="finetune-lm"):
     """
     if cfg.epochs_lm == 0:
         return scorer
-    index = build_index(retriever, train)
-
-    def top_examples(s, q_input):
-        if cfg.finetune_k == 0:
-            return []
-        top = retrieve(retriever, index, q_input, cfg.finetune_k, exclude_id=s.id)
-        return [t.candidate for t in top]
-
-    _lm_epochs(scorer, train, cfg, cfg.epochs_lm, top_examples, seed_tag, "lm")
+    choose_examples = example_chooser(retriever, train, train, cfg.finetune_k,
+                                      AblationMode.FULL, cfg.seed)
+    _lm_epochs(scorer, train, cfg, cfg.epochs_lm, choose_examples, seed_tag, "lm")
     return scorer
 
 

@@ -53,6 +53,10 @@ def _flag(key):
 
 
 class _Parser(argparse.ArgumentParser):
+    """The parser of ``exrank`` and of each command.  argparse hands the
+    arguments a command leaves over to the top-level parser, whose usage does
+    not list the command's flags, so each parser refuses its own leftovers."""
+
     def __init__(self, *args, **kwargs):
         kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
@@ -61,12 +65,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise UsageError(message)
-
-
-class _CommandParser(_Parser):
-    """A command's parser.  argparse hands the arguments a command leaves over
-    to the top-level parser, whose usage does not list the command's flags;
-    this parser refuses them itself."""
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
@@ -397,7 +395,7 @@ _COMMANDS = [
 
 def _build_parser():
     parser = _Parser(prog="exrank", description=__doc__)
-    sub = parser.add_subparsers(dest="command", parser_class=_CommandParser)
+    sub = parser.add_subparsers(dest="command")  # each a _Parser, as this one is
     for name, func, keys, summary, description, options in _COMMANDS:
         p = sub.add_parser(name, help=summary, description=description)
         for flag, kwargs in [*_config_options(keys), *options]:

@@ -65,17 +65,24 @@ class Config:
         for key, raw in values.items():
             if key not in fields:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(fields[key], raw)
+            try:
+                kwargs[key] = _coerce(fields[key], raw)
+            except ValueError:
+                raise ValueError(f"config key {key!r} expects {_EXPECTED[fields[key]]}, "
+                                 f"got {raw!r}") from None
         return cls(**kwargs)
+
+
+# What a config value read as text must spell, by its field's type
+_EXPECTED = {int: "an int", float: "a float",
+             Task: f"one of {', '.join(repr(t.value) for t in Task)}"}
 
 
 def _coerce(kind, raw):
     """A config value read as text, converted to its field's type ``kind``."""
-    if raw is None or not isinstance(raw, str):
+    if not isinstance(raw, str) or kind is str:
         return raw
-    if kind in (int, float):
-        return kind(raw)
-    return raw  # str, and Task, which __post_init__ converts
+    return kind(raw)
 
 
 def read_config_file(path):

@@ -120,13 +120,6 @@ def atsc_accuracy(preds, golds):
     return Metrics(accuracy=acc, counts=(n, n, correct))
 
 
-def _fixed_examples(pool, k, seed):
-    """The no_retriever examples: the first k seeded draws from the pool."""
-    rng = substream(seed, "fixed-examples")
-    picks = rng.choice(len(pool.samples), size=min(k, len(pool.samples)), replace=False)
-    return [make_candidate(pool.samples[i], pool.task) for i in picks]
-
-
 def _check_prompts(vocab, templates, test, pool, k):
     """Refuse prompts of up to ``k`` examples drawn from ``pool`` for queries of
     ``test`` when the two hold different tasks, or when their fixed text, the
@@ -145,16 +138,51 @@ def _check_prompts(vocab, templates, test, pool, k):
         )
 
 
+def example_chooser(retriever, queries, pool, k, mode, seed):
+    """The one rule for the examples a prompt carries, shared by fine-tuning
+    and inference: a function of (sample, q_input) for the samples of
+    ``queries``, drawing up to ``k`` examples from ``pool``.
+
+    ``full`` retrieves the top k from an index built once here; a query
+    excludes the pool candidate with its own id only when ``queries`` and
+    ``pool`` are the same split, since each split numbers its samples
+    independently, and carries all its eligible candidates when there are
+    fewer than k, with one WARNING per chooser.  ``no_retriever`` gives every
+    query the same k seeded draws; ``no_instruction``, and ``full`` at k=0,
+    give none and build no index.
+    """
+    mode = AblationMode(mode)
+    n = len(pool.samples)
+    if mode == AblationMode.NO_RETRIEVER:
+        picks = substream(seed, "fixed-examples").choice(n, size=min(k, n), replace=False)
+        fixed = [make_candidate(pool.samples[i], pool.task) for i in picks]
+        return lambda s, q_input: fixed
+    if mode == AblationMode.NO_INSTRUCTION or k == 0:
+        return lambda s, q_input: []
+    index = build_index(retriever, pool)
+    # the ids a query may match: those of the pool, when it is the query's split
+    members = {s.id for s in pool.samples} if queries.split == pool.split else set()
+    fewest = min((n - (s.id in members) for s in queries.samples), default=k)
+    if k > fewest:
+        logger.warning("k=%d exceeds the %d eligible pool candidates; "
+                       "prompts carry all of them", k, fewest)
+
+    def top_examples(s, q_input):
+        exclude = s.id if s.id in members else None  # the query itself
+        m = min(k, n - (exclude is not None))
+        top = retrieve(retriever, index, q_input, m, exclude_id=exclude) if m else []
+        return [sc.candidate for sc in top]
+
+    return top_examples
+
+
 def run_inference(scorer, retriever, test, k, mode, pool, cfg, records=True):
     """Generate and score predictions for one split under one ablation mode.
 
-    ``full`` prompts carry the top k retrieved examples, ``no_retriever`` the
-    same k seeded draws for every query, ``no_instruction`` neither the
-    definition nor any example.  A query excludes the pool candidate with its
-    own id only when ``test`` and ``pool`` are the same split, since each
-    split numbers its samples independently.  Returns (Metrics, prediction
-    dump); with ``records=False`` no per-query record is built and the dump
-    is None.
+    Prompts carry the examples ``example_chooser`` picks for ``mode``;
+    ``no_instruction`` prompts carry neither the definition nor any example.
+    Returns (Metrics, prediction dump); with ``records=False`` no per-query
+    record is built and the dump is None.
     """
     mode = AblationMode(mode)
     task = test.task
@@ -162,31 +190,14 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg, records=True):
     # the most examples a prompt carries
     carried = 0 if mode == AblationMode.NO_INSTRUCTION else min(k, len(pool.samples))
     _check_prompts(scorer.vocab, templates, test, pool, carried)
-    use_retrieval = mode == AblationMode.FULL and k > 0
-    index = build_index(retriever, pool) if use_retrieval else None
-    same_split = test.split == pool.split
-    fixed = (
-        _fixed_examples(pool, k, cfg.seed) if mode == AblationMode.NO_RETRIEVER else []
-    )
-    # the candidates a query may retrieve: the pool less the query itself
-    members = {s.id for s in pool.samples} if same_split else set()
-    eligible = [len(pool.samples) - (s.id in members) for s in test.samples]
-    if use_retrieval and k > min(eligible, default=k):
-        logger.warning("k=%d exceeds the %d eligible pool candidates; "
-                       "prompts carry all of them", k, min(eligible))
+    choose_examples = example_chooser(retriever, test, pool, k, mode, cfg.seed)
 
     dump = [] if records else None
     preds, golds = [], []
     failures = truncated = 0
-    for s, n_eligible in zip(test.samples, eligible):
+    for s in test.samples:
         q_input = task_input(s, task)
-        if use_retrieval:
-            m = min(k, n_eligible)
-            top = retrieve(retriever, index, q_input, m,
-                           exclude_id=s.id if same_split else None) if m else []
-            examples = [sc.candidate for sc in top]
-        else:
-            examples = fixed
+        examples = choose_examples(s, q_input)
         if mode == AblationMode.NO_INSTRUCTION:
             prompt = no_instruction_prompt(q_input)
         else:

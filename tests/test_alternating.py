@@ -15,7 +15,7 @@ from exrank.config import Config
 from exrank.contrastive import train_retriever
 from exrank.corpus import Dataset, Task, generate_synthetic, serialize_label, to_atsc
 from exrank.evaluation import AblationMode, run_inference
-from exrank.retriever import init_retriever, load_retriever
+from exrank.retriever import build_index, init_retriever, load_retriever, retrieve
 from exrank.scorer import init_scorer, load_scorer, score
 from exrank.template import load_templates, make_candidate, render, task_input
 from exrank.vocab import UNK_ID, Vocabulary
@@ -136,6 +136,19 @@ class TestWarmup:
         else:  # mean loss 8.56
             assert warnings == []
 
+    def test_the_warm_up_warning_names_no_fixed_lr(self, caplog):
+        # at lr=3e-3 this warm-up still stays near chance
+        train, _ = generate_synthetic(20, 2, 0)
+        cfg = Config(seed=0, d=16, lr=3e-3)
+        vocab = build_vocabulary(train, cfg)
+        scorer = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=cfg.seed)
+        with caplog.at_level(logging.WARNING, logger="exrank.alternating"):
+            warmup_scorer(scorer, train, cfg)
+        [warning] = [r.getMessage() for r in caplog.records]
+        assert "0.932 of the untrained decoder's" in warning
+        assert warning.endswith("at lr=0.003 and warmup_epochs=1; "
+                                "a larger lr or more warmup_epochs is needed")
+
 
 class TestFinetuneLM:
     def test_zero_epochs_unchanged(self):
@@ -207,6 +220,53 @@ class TestFinetuneLM:
         assert any(
             not np.array_equal(before[k], scorer.params[k]) for k in before
         )
+
+    @staticmethod
+    def _models(train, cfg):
+        vocab = build_vocabulary(train, cfg)
+        return (init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=cfg.seed),
+                init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed))
+
+    def test_finetune_k_above_the_candidates_warns_once_per_call(self, caplog):
+        train, _ = generate_synthetic(20, 2, 0)
+        cfg = _cfg(finetune_k=25, epochs_lm=2)
+        scorer, retr = self._models(train, cfg)
+        with caplog.at_level(logging.WARNING):
+            finetune_lm(scorer, retr, train, cfg)
+        assert caplog.messages == ["k=25 exceeds the 19 eligible pool candidates; "
+                                   "prompts carry all of them"]
+
+        # the same steps as a retrieval of finetune_k from an index over train
+        # that excludes each sample itself
+        oracle, _ = self._models(train, cfg)
+        index = build_index(retr, train)
+
+        def every_other_sample(s, q_input):
+            top = retrieve(retr, index, q_input, cfg.finetune_k, exclude_id=s.id)
+            return [sc.candidate for sc in top]
+
+        with caplog.at_level(logging.ERROR):  # retrieve warns per query
+            alternating._lm_epochs(oracle, train, cfg, cfg.epochs_lm,
+                                   every_other_sample, "finetune-lm", "lm")
+        assert scorer.params.keys() == oracle.params.keys()
+        for key in scorer.params:
+            assert scorer.params[key].tobytes() == oracle.params[key].tobytes()
+
+    def test_finetune_k_zero_builds_no_index(self, monkeypatch):
+        from exrank import evaluation
+        from exrank import retriever as retriever_mod
+
+        train, _ = generate_synthetic(20, 2, 0)
+        cfg = _cfg(finetune_k=0, epochs_lm=1)
+        scorer, retr = self._models(train, cfg)
+        built = []
+        # every module that binds build_index
+        for module in (retriever_mod, evaluation, alternating):
+            if hasattr(module, "build_index"):
+                monkeypatch.setattr(module, "build_index",
+                                    lambda *args: built.append(args))
+        finetune_lm(scorer, retr, train, cfg)
+        assert built == []
 
 
 class TestSchedule:

@@ -73,6 +73,20 @@ def test_parameter_dtype_other_than_float64_is_rejected_at_load(tmp_path, model,
         load(path)
 
 
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_a_vocabulary_of_another_size_than_the_header_is_refused_at_load(tmp_path, model):
+    make, _, load, tag, width = MODELS[model]
+    state = make()
+    path = tmp_path / "bad.ckpt.npz"
+    _write_by_hand(path, state, tag, width)
+    with np.load(path) as blob:
+        members = dict(blob)
+    members["n_vocab"] = np.array(len(VOCAB) + 1)
+    np.savez(path, **members)
+    with pytest.raises(ValueError, match="vocabulary size does not match checkpoint header"):
+        load(path)
+
+
 @pytest.mark.parametrize("max_len", [0, -2])
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_max_len_below_one_is_refused_at_init_and_at_load(tmp_path, model, max_len):

@@ -48,6 +48,17 @@ def test_no_subcommand_is_usage_error(capsys):
     assert main([]) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+])
+def test_an_unknown_top_level_argument_is_a_usage_error(argv, message, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: exrank [-h]\n")  # the top-level usage
+    assert message in err
+
+
 def test_unknown_flag_is_usage_error():
     assert main(["gen-data", "--nope"]) == 1
 
@@ -119,6 +130,19 @@ def test_gen_data_writes_corpus_and_manifest(data_dir):
     assert manifest["command"] == "gen-data"
     assert manifest["n_train"] == 40
     assert manifest["config"]["seed"] == 0
+
+
+def test_gen_data_writes_an_ate_corpus(tmp_path, data_dir):
+    out = tmp_path / "ate"
+    assert main(["gen-data", "--task", "ate", "--train", "40", "--test", "8",
+                 "--seed", "0", "--out", str(out)]) == 0
+    # the same samples as the aspe corpus, polarities kept in the file
+    for name in ("train.jsonl", "test.jsonl"):
+        assert (out / name).read_bytes() == (data_dir / name).read_bytes()
+    manifest = json.loads((out / "run.json").read_text())
+    assert manifest["config"]["task"] == "ate"
+    assert (manifest["n_train"], manifest["n_test"]) == (40, 8)
+    assert load_dataset(out / "train.jsonl", Task.ATE).task == Task.ATE
 
 
 def test_alternate_outputs(trained_dir):
@@ -320,6 +344,25 @@ def test_negative_seed_is_rejected_before_any_work(tmp_path, capsys):
     assert main(["gen-data", "--train", "25", "--test", "5", "--seed", "-1",
                  "--out", str(out)]) == 2
     assert "seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, config_line, message", [
+    (["--seed", "abc"], None, "config key 'seed' expects an int, got 'abc'"),
+    (["--seed", "1.5"], None, "config key 'seed' expects an int, got '1.5'"),
+    ([], "seed = x", "config key 'seed' expects an int, got 'x'"),
+    (["--task", "foo"], None, "config key 'task' expects one of 'ate', 'atsc', 'aspe', "
+                              "got 'foo'"),
+])
+def test_a_config_value_that_does_not_parse_names_its_key(tmp_path, flags, config_line,
+                                                          message, capsys):
+    if config_line:
+        (tmp_path / "run.cfg").write_text(config_line + "\n")
+        flags = ["--config", str(tmp_path / "run.cfg")]
+    out = tmp_path / "gen"
+    assert main(["gen-data", "--train", "25", "--test", "5", *flags,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from exrank.config import Config, read_config_file
@@ -22,6 +24,18 @@ def test_out_of_range_value_is_rejected(key, value, message):
 @pytest.mark.parametrize("key, text", [("lr", "nan"), ("max_len", "0")])
 def test_out_of_range_config_file_value_is_rejected(key, text):
     with pytest.raises(ValueError, match=f"{key} must be"):
+        Config.from_dict({key: text})
+
+
+@pytest.mark.parametrize("key, text, expected", [
+    ("seed", "abc", "an int"),
+    ("seed", "1.5", "an int"),
+    ("lr", "fast", "a float"),
+    ("task", "foo", "one of 'ate', 'atsc', 'aspe'"),
+])
+def test_a_value_that_does_not_parse_names_its_key(key, text, expected):
+    message = f"config key {key!r} expects {expected}, got {text!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Config.from_dict({key: text})
 
 

@@ -122,6 +122,24 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match=f"^malformed record \\({field} is int\\) at line 2$"):
             load_dataset(p, task)
 
+    @pytest.mark.parametrize("label, aspect, task, message", [
+        (["food", "none"], None, Task.ASPE,
+         "polarity 'none' must pair with 'noaspectterm', got \\('food'"),
+        ([NO_ASPECT_TERM, "positive"], None, Task.ASPE,
+         "polarity 'none' must pair with 'noaspectterm', got \\('noaspectterm'"),
+        (["food", "positive"], "staff", Task.ATSC,
+         "designated aspect 'staff' not among labels of sample 1"),
+    ])
+    def test_a_label_the_task_cannot_use_is_rejected(self, tmp_path, label, aspect,
+                                                     task, message):
+        p = tmp_path / "d.jsonl"
+        _write_jsonl(p, [
+            {"text": "x", "labels": [["food", "positive"]], "aspect": "food"},
+            {"text": "y", "labels": [label], "aspect": aspect},
+        ])
+        with pytest.raises(ValueError, match=f"{message}.* at line 2$"):
+            load_dataset(p, task)
+
     def test_round_trip_save_load(self, tmp_path):
         train, _ = generate_synthetic(30, 5, 3)
         p = tmp_path / "d.jsonl"
@@ -180,6 +198,15 @@ class TestParse:
     def test_segment_without_colon_dropped_and_counted(self):
         labels, dropped = parse_output_with_diagnostics("food positive", Task.ASPE)
         assert labels == [] and dropped == 1
+
+    def test_empty_segment_dropped_and_counted(self):
+        labels, dropped = parse_output_with_diagnostics(
+            "food: positive; ; staff: negative", Task.ASPE)
+        assert labels == [AspectLabel("food", Polarity.POSITIVE),
+                          AspectLabel("staff", Polarity.NEGATIVE)]
+        assert dropped == 1
+        labels, dropped = parse_output_with_diagnostics("falafel; ; chicken", Task.ATE)
+        assert [l.term for l in labels] == ["falafel", "chicken"] and dropped == 1
 
     def test_hash_compat_flag(self):
         labels, dropped = parse_output_with_diagnostics("food#positive", Task.ASPE)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from exrank.template import (
     digest,
     load_templates,
     make_candidate,
+    Prompt,
     no_instruction_prompt,
     query_text,
     render,
@@ -93,6 +96,16 @@ def test_make_candidate_aspe():
     assert c.id == 3
     assert c.input == "The food was good ."
     assert c.output == "food: positive"
+
+
+def test_copies_of_a_prompt_keep_its_blocks():
+    s = Sample(id=3, text="The food was good .",
+               labels=[AspectLabel("food", Polarity.POSITIVE)])
+    prompt = render(BUILT_IN, Task.ASPE, [make_candidate(s, Task.ASPE)], "The soup .")
+    for clone in (copy.copy(prompt), copy.deepcopy(prompt),
+                  pickle.loads(pickle.dumps(prompt))):
+        assert type(clone) is Prompt
+        assert clone == prompt and clone.blocks == prompt.blocks
 
 
 def test_task_input_atsc():
