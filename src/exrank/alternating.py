@@ -37,6 +37,13 @@ class ScheduleState:
     metrics_log: list = field(default_factory=list)
 
 
+def stage_tag(step, stage):
+    """The seed tag of schedule stage ``stage`` at step ``step``: every seeded
+    draw of ``train_retriever`` ("retriever-train") or ``finetune_lm``
+    ("finetune-lm") at that step is a substream named under it."""
+    return f"step{step}/{stage}"
+
+
 def build_vocabulary(train, cfg):
     """Deterministic shared vocabulary: the ``template.scaffold`` of the loaded
     templates (example indices 1 to the largest of 8, ``k`` and
@@ -182,9 +189,9 @@ def run_schedule(train, dev, cfg, out_dir, resume_step=None):
         if step > 0:  # step 0 is the warm-up alone
             retr = train_retriever(retr, train, scorer, cfg,
                                    bootstrap_first_epoch=(step == 1),
-                                   seed_tag=f"step{step}/retriever-train")
+                                   seed_tag=stage_tag(step, "retriever-train"))
             scorer = finetune_lm(scorer, retr, train, cfg,
-                                 seed_tag=f"step{step}/finetune-lm")
+                                 seed_tag=stage_tag(step, "finetune-lm"))
         retriever_mod.save_retriever(retr, ckpt("retriever", step))
         scorer_mod.save_scorer(scorer, ckpt("scorer", step))
         metrics, _ = run_inference(

@@ -23,6 +23,7 @@ from .alternating import (
     check_schedule_inputs,
     finetune_lm,
     run_schedule,
+    stage_tag,
     warmup_scorer,
 )
 from .atomic import write_lines, write_table
@@ -36,7 +37,8 @@ from .corpus import (
     to_atsc,
     with_task,
 )
-from .evaluation import METRIC_COLUMNS, AblationMode, k_sweep, run_inference
+from .evaluation import (METRIC_COLUMNS, AblationMode, k_sweep, most_examples,
+                         run_inference)
 from .retriever import build_index, init_retriever, retrieve
 from .scorer import init_scorer, load_scorer, save_scorer, score
 from .template import digest, load_templates, task_input
@@ -214,25 +216,25 @@ def _cmd_train_retriever(args, cfg, models):
     scorer_state = _scorer(models, cfg, train)
     retr = _retriever(models, cfg, scorer_state.vocab)
     report = []
-    train_retriever(retr, train, scorer_state, cfg, report=report)
+    # step 1 of the schedule: alternate --t 1 trains the same retriever
+    train_retriever(retr, train, scorer_state, cfg,
+                    seed_tag=stage_tag(1, "retriever-train"), report=report)
     out = _out_dir(args.out)
     retriever_mod.save_retriever(retr, out / "retriever.ckpt.npz")
     save_scorer(scorer_state, out / "scorer.ckpt.npz")
-    sep = separation(retr, train.samples[: min(50, len(train.samples))],
-                     scorer_state, cfg, train)
-    write_table(out / "training.tsv", ["epoch", "mean_infonce"], [
-        *({"epoch": epoch, "mean_infonce": f"{loss:.6f}"} for epoch, loss in report),
-        {"epoch": "separation", "mean_infonce": f"{sep:.6f}"},
-    ])
-    for epoch, loss in report:
+    sep = separation(retr, train.samples[:50], scorer_state, cfg, train)
+    rows = [*report, ("separation", sep)]
+    write_table(out / "training.tsv", ["epoch", "mean_infonce"],
+                ({"epoch": epoch, "mean_infonce": f"{loss:.6f}"} for epoch, loss in rows))
+    for epoch, loss in rows:
         print(f"{epoch}\t{loss:.6f}")
-    print(f"separation\t{sep:.6f}")
 
 
 def _cmd_finetune_lm(args, cfg, models):
     train = _load(args.train_file, cfg, "train")
     scorer_state = _scorer(models, cfg, train)
-    finetune_lm(scorer_state, models["retriever"], train, cfg)
+    finetune_lm(scorer_state, models["retriever"], train, cfg,
+                seed_tag=stage_tag(1, "finetune-lm"))
     out = _out_dir(args.out)
     save_scorer(scorer_state, out / "scorer.ckpt.npz")
     print(f"saved fine-tuned scorer to {out / 'scorer.ckpt.npz'}")
@@ -302,8 +304,8 @@ def _cmd_evaluate(args, cfg, models):
     metrics, dump = run_inference(scorer_state, retr, test, cfg.k, mode, train, cfg)
     out = _out_dir(args.out)
     # k is the most examples a prompt carried: none for no_instruction, and
-    # fewer than cfg.k when the pool is smaller
-    carried = max((len(rec["example_ids"]) for rec in dump), default=0)
+    # fewer than cfg.k when the eligible pool is smaller
+    carried = most_examples(test, train, cfg.k, mode)
     write_table(out / "metrics.tsv", ["mode", "task", "k", *METRIC_COLUMNS], [
         {"mode": mode.value, "task": cfg.task.value, "k": carried, **metrics.row()},
     ])
@@ -326,9 +328,6 @@ def _cmd_sweep(args, cfg, models):
     for row in rows:
         print(f"{row.k}\t{row.metrics.f1:.4f}\t{row.metrics.accuracy:.4f}")
 
-
-_OWN_SUBSTREAMS = ("Its seeded draws are its own, not those of a schedule step, so "
-                   "train-retriever then finetune-lm does not reproduce alternate --t 1.")
 
 # The Config keys that build_vocabulary, init_scorer and warmup_scorer read,
 # so every command that can warm up a fresh scorer reads them
@@ -366,13 +365,11 @@ _COMMANDS = [
         ("--test", {"type": int, "required": True}), _OUT]),
     ("train-retriever", _cmd_train_retriever,
      {*_FRESH_SCORER, "d_r", "m", "r", "batch_size", "epochs_retriever"},
-     "contrastive retriever training",
-     "Contrastive retriever training. " + _OWN_SUBSTREAMS,
+     "contrastive retriever training, as in step 1 of alternate", None,
      [_TRAIN_FILE, _SCORER, _RETRIEVER, _OUT]),
     ("finetune-lm", _cmd_finetune_lm, {*_FRESH_SCORER, "epochs_lm"},
-     "fine-tune the scorer with the top finetune_k examples",
-     "Fine-tune the scorer with retrieved examples. " + _OWN_SUBSTREAMS,
-     [_TRAIN_FILE, _SCORER, _required(_RETRIEVER), _OUT]),
+     "fine-tune the scorer with the top finetune_k examples, as in step 1 of alternate",
+     None, [_TRAIN_FILE, _SCORER, _required(_RETRIEVER), _OUT]),
     ("alternate", _cmd_alternate, set(CONFIG_KEYS), "run the alternating schedule",
      None, [_TRAIN_FILE, _TEST_FILE, ("--resume-step", {"type": _non_negative_int}),
             _OUT]),

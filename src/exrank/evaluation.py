@@ -7,7 +7,7 @@ deduplicated before counting.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import scorer as scorer_mod
@@ -138,18 +138,39 @@ def _check_prompts(vocab, templates, test, pool, k):
         )
 
 
+def _eligible(queries, pool):
+    """The pool ids a query of ``queries`` may match, and each query's count of
+    eligible pool candidates.  A query excludes the pool candidate with its own
+    id only when ``queries`` and ``pool`` are the same split, since each split
+    numbers its samples independently."""
+    members = {s.id for s in pool.samples} if queries.split == pool.split else set()
+    n = len(pool.samples)
+    return members, [n - (s.id in members) for s in queries.samples]
+
+
+def most_examples(queries, pool, k, mode):
+    """The most examples a prompt of ``example_chooser(..., queries, pool, k,
+    mode, ...)`` carries, found without building an index, so that the prompts
+    can be checked before any work."""
+    mode = AblationMode(mode)
+    n = len(pool.samples)
+    if mode == AblationMode.NO_INSTRUCTION:
+        return 0
+    if mode == AblationMode.NO_RETRIEVER:
+        return min(k, n)
+    return min(k, max(_eligible(queries, pool)[1], default=n))
+
+
 def example_chooser(retriever, queries, pool, k, mode, seed):
     """The one rule for the examples a prompt carries, shared by fine-tuning
     and inference: a function of (sample, q_input) for the samples of
     ``queries``, drawing up to ``k`` examples from ``pool``.
 
     ``full`` retrieves the top k from an index built once here; a query
-    excludes the pool candidate with its own id only when ``queries`` and
-    ``pool`` are the same split, since each split numbers its samples
-    independently, and carries all its eligible candidates when there are
-    fewer than k, with one WARNING per chooser.  ``no_retriever`` gives every
-    query the same k seeded draws; ``no_instruction``, and ``full`` at k=0,
-    give none and build no index.
+    excludes itself (see ``_eligible``) and carries all its eligible
+    candidates when there are fewer than k, with one WARNING per chooser.
+    ``no_retriever`` gives every query the same k seeded draws;
+    ``no_instruction``, and ``full`` at k=0, give none and build no index.
     """
     mode = AblationMode(mode)
     n = len(pool.samples)
@@ -160,9 +181,8 @@ def example_chooser(retriever, queries, pool, k, mode, seed):
     if mode == AblationMode.NO_INSTRUCTION or k == 0:
         return lambda s, q_input: []
     index = build_index(retriever, pool)
-    # the ids a query may match: those of the pool, when it is the query's split
-    members = {s.id for s in pool.samples} if queries.split == pool.split else set()
-    fewest = min((n - (s.id in members) for s in queries.samples), default=k)
+    members, eligible = _eligible(queries, pool)
+    fewest = min(eligible, default=k)
     if k > fewest:
         logger.warning("k=%d exceeds the %d eligible pool candidates; "
                        "prompts carry all of them", k, fewest)
@@ -187,9 +207,8 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg, records=True):
     mode = AblationMode(mode)
     task = test.task
     templates = load_templates(cfg.template_dir)
-    # the most examples a prompt carries
-    carried = 0 if mode == AblationMode.NO_INSTRUCTION else min(k, len(pool.samples))
-    _check_prompts(scorer.vocab, templates, test, pool, carried)
+    _check_prompts(scorer.vocab, templates, test, pool,
+                   most_examples(test, pool, k, mode))
     choose_examples = example_chooser(retriever, test, pool, k, mode, cfg.seed)
 
     dump = [] if records else None
@@ -249,13 +268,15 @@ def k_sweep(scorer, retriever, test, k_max, pool, cfg):
     """One full-mode evaluation per k in 0..k_max, ascending, shared seed.
 
     A row is ``truncated`` when some prompt is longer than the scorer's
-    ``max_len``, the limit at which the scorer cuts it.
+    ``max_len``, the limit at which the scorer cuts it.  Prompts carry at most
+    ``most_examples`` examples, so every row above that k repeats its row,
+    which is evaluated once.
     """
-    _check_prompts(scorer.vocab, load_templates(cfg.template_dir), test, pool,
-                   min(k_max, len(pool.samples)))
+    top = most_examples(test, pool, k_max, AblationMode.FULL)
+    _check_prompts(scorer.vocab, load_templates(cfg.template_dir), test, pool, top)
     rows = []
-    for k in range(k_max + 1):
+    for k in range(top + 1):
         metrics, _ = run_inference(scorer, retriever, test, k, AblationMode.FULL,
                                    pool, cfg, records=False)
         rows.append(SweepRow(k=k, metrics=metrics, truncated=metrics.truncated > 0))
-    return rows
+    return rows + [replace(rows[-1], k=k) for k in range(top + 1, k_max + 1)]

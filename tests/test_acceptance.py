@@ -14,6 +14,7 @@ from exrank.alternating import (
     build_vocabulary,
     finetune_lm,
     run_schedule,
+    stage_tag,
     warmup_scorer,
 )
 from exrank.config import Config, substream
@@ -424,8 +425,8 @@ def test_acceptance_8_alternating_contracts(tmp_path, capsys):
     retr = init_retriever(vocab, d_r=cfg1.d_r, max_len=cfg1.max_len,
                           seed=cfg1.seed)
     train_retriever(retr, train, scorer, cfg1, bootstrap_first_epoch=True,
-                    seed_tag="step1/retriever-train")
-    finetune_lm(scorer, retr, train, cfg1, seed_tag="step1/finetune-lm")
+                    seed_tag=stage_tag(1, "retriever-train"))
+    finetune_lm(scorer, retr, train, cfg1, seed_tag=stage_tag(1, "finetune-lm"))
     s1 = load_scorer(tmp_path / "t1" / "scorer_1.ckpt.npz")
     r1 = load_retriever(tmp_path / "t1" / "retriever_1.ckpt.npz")
     t1_ok = all(np.array_equal(v, s1.params[k]) for k, v in scorer.params.items())

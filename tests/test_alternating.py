@@ -1,4 +1,6 @@
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from exrank.alternating import (
     check_schedule_inputs,
     finetune_lm,
     run_schedule,
+    stage_tag,
     warmup_scorer,
 )
 from exrank.config import Config
@@ -323,8 +326,8 @@ class TestSchedule:
         warmup_scorer(scorer, train, cfg)
         retr = init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=cfg.seed)
         train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
-                        seed_tag="step1/retriever-train")
-        finetune_lm(scorer, retr, train, cfg, seed_tag="step1/finetune-lm")
+                        seed_tag=stage_tag(1, "retriever-train"))
+        finetune_lm(scorer, retr, train, cfg, seed_tag=stage_tag(1, "finetune-lm"))
 
         sched_scorer = load_scorer(tmp_path / "scorer_1.ckpt.npz")
         sched_retr = load_retriever(tmp_path / "retriever_1.ckpt.npz")
@@ -416,3 +419,16 @@ class TestSchedule:
         run_schedule(train, test, cfg, tmp_path)
         with pytest.raises(ValueError):
             run_schedule(train, test, cfg, tmp_path, resume_step=5)
+
+
+def test_no_other_module_spells_a_schedule_seed_tag():
+    # a "step<s>/" tag spelled outside stage_tag forks a stage's seeded draws
+    # from the schedule's
+    sources = sorted(Path(alternating.__file__).parent.glob("*.py"))
+    assert "alternating.py" in {path.name for path in sources}
+    found = [
+        path.name for path in sources if path.name != "alternating.py"
+        and re.search(r"step[\w{}]*/", path.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+    assert stage_tag(2, "finetune-lm") == "step2/finetune-lm"

@@ -187,6 +187,26 @@ def test_finetune_lm_command(tmp_path, data_dir, trained_dir, fast):
     assert (out / "scorer.ckpt.npz").exists()
 
 
+def test_train_retriever_then_finetune_lm_is_step_1_of_alternate(tmp_path, data_dir):
+    # one config file for the three commands; two retriever epochs, so that the
+    # second retrieves with the first's model
+    config = tmp_path / "shared.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in
+                              {**FAST, "epochs_retriever": 2, "epochs_lm": 2}.items()))
+    train = ["--train-file", str(data_dir / "train.jsonl"), "--config", str(config)]
+    assert main(["alternate", *train, "--test-file", str(data_dir / "test.jsonl"),
+                 "--t", "1", "--out", str(tmp_path / "alt")]) == 0
+    assert main(["train-retriever", *train, "--out", str(tmp_path / "retr")]) == 0
+    assert main(["finetune-lm", *train,
+                 "--scorer", str(tmp_path / "retr/scorer.ckpt.npz"),
+                 "--retriever", str(tmp_path / "retr/retriever.ckpt.npz"),
+                 "--out", str(tmp_path / "ft")]) == 0
+    for path, step_path in (("retr/scorer.ckpt.npz", "alt/scorer_0.ckpt.npz"),
+                            ("retr/retriever.ckpt.npz", "alt/retriever_1.ckpt.npz"),
+                            ("ft/scorer.ckpt.npz", "alt/scorer_1.ckpt.npz")):
+        assert (tmp_path / path).read_bytes() == (tmp_path / step_path).read_bytes()
+
+
 def test_retrieve_command(data_dir, trained_dir, fast, capsys):
     rc = main(["retrieve", "--train-file", str(data_dir / "train.jsonl"),
                "--retriever", str(trained_dir / "retriever_1.ckpt.npz"),

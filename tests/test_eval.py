@@ -185,6 +185,28 @@ class TestRunInference:
         # a no_instruction prompt carries no example
         run_inference(scorer, retr, test, 10, AblationMode.NO_INSTRUCTION, train, cfg)
 
+    def test_the_vocabulary_is_checked_for_the_examples_prompts_carry(self):
+        from exrank.alternating import build_vocabulary
+        from exrank.retriever import init_retriever
+        from exrank.scorer import init_scorer
+
+        train, test = generate_synthetic(20, 2, 0)
+        pool = Dataset(train.samples[:9], train.task, train.split)
+        cfg = Config(k=2, d=8, d_r=8, max_gen_len=4, seed=0)
+        vocab = build_vocabulary(pool, cfg)  # example indices 1 to 8
+        scorer = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=0)
+        retr = init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=0)
+        # a query of the pool's own split does not carry itself: eight examples
+        _, dump = run_inference(scorer, retr, pool, 9, AblationMode.FULL, pool, cfg)
+        assert [len(rec["example_ids"]) for rec in dump] == [8] * 9
+        rows = k_sweep(scorer, retr, pool, 9, pool, cfg)
+        assert [row.k for row in rows] == list(range(10))
+        # a held-out query carries all nine
+        with pytest.raises(ValueError, match=r"\['9-'\] as <unk> at k=9"):
+            run_inference(scorer, retr, test, 9, AblationMode.FULL, pool, cfg)
+        with pytest.raises(ValueError, match=r"\['9-'\] as <unk> at k=9"):
+            k_sweep(scorer, retr, test, 9, pool, cfg)
+
     def test_a_pool_of_another_task_is_refused_before_any_index_or_answer(
             self, trained_small, monkeypatch):
         from exrank import evaluation
@@ -306,6 +328,30 @@ class TestKSweep:
             scorer, retr, test, 0, AblationMode.FULL, train, cfg
         )
         assert rows[0].metrics == direct
+
+    def test_rows_above_the_pool_repeat_its_row_without_generating(self, monkeypatch):
+        from exrank import scorer as scorer_mod
+        from exrank.alternating import build_vocabulary
+        from exrank.retriever import init_retriever
+        from exrank.scorer import init_scorer
+
+        train, test = generate_synthetic(20, 6, 0)
+        pool = Dataset(train.samples[:4], train.task, train.split)
+        cfg = Config(k=2, d=8, d_r=8, max_gen_len=4, seed=0)
+        vocab = build_vocabulary(pool, cfg)
+        scorer = init_scorer(vocab, d=cfg.d, max_len=cfg.max_len, seed=0)
+        retr = init_retriever(vocab, d_r=cfg.d_r, max_len=cfg.max_len, seed=0)
+        generate, generated = scorer_mod.generate, []
+
+        def counting(*args):
+            generated.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(scorer_mod, "generate", counting)
+        rows = k_sweep(scorer, retr, test, 7, pool, cfg)
+        assert len(generated) == 6 * 5  # the six queries at k = 0..4
+        assert [row.k for row in rows] == list(range(8))
+        assert all(replace(row, k=4) == rows[4] for row in rows[5:])
 
     def test_k_max_beyond_the_vocabulary_is_refused_before_any_generation(
             self, trained_small, monkeypatch):

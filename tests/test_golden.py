@@ -49,6 +49,8 @@ SESSION = [
                      "--retriever", "retr/retriever.ckpt.npz", "--out", "ft"], "ft"),
 ]
 
+# train-retriever and finetune-lm run step 1 of the schedule: their checkpoints
+# hash as alternate's retriever_1 and scorer_1, and the warmed scorer as scorer_0
 GOLDEN = {
     "gen-data stdout": "f73c46c88f630cb158f2a6a5167f46e56b82dd8a9510da684b214be786dc12cb",
     "gen-data data/run.json": "428bff669c7c8b3584f0f8ef6dc7f9469620e7e01b847e7c1fba33e9edd58d2e",
@@ -89,14 +91,14 @@ GOLDEN = {
     "sweep stdout": "6343b0de0fa532b2bf22f8ae9a5e81d62019680a6129986f647956c7c2cf40e0",
     "sweep sweep/run.json": "b39006244a1df93f060c422bd797cd6ccc523ec30bace00597370ad30aa5ad7a",
     "sweep sweep/sweep.tsv": "565cf2adde01d22b57949ef8da3fdc2d832b9303c7460c857355c198d730ba04",
-    "train-retriever stdout": "7140e4880a723234e8d583cdf51c592eb5c665622ab4c94857440483c917f209",
-    "train-retriever retr/retriever.ckpt.npz": "6defbd988a6b4b0559b4d15081df49792caaf21a97b6b1e347ac302d938f45f1",
-    "train-retriever retr/run.json": "90c4a005851532f14b890741ce244ff0f6cd13aba5dc88568654fa4c6e266964",
+    "train-retriever stdout": "e2d8c4eb2d7eca07c4ea77772c5a1ff2f73f0edcce95d3f3192ca29d9c55d32c",
+    "train-retriever retr/retriever.ckpt.npz": "7e6ca972564bb74b6ead28856accd4348e5f239f97e6336bf0bd87a10ca44a18",
+    "train-retriever retr/run.json": "cffa4e53a39b8045b520ed4c099897424191eb6480c51da2cdb7040c0f64a4f4",
     "train-retriever retr/scorer.ckpt.npz": "d9c3a6e2d37f3184aa9ad53efc67220c39e270255de7920b22e707e296255a02",
-    "train-retriever retr/training.tsv": "03fe6fe438f96e38bab66a44b2b770b2ff013a640408b6d9d43a18bf0990a999",
+    "train-retriever retr/training.tsv": "73830409898921fff1589a0e4a07e891d678e4cb28180e6cc29473b97ed95073",
     "finetune-lm stdout": "681347fe50f30277ee69957250caadedb587bf8ed8683a651aaadd3a62d0d6fe",
-    "finetune-lm ft/run.json": "28086cbeb902932cb804e86be11f889a8e741ed608def484382566148ef22c1e",
-    "finetune-lm ft/scorer.ckpt.npz": "513ebbe0546c0d6ae25e337bfca62332484a5d01358a190da39e2febded511d3",
+    "finetune-lm ft/run.json": "f8cc38ed66ebf1d3adf2b705ef44d38580525744dbe9ec18508172e5855e9a14",
+    "finetune-lm ft/scorer.ckpt.npz": "bc259039a50571db529749af9622664d25870ecd8d83be97608c974c76d057dc",
 }
 
 
