@@ -17,7 +17,6 @@ re-records only the entries it means to change.
 import contextlib
 import hashlib
 import io
-import os
 from pathlib import Path
 
 import numpy as np
@@ -123,9 +122,8 @@ def session(tmp_path_factory):
     (root / "golden.cfg").write_text(
         "".join(f"{key} = {value}\n" for key, value in CONFIG.items()))
     entries = {}
-    cwd = os.getcwd()
-    os.chdir(root)
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
         for name, argv, out in SESSION:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
@@ -134,8 +132,6 @@ def session(tmp_path_factory):
             entries[name] = {f"{name} stdout": _sha256(stdout.getvalue().encode())}
             for path in sorted(Path(out).iterdir()):
                 entries[name][f"{name} {path.as_posix()}"] = _sha256(path.read_bytes())
-    finally:
-        os.chdir(cwd)
     return entries
 
 
