@@ -357,34 +357,32 @@ def _required(option):
     return flag, {**kwargs, "required": True}
 
 
-# (name, function, the Config keys it reads, help, description, its own options
-# in the order --help lists them after the config options)
+# (name, function, the Config keys it reads, help, its own options in the order
+# --help lists them after the config options)
 _COMMANDS = [
-    ("gen-data", _cmd_gen_data, {"seed", "task"}, "write a synthetic corpus", None, [
+    ("gen-data", _cmd_gen_data, {"seed", "task"}, "write a synthetic corpus", [
         ("--train", {"type": int, "required": True}),
         ("--test", {"type": int, "required": True}), _OUT]),
     ("train-retriever", _cmd_train_retriever,
      {*_FRESH_SCORER, "d_r", "m", "r", "batch_size", "epochs_retriever"},
-     "contrastive retriever training, as in step 1 of alternate", None,
+     "contrastive retriever training, as in step 1 of alternate",
      [_TRAIN_FILE, _SCORER, _RETRIEVER, _OUT]),
     ("finetune-lm", _cmd_finetune_lm, {*_FRESH_SCORER, "epochs_lm"},
      "fine-tune the scorer with the top finetune_k examples, as in step 1 of alternate",
-     None, [_TRAIN_FILE, _SCORER, _required(_RETRIEVER), _OUT]),
+     [_TRAIN_FILE, _SCORER, _required(_RETRIEVER), _OUT]),
     ("alternate", _cmd_alternate, set(CONFIG_KEYS), "run the alternating schedule",
-     None, [_TRAIN_FILE, _TEST_FILE, ("--resume-step", {"type": _non_negative_int}),
-            _OUT]),
+     [_TRAIN_FILE, _TEST_FILE, ("--resume-step", {"type": _non_negative_int}), _OUT]),
     ("retrieve", _cmd_retrieve, {"task", "m"}, "inspect retrieval results for a query",
-     None, [_TRAIN_FILE, _required(_RETRIEVER),
-            ("--query-id", {"type": int, "required": True})]),
-    ("score", _cmd_score, set(), "print total and per-token log-likelihood", None, [
+     [_TRAIN_FILE, _required(_RETRIEVER), ("--query-id", {"type": int, "required": True})]),
+    ("score", _cmd_score, set(), "print total and per-token log-likelihood", [
         _required(_SCORER), ("--prompt", {"required": True}),
         ("--target", {"required": True})]),
     ("evaluate", _cmd_evaluate, {*_FRESH_SCORER, "d_r", "max_gen_len"},
-     "evaluate one ablation mode", None, [
+     "evaluate one ablation mode", [
          _TRAIN_FILE, _TEST_FILE,
          ("--mode", {"choices": [m.value for m in AblationMode], "default": "full"}),
          _SCORER, _RETRIEVER, _OUT]),
-    ("sweep", _cmd_sweep, {*_FRESH_SCORER, "max_gen_len"}, "k-sweep evaluation", None, [
+    ("sweep", _cmd_sweep, {*_FRESH_SCORER, "max_gen_len"}, "k-sweep evaluation", [
         _TRAIN_FILE, _TEST_FILE, _SCORER, _required(_RETRIEVER),
         ("--k-max", {"type": _non_negative_int, "default": 7}), _OUT]),
 ]
@@ -393,8 +391,8 @@ _COMMANDS = [
 def _build_parser():
     parser = _Parser(prog="exrank", description=__doc__)
     sub = parser.add_subparsers(dest="command")  # each a _Parser, as this one is
-    for name, func, keys, summary, description, options in _COMMANDS:
-        p = sub.add_parser(name, help=summary, description=description)
+    for name, func, keys, summary, options in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
         for flag, kwargs in [*_config_options(keys), *options]:
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)

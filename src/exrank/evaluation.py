@@ -169,12 +169,16 @@ def example_chooser(retriever, queries, pool, k, mode, seed):
     ``full`` retrieves the top k from an index built once here; a query
     excludes itself (see ``_eligible``) and carries all its eligible
     candidates when there are fewer than k, with one WARNING per chooser.
-    ``no_retriever`` gives every query the same k seeded draws;
+    ``no_retriever`` gives every query the same k seeded draws, so it refuses
+    queries of the pool's own split: one fixed set cannot leave out every query.
     ``no_instruction``, and ``full`` at k=0, give none and build no index.
     """
     mode = AblationMode(mode)
     n = len(pool.samples)
     if mode == AblationMode.NO_RETRIEVER:
+        if queries.split == pool.split:
+            raise ValueError(f"{mode.value} draws one fixed set from the {pool.split.value} "
+                             "split, so its queries must come from another split")
         picks = substream(seed, "fixed-examples").choice(n, size=min(k, n), replace=False)
         fixed = [make_candidate(pool.samples[i], pool.task) for i in picks]
         return lambda s, q_input: fixed

@@ -34,10 +34,14 @@ class FlatViews(dict):
         return cls(np.concatenate([np.ravel(v) for v in arrays.values()]),
                    {k: np.shape(v) for k, v in arrays.items()})
 
+    @classmethod
+    def zeros(cls, shapes):
+        """Zeros in one new buffer, laid out by ``shapes``, a dict of key to shape."""
+        return cls(np.zeros(sum(math.prod(shape) for shape in shapes.values())), shapes)
+
     def zeros_like(self):
         """Zeros with the keys and shapes of these views, in a buffer of their own."""
-        return FlatViews(np.zeros_like(self.flat),
-                         {k: v.shape for k, v in self.items()})
+        return FlatViews.zeros({k: v.shape for k, v in self.items()})
 
     def __setitem__(self, key, value):
         view = self[key]
@@ -96,7 +100,11 @@ class AdamW:
 
     ``m``, ``v`` and ``grads`` are zeroed ``FlatViews`` with the keys of
     ``params``.  ``grads`` is the gradient workspace: the model's backward pass
-    writes into it, and ``step`` reads it.
+    writes into it whole, and ``step`` consumes it.  Once the moments have read
+    the gradients, the step uses ``grads`` as scratch, so after a step it holds
+    no gradient until the next backward pass overwrites it.  With one scratch
+    buffer of its own, an optimizer holds four parameter-sized buffers and a
+    step allocates none.
     """
 
     def __init__(self, params, lr, weight_decay=0.0):
@@ -108,11 +116,11 @@ class AdamW:
         self.t = 0
         self._p = params.flat
         self.m, self.v, self.grads = (params.zeros_like() for _ in range(3))
-        # two scratch buffers, so a step allocates nothing parameter-sized
-        self._a, self._b = np.empty_like(self._p), np.empty_like(self._p)
+        self._a = np.empty_like(self._p)  # scratch; the consumed ``grads`` is the other
 
     def step(self):
-        """One update in place of the parameters from ``grads``.
+        """One update in place of the parameters from ``grads``, which it
+        consumes: ``grads`` holds scratch values afterwards.
 
         Computes, bit for bit, ``p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p)``
         with ``m_hat = m / (1 - b1**t)`` and ``v_hat = v / (1 - b2**t)``.  Every
@@ -131,22 +139,22 @@ class AdamW:
         self.t += 1
         b1, b2 = BETAS
         c1, c2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        g, m, v, p = self.grads.flat, self.m.flat, self.v.flat, self._p
-        a, b = self._a, self._b
+        g, m, v, p, a = self.grads.flat, self.m.flat, self.v.flat, self._p, self._a
         m *= b1
         m += np.multiply(1.0 - b1, g, out=a)
         v *= b2
         np.multiply(1.0 - b2, g, out=a)
         v += np.multiply(a, g, out=a)
-        np.divide(v, c2, out=b)  # v_hat
-        np.sqrt(b, out=b)
-        b += EPS
+        # the gradients are dead from here: g is the second scratch buffer
+        np.divide(v, c2, out=g)  # v_hat
+        np.sqrt(g, out=g)
+        g += EPS
         if c1 == 1.0:
-            np.divide(m, b, out=a)
+            np.divide(m, g, out=a)
         else:
             np.divide(m, c1, out=a)  # m_hat
-            a /= b
+            a /= g
         if self.weight_decay:
-            a += np.multiply(self.weight_decay, p, out=b)
+            a += np.multiply(self.weight_decay, p, out=g)
         a *= self.lr
         p -= a

@@ -29,8 +29,12 @@ class RetrieverState:
     vocab: Vocabulary
     d_r: int
     max_len: int
-    params: dict  # FlatViews: emb (V,d_r), w (d_r,d_r), b (d_r,)
+    params: dict  # FlatViews laid out by _param_shapes(len(vocab), d_r)
     version: int = 0
+
+
+def _param_shapes(V, d_r):
+    return {"emb": (V, d_r), "w": (d_r, d_r), "b": (d_r,)}
 
 
 @dataclass
@@ -55,12 +59,10 @@ class CandidateIndex:
 def init_retriever(vocab, d_r=64, max_len=128, seed=0):
     checkpoint.check_max_len(max_len)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x2E72]))
-    V = len(vocab)
-    params = FlatViews.pack({
-        "emb": rng.normal(0.0, 0.5, size=(V, d_r)),
-        "w": rng.normal(0.0, 1.0 / np.sqrt(d_r), size=(d_r, d_r)),
-        "b": np.zeros(d_r),
-    })
+    shapes = _param_shapes(len(vocab), d_r)
+    params = FlatViews.zeros(shapes)
+    params["emb"] = rng.normal(0.0, 0.5, size=shapes["emb"])
+    params["w"] = rng.normal(0.0, 1.0 / np.sqrt(d_r), size=shapes["w"])
     return RetrieverState(vocab=vocab, d_r=d_r, max_len=max_len, params=params)
 
 
@@ -162,10 +164,6 @@ def _top_m(sims, ids, m):
             near = np.flatnonzero(neg <= cut)  # every tie at the cut
             return near[np.lexsort((ids[near], neg[near]))[:m]]
     return np.lexsort((ids, neg))[:m]
-
-
-def _param_shapes(V, d_r):
-    return {"emb": (V, d_r), "w": (d_r, d_r), "b": (d_r,)}
 
 
 def save_retriever(state, path):

@@ -43,8 +43,12 @@ class ScorerState:
     vocab: Vocabulary
     d: int
     max_len: int
-    params: dict  # FlatViews: emb (V,d), w_enc (d,d), b_enc (d,),
-                  # w_out (V,2d+POS_DIM), b_out (V,)
+    params: dict  # FlatViews laid out by _param_shapes(len(vocab), d)
+
+
+def _param_shapes(V, d):
+    return {"emb": (V, d), "w_enc": (d, d), "b_enc": (d,),
+            "w_out": (V, 2 * d + POS_DIM), "b_out": (V,)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,14 +70,10 @@ def init_scorer(vocab, d=64, max_len=128, seed=0):
     exactly uniform over the vocabulary."""
     checkpoint.check_max_len(max_len)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5C0E]))
-    V = len(vocab)
-    params = FlatViews.pack({
-        "emb": rng.normal(0.0, 0.5, size=(V, d)),
-        "w_enc": rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d)),
-        "b_enc": np.zeros(d),
-        "w_out": np.zeros((V, 2 * d + POS_DIM)),
-        "b_out": np.zeros(V),
-    })
+    shapes = _param_shapes(len(vocab), d)
+    params = FlatViews.zeros(shapes)
+    params["emb"] = rng.normal(0.0, 0.5, size=shapes["emb"])
+    params["w_enc"] = rng.normal(0.0, 1.0 / np.sqrt(d), size=shapes["w_enc"])
     return ScorerState(vocab=vocab, d=d, max_len=max_len, params=params)
 
 
@@ -230,18 +230,15 @@ def nll_and_grads(state, prompt, target, out):
 def finetune_step(state, prompt, target, optimizer):
     """One NLL descent step with ``optimizer``, an AdamW over ``state.params``
     that keeps its moments across steps.  The gradients are written into the
-    optimizer's workspace, so a step allocates nothing parameter-sized.
-    Loss is the pre-update value.
+    optimizer's workspace ``grads``, and its step consumes them, so a step
+    allocates nothing parameter-sized and the optimizer holds four
+    parameter-sized buffers.  Afterwards ``grads`` holds scratch values until
+    the next backward pass overwrites it.  Loss is the pre-update value.
     """
     loss, grads = nll_and_grads(state, prompt, target, optimizer.grads)
     check_finite(loss, grads, f"prompt={prompt[:60]!r}")
     optimizer.step()
     return state, loss
-
-
-def _param_shapes(V, d):
-    return {"emb": (V, d), "w_enc": (d, d), "b_enc": (d,),
-            "w_out": (V, 2 * d + POS_DIM), "b_out": (V,)}
 
 
 def save_scorer(state, path):

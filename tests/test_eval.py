@@ -253,6 +253,22 @@ class TestRunInference:
         assert len(first) == 2
         assert all(rec["example_ids"] == first for rec in dump)
 
+    def test_no_retriever_refuses_queries_of_the_pool_split_before_any_draw(
+            self, trained_small, monkeypatch):
+        from exrank import evaluation
+        from exrank import scorer as scorer_mod
+
+        train, test, cfg, scorer, retr = trained_small
+        draws = []
+        monkeypatch.setattr(evaluation, "substream", lambda *args: draws.append(args))
+        monkeypatch.setattr(scorer_mod, "generate", lambda *args: draws.append(args))
+        message = "no_retriever draws one fixed set from the train split"
+        with pytest.raises(ValueError, match=message):
+            evaluation.example_chooser(retr, train, train, 2, AblationMode.NO_RETRIEVER, 0)
+        with pytest.raises(ValueError, match=message):
+            run_inference(scorer, retr, train, 2, AblationMode.NO_RETRIEVER, train, cfg)
+        assert draws == []
+
     def test_atsc_split(self, trained_small):
         from exrank.corpus import to_atsc
 

@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from exrank.contrastive import _batch_loss_and_grads
 from exrank.optim import AdamW, FlatViews, add_rows_at, check_finite
 from exrank.retriever import init_retriever, load_retriever, save_retriever
-from exrank.scorer import init_scorer, load_scorer, save_scorer
+from exrank.scorer import init_scorer, load_scorer, nll_and_grads, save_scorer
 from exrank.vocab import Vocabulary
 
 
@@ -244,6 +245,49 @@ def test_step_allocates_no_parameter_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert peak < param_bytes / 4, (peak, param_bytes)
+
+
+def test_optimizer_holds_at_most_four_parameter_sized_buffers():
+    rng = np.random.default_rng(4)
+    params = FlatViews.pack({"emb": rng.normal(size=(300, 40)), "b": rng.normal(size=300)})
+    tracemalloc.start()
+    try:
+        opt = AdamW(params, lr=1e-3, weight_decay=0.01)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # m, v, grads and one scratch buffer; the step's other scratch is grads
+    assert held < 4.5 * opt.m.flat.nbytes, (held, opt.m.flat.nbytes)
+
+
+def _consumed_workspace(state, write):
+    """An optimizer over ``state.params`` whose ``grads`` a step has consumed."""
+    opt = AdamW(state.params, lr=1e-3, weight_decay=0.01)
+    write(opt.grads)
+    gradients = opt.grads.flat.copy()
+    opt.step()
+    assert not np.array_equal(opt.grads.flat, gradients)  # scratch values now
+    return opt
+
+
+def test_gradient_writers_overwrite_a_consumed_workspace_whole():
+    words = [f"w{i}" for i in range(12)]
+    vocab = Vocabulary.build([" ".join(words)])
+
+    scorer = init_scorer(vocab, d=6, max_len=16, seed=3)
+    args = (scorer, "Input: w1 w2 w3", "w4 w5")
+    opt = _consumed_workspace(scorer, lambda out: nll_and_grads(*args, out))
+    _, fresh = nll_and_grads(*args, scorer.params.zeros_like())
+    _, reused = nll_and_grads(*args, opt.grads)
+    assert reused is opt.grads and reused.flat.tobytes() == fresh.flat.tobytes()
+
+    retr = init_retriever(vocab, d_r=6, max_len=16, seed=3)
+    batch = [("Input: w1 w2", "Input: w3 Output: w4", "Input: w5 Output: w6"),
+             ("Input: w7", "Input: w8 w9 Output: w10", "Input: w11 Output: w0")]
+    opt = _consumed_workspace(retr, lambda out: _batch_loss_and_grads(retr, batch, out))
+    _, fresh = _batch_loss_and_grads(retr, batch, retr.params.zeros_like())
+    _, reused = _batch_loss_and_grads(retr, batch, opt.grads)
+    assert reused is opt.grads and reused.flat.tobytes() == fresh.flat.tobytes()
 
 
 def test_check_finite_names_the_bad_key():
