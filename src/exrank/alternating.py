@@ -16,10 +16,10 @@ from .atomic import write_table
 from .config import substream
 from .contrastive import check_label_sizes, train_retriever
 from .corpus import serialize_label
-from .evaluation import METRIC_COLUMNS, AblationMode, example_chooser, run_inference
+from .evaluation import METRIC_COLUMNS, AblationMode, prompt_builder, run_inference
 from .retriever import init_retriever
 from .scorer import finetune_step, init_scorer
-from .template import load_templates, render, scaffold, task_input
+from .template import load_templates, scaffold, task_input
 from .optim import AdamW
 from .vocab import Vocabulary
 
@@ -55,12 +55,12 @@ def build_vocabulary(train, cfg):
     return Vocabulary.build(texts)
 
 
-def _lm_epochs(scorer, train, cfg, epochs, choose_examples, seed_tag, what):
+def _lm_epochs(scorer, train, cfg, epochs, build_prompt, seed_tag):
     """The LM loop of warm-up and fine-tuning: per epoch, one ``finetune_step``
-    per sample in seeded order, on a prompt carrying ``choose_examples(s, q_input)``.
-    Returns the last epoch's mean loss, or None after zero epochs.
+    per sample in seeded order, on the prompt ``build_prompt(s)`` builds (an
+    ``evaluation.prompt_builder``).  Returns the last epoch's mean loss, or
+    None after zero epochs.
     """
-    templates = load_templates(cfg.template_dir)
     opt = AdamW(scorer.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     mean_loss = None
     for epoch in range(epochs):
@@ -68,13 +68,11 @@ def _lm_epochs(scorer, train, cfg, epochs, choose_examples, seed_tag, what):
         rng = substream(cfg.seed, f"{seed_tag}/epoch{epoch}")
         for i in rng.permutation(len(train.samples)):
             s = train.samples[i]
-            q_input = task_input(s, train.task)
-            examples = choose_examples(s, q_input)
-            prompt = render(templates, train.task, examples, q_input)
+            prompt, _ = build_prompt(s)
             _, loss = finetune_step(scorer, prompt, serialize_label(s, train.task), opt)
             epoch_loss += loss
         mean_loss = epoch_loss / max(1, len(train.samples))
-        logger.info("%s epoch %d done (mean loss %.4f)", what, epoch, mean_loss)
+        logger.info("%s epoch %d done (mean loss %.4f)", seed_tag, epoch, mean_loss)
     return mean_loss
 
 
@@ -86,9 +84,8 @@ def warmup_scorer(scorer, train, cfg):
     untrained decoder, which is uniform over the V tokens at each of a
     target's L tokens and its end token.
     """
-    loss = _lm_epochs(
-        scorer, train, cfg, cfg.warmup_epochs, lambda s, q_input: [], "warmup", "warmup"
-    )
+    no_examples = prompt_builder(scorer.vocab, None, train, train, 0, AblationMode.FULL, cfg)
+    loss = _lm_epochs(scorer, train, cfg, cfg.warmup_epochs, no_examples, "warmup")
     if loss is not None:
         vocab = scorer.vocab
         # the warm-up's own steps memoized every target's ids
@@ -107,7 +104,9 @@ def warmup_scorer(scorer, train, cfg):
 
 def finetune_lm(scorer, retriever, train, cfg, seed_tag="finetune-lm"):
     """Fine-tune the scorer on prompts carrying the top retrieved examples,
-    chosen by ``evaluation.example_chooser`` as inference chooses them.
+    built by ``evaluation.prompt_builder`` as inference builds its prompts, so
+    a ``finetune_k`` whose example indices the scorer's vocabulary encodes as
+    ``<unk>`` is refused before any step.
 
     ``cfg.finetune_k`` sets how many examples each fine-tuning prompt carries
     (default 1, the single top-scoring example).  Small from-scratch scorers
@@ -117,9 +116,9 @@ def finetune_lm(scorer, retriever, train, cfg, seed_tag="finetune-lm"):
     """
     if cfg.epochs_lm == 0:
         return scorer
-    choose_examples = example_chooser(retriever, train, train, cfg.finetune_k,
-                                      AblationMode.FULL, cfg.seed)
-    _lm_epochs(scorer, train, cfg, cfg.epochs_lm, choose_examples, seed_tag, "lm")
+    build_prompt = prompt_builder(scorer.vocab, retriever, train, train, cfg.finetune_k,
+                                  AblationMode.FULL, cfg)
+    _lm_epochs(scorer, train, cfg, cfg.epochs_lm, build_prompt, seed_tag)
     return scorer
 
 

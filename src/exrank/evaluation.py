@@ -149,7 +149,7 @@ def _eligible(queries, pool):
 
 
 def most_examples(queries, pool, k, mode):
-    """The most examples a prompt of ``example_chooser(..., queries, pool, k,
+    """The most examples a prompt of ``prompt_builder(..., queries, pool, k,
     mode, ...)`` carries, found without building an index, so that the prompts
     can be checked before any work."""
     mode = AblationMode(mode)
@@ -161,70 +161,74 @@ def most_examples(queries, pool, k, mode):
     return min(k, max(_eligible(queries, pool)[1], default=n))
 
 
-def example_chooser(retriever, queries, pool, k, mode, seed):
-    """The one rule for the examples a prompt carries, shared by fine-tuning
-    and inference: a function of (sample, q_input) for the samples of
-    ``queries``, drawing up to ``k`` examples from ``pool``.
+def prompt_builder(vocab, retriever, queries, pool, k, mode, cfg):
+    """The one rule for every prompt of warm-up, fine-tuning and inference: a
+    function of a sample of ``queries`` that returns its (prompt, examples),
+    with up to ``k`` examples drawn from ``pool``.
 
+    Before any index or draw, the prompts are checked against ``vocab``, the
+    scorer's vocabulary (``_check_prompts`` at ``most_examples``).
     ``full`` retrieves the top k from an index built once here; a query
     excludes itself (see ``_eligible``) and carries all its eligible
-    candidates when there are fewer than k, with one WARNING per chooser.
+    candidates when there are fewer than k, with one WARNING per builder.
     ``no_retriever`` gives every query the same k seeded draws, so it refuses
     queries of the pool's own split: one fixed set cannot leave out every query.
-    ``no_instruction``, and ``full`` at k=0, give none and build no index.
+    ``no_instruction`` prompts carry neither the definition nor any example;
+    they and ``full`` at k=0 build no index.  Prompts are rendered from the
+    templates of ``cfg.template_dir``.
     """
     mode = AblationMode(mode)
-    n = len(pool.samples)
+    task, n = queries.task, len(pool.samples)
+    templates = load_templates(cfg.template_dir)
+    _check_prompts(vocab, templates, queries, pool, most_examples(queries, pool, k, mode))
+    if mode == AblationMode.NO_INSTRUCTION:
+        return lambda s: (no_instruction_prompt(task_input(s, task)), [])
     if mode == AblationMode.NO_RETRIEVER:
         if queries.split == pool.split:
             raise ValueError(f"{mode.value} draws one fixed set from the {pool.split.value} "
                              "split, so its queries must come from another split")
-        picks = substream(seed, "fixed-examples").choice(n, size=min(k, n), replace=False)
+        picks = substream(cfg.seed, "fixed-examples").choice(n, size=min(k, n), replace=False)
         fixed = [make_candidate(pool.samples[i], pool.task) for i in picks]
-        return lambda s, q_input: fixed
-    if mode == AblationMode.NO_INSTRUCTION or k == 0:
-        return lambda s, q_input: []
-    index = build_index(retriever, pool)
-    members, eligible = _eligible(queries, pool)
-    fewest = min(eligible, default=k)
-    if k > fewest:
-        logger.warning("k=%d exceeds the %d eligible pool candidates; "
-                       "prompts carry all of them", k, fewest)
+        choose = lambda s, q_input: fixed
+    elif k == 0:
+        choose = lambda s, q_input: []
+    else:
+        index = build_index(retriever, pool)
+        members, eligible = _eligible(queries, pool)
+        fewest = min(eligible, default=k)
+        if k > fewest:
+            logger.warning("k=%d exceeds the %d eligible pool candidates; "
+                           "prompts carry all of them", k, fewest)
 
-    def top_examples(s, q_input):
-        exclude = s.id if s.id in members else None  # the query itself
-        m = min(k, n - (exclude is not None))
-        top = retrieve(retriever, index, q_input, m, exclude_id=exclude) if m else []
-        return [sc.candidate for sc in top]
+        def choose(s, q_input):
+            exclude = s.id if s.id in members else None  # the query itself
+            m = min(k, n - (exclude is not None))
+            top = retrieve(retriever, index, q_input, m, exclude_id=exclude) if m else []
+            return [sc.candidate for sc in top]
 
-    return top_examples
+    def build(s):
+        q_input = task_input(s, task)
+        examples = choose(s, q_input)
+        return render(templates, task, examples, q_input), examples
+
+    return build
 
 
 def run_inference(scorer, retriever, test, k, mode, pool, cfg, records=True):
-    """Generate and score predictions for one split under one ablation mode.
+    """Generate and score predictions for one split under one ablation mode,
+    on the prompts ``prompt_builder`` builds.
 
-    Prompts carry the examples ``example_chooser`` picks for ``mode``;
-    ``no_instruction`` prompts carry neither the definition nor any example.
     Returns (Metrics, prediction dump); with ``records=False`` no per-query
     record is built and the dump is None.
     """
-    mode = AblationMode(mode)
     task = test.task
-    templates = load_templates(cfg.template_dir)
-    _check_prompts(scorer.vocab, templates, test, pool,
-                   most_examples(test, pool, k, mode))
-    choose_examples = example_chooser(retriever, test, pool, k, mode, cfg.seed)
+    build_prompt = prompt_builder(scorer.vocab, retriever, test, pool, k, mode, cfg)
 
     dump = [] if records else None
     preds, golds = [], []
     failures = truncated = 0
     for s in test.samples:
-        q_input = task_input(s, task)
-        examples = choose_examples(s, q_input)
-        if mode == AblationMode.NO_INSTRUCTION:
-            prompt = no_instruction_prompt(q_input)
-        else:
-            prompt = render(templates, task, examples, q_input)
+        prompt, examples = build_prompt(s)
         raw = scorer_mod.generate(scorer, prompt, cfg.max_gen_len)
         labels, dropped = parse_output_with_diagnostics(raw, task)
         failures += dropped

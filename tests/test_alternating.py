@@ -195,7 +195,8 @@ class TestFinetuneLM:
         with caplog.at_level(logging.INFO, logger="exrank.alternating"):
             finetune_lm(scorer, retr, train, cfg)
         assert len(losses) == len(train.samples)
-        assert caplog.messages == [f"lm epoch 0 done (mean loss {np.mean(losses):.4f})"]
+        assert caplog.messages == [
+            f"finetune-lm epoch 0 done (mean loss {np.mean(losses):.4f})"]
 
     def test_improves_mean_dev_score_over_seeds(self):
         wins = 0
@@ -244,16 +245,36 @@ class TestFinetuneLM:
         oracle, _ = self._models(train, cfg)
         index = build_index(retr, train)
 
-        def every_other_sample(s, q_input):
+        templates = load_templates(cfg.template_dir)
+
+        def every_other_sample(s):
+            q_input = task_input(s, train.task)
             top = retrieve(retr, index, q_input, cfg.finetune_k, exclude_id=s.id)
-            return [sc.candidate for sc in top]
+            examples = [sc.candidate for sc in top]
+            return render(templates, train.task, examples, q_input), examples
 
         with caplog.at_level(logging.ERROR):  # retrieve warns per query
             alternating._lm_epochs(oracle, train, cfg, cfg.epochs_lm,
-                                   every_other_sample, "finetune-lm", "lm")
+                                   every_other_sample, "finetune-lm")
         assert scorer.params.keys() == oracle.params.keys()
         for key in scorer.params:
             assert scorer.params[key].tobytes() == oracle.params[key].tobytes()
+
+    def test_a_finetune_k_beyond_the_vocabulary_indices_is_refused_before_any_step(
+            self, monkeypatch):
+        from exrank import evaluation
+
+        train, _ = generate_synthetic(40, 8, 3)
+        scorer, retr = self._models(train, _cfg(seed=3))  # example indices 1 to 8
+        before = scorer.params.flat.copy()
+        steps = []
+        monkeypatch.setattr(alternating, "finetune_step", lambda *args: steps.append(args))
+        monkeypatch.setattr(evaluation, "build_index", lambda *args: steps.append(args))
+        message = r"tokens \['9-', '10-', '11-', '12-'\] as <unk> at k=12"
+        with pytest.raises(ValueError, match=message):
+            finetune_lm(scorer, retr, train, _cfg(seed=3, finetune_k=12))
+        assert steps == []
+        assert scorer.params.flat.tobytes() == before.tobytes()
 
     def test_finetune_k_zero_builds_no_index(self, monkeypatch):
         from exrank import evaluation

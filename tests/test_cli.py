@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +209,41 @@ def test_train_retriever_then_finetune_lm_is_step_1_of_alternate(tmp_path, data_
                             ("retr/retriever.ckpt.npz", "alt/retriever_1.ckpt.npz"),
                             ("ft/scorer.ckpt.npz", "alt/scorer_1.ckpt.npz")):
         assert (tmp_path / path).read_bytes() == (tmp_path / step_path).read_bytes()
+
+
+def test_finetune_lm_refuses_a_finetune_k_beyond_the_scorer_indices(tmp_path, capsys):
+    # train-retriever's fresh scorer holds the example indices 1 to 8
+    data, retr = tmp_path / "data", tmp_path / "retr"
+    assert main(["gen-data", "--train", "40", "--test", "8", "--seed", "3",
+                 "--out", str(data)]) == 0
+    assert main(["train-retriever", "--train-file", str(data / "train.jsonl"),
+                 "--k", "2", "--m", "8", "--d", "16", "--d-r", "16", "--lr", "3e-3",
+                 "--epochs-retriever", "1", "--out", str(retr)]) == 0
+    capsys.readouterr()
+    rc = main(["finetune-lm", "--train-file", str(data / "train.jsonl"),
+               "--scorer", str(retr / "scorer.ckpt.npz"),
+               "--retriever", str(retr / "retriever.ckpt.npz"),
+               "--finetune-k", "12", "--out", str(tmp_path / "ft")])
+    assert rc == 2
+    assert ("the scorer's vocabulary encodes the prompt tokens ['9-', '10-', '11-', "
+            "'12-'] as <unk> at k=12" in capsys.readouterr().err)
+    assert not (tmp_path / "ft").exists()
+
+
+@pytest.mark.parametrize("lr, warns", [(None, True), ("3e-3", False)])
+def test_evaluate_prints_the_warm_up_warning_only_at_the_default_lr(
+        tmp_path, data_dir, lr, warns):
+    # a subprocess: the warning reaches stderr through logging's last-resort
+    # handler, and in-process the test's log capture takes the record first
+    argv = [sys.executable, "-m", "exrank.cli", "evaluate",
+            "--train-file", str(data_dir / "train.jsonl"),
+            "--test-file", str(data_dir / "test.jsonl"), "--k", "0",
+            "--out", str(tmp_path / "ev"), *(["--lr", lr] if lr else [])]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    # at the default lr the warm-up's last mean loss is 0.996 of chance
+    assert ("the warm-up learned next to nothing" in done.stderr) == warns
 
 
 def test_retrieve_command(data_dir, trained_dir, fast, capsys):

@@ -1,3 +1,4 @@
+import ast
 import logging
 import re
 from dataclasses import replace
@@ -264,7 +265,8 @@ class TestRunInference:
         monkeypatch.setattr(scorer_mod, "generate", lambda *args: draws.append(args))
         message = "no_retriever draws one fixed set from the train split"
         with pytest.raises(ValueError, match=message):
-            evaluation.example_chooser(retr, train, train, 2, AblationMode.NO_RETRIEVER, 0)
+            evaluation.prompt_builder(scorer.vocab, retr, train, train, 2,
+                                      AblationMode.NO_RETRIEVER, cfg)
         with pytest.raises(ValueError, match=message):
             run_inference(scorer, retr, train, 2, AblationMode.NO_RETRIEVER, train, cfg)
         assert draws == []
@@ -326,6 +328,23 @@ class TestRunInference:
                 "prompts carry all of them"
             ]
             assert all(len(rec["example_ids"]) == eligible for rec in dump)
+
+
+def test_only_the_prompt_builder_and_labeling_render_prompts():
+    # a prompt rendered anywhere else can drift from the ones that fine-tuning
+    # and inference build, and escape their vocabulary check
+    from exrank import evaluation
+
+    renderers = {"render", "no_instruction_prompt"}
+    callers = set()
+    for path in sorted(Path(evaluation.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (
+                        getattr(node.func, "id", None) in renderers
+                        or getattr(node.func, "attr", None) in renderers):
+                    callers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == {"evaluation.prompt_builder", "contrastive.label_candidates"}
 
 
 def test_readme_lists_the_ablation_modes():
