@@ -50,6 +50,6 @@ report = []
 train_retriever(retr, train, scorer, cfg, report=report)
 for epoch, loss in report:
     print(f"  epoch {epoch}: mean InfoNCE {loss:.4f}")
-sep = separation(retr, test.samples, scorer, cfg, train)
+sep = separation(retr, test, scorer, cfg, train)
 print(f"held-out separation sim(q,C+) - sim(q,C-): {sep:+.4f} "
       f"(positive = retriever agrees with the scorer's labels)")

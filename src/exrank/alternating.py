@@ -152,7 +152,7 @@ def check_schedule_inputs(train, dev, cfg, resume_step=None):
     if train.task != dev.task:
         raise ValueError(f"the train and {dev.split.value} splits hold different "
                          f"tasks: {train.task.value} and {dev.task.value}")
-    check_label_sizes(cfg, train)
+    check_label_sizes(cfg, train, train)
     if resume_step is not None and not 0 <= resume_step < cfg.t:
         raise ValueError(f"resume_step must be in [0, t), got {resume_step}")
 

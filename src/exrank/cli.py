@@ -212,7 +212,7 @@ def _cmd_gen_data(args, cfg, models):
 
 def _cmd_train_retriever(args, cfg, models):
     train = _load(args.train_file, cfg, "train")
-    check_label_sizes(cfg, train)  # before a warm-up that would be thrown away
+    check_label_sizes(cfg, train, train)  # before a warm-up that would be thrown away
     scorer_state = _scorer(models, cfg, train)
     retr = _retriever(models, cfg, scorer_state.vocab)
     report = []
@@ -222,7 +222,8 @@ def _cmd_train_retriever(args, cfg, models):
     out = _out_dir(args.out)
     retriever_mod.save_retriever(retr, out / "retriever.ckpt.npz")
     save_scorer(scorer_state, out / "scorer.ckpt.npz")
-    sep = separation(retr, train.samples[:50], scorer_state, cfg, train)
+    queries = dataclasses.replace(train, samples=train.samples[:50])
+    sep = separation(retr, queries, scorer_state, cfg, train)
     rows = [*report, ("separation", sep)]
     write_table(out / "training.tsv", ["epoch", "mean_infonce"],
                 ({"epoch": epoch, "mean_infonce": f"{loss:.6f}"} for epoch, loss in rows))

@@ -20,11 +20,13 @@ from .optim import AdamW, check_finite
 from .retriever import (
     ScoredCandidate,
     build_index,
+    eligible,
     encode_text,
     encode_text_backward,
     retrieve,
 )
-from .template import candidate_text, load_templates, query_text, render, task_input
+from .template import (candidate_text, check_prompts, load_templates, query_text,
+                       render, task_input)
 
 logger = logging.getLogger(__name__)
 
@@ -34,9 +36,8 @@ def label_candidates(query, cands, scorer, templates, k, task):
 
     Each candidate is the one example of a ``task`` prompt rendered from
     ``templates``.  Returns two lists of ScoredCandidate with delta filled in,
-    each of size k.
-    A candidate that is the query itself (same id and same input) is refused;
-    one that only shares the query's id comes from another split and is kept.
+    each of size k.  Which candidates a query may see is its callers' choice
+    (``retriever.eligible``); every candidate given is labeled.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -46,8 +47,6 @@ def label_candidates(query, cands, scorer, templates, k, task):
     q_input = task_input(query, task)
     scored = []
     for c in cands:
-        if c.id == query.id and c.input == q_input:
-            raise ValueError("query must not appear among its own candidates")
         prompt = render(templates, task, [c], q_input)
         delta = scorer_mod.score(scorer, prompt, target).total
         scored.append(ScoredCandidate(candidate=c, delta=delta))
@@ -55,11 +54,11 @@ def label_candidates(query, cands, scorer, templates, k, task):
     return scored[:k], scored[-k:]
 
 
-def check_label_sizes(cfg, train, member_queries=True):
-    """Reject a k, m or train split too small to label, before training starts.
-
-    With ``member_queries`` the queries are samples of ``train``, so each has
-    n - 1 candidates and an ``m`` above that is refused too.
+def check_label_sizes(cfg, train, queries):
+    """Reject a k, m or train split too small to label ``queries`` against
+    ``train``, before training starts.  ``m`` may not exceed the fewest
+    candidates ``retriever.eligible`` leaves a query: n - 1 for queries of
+    ``train``'s split, n for held-out ones.
     """
     n = len(train.samples)
     if cfg.k < 1:
@@ -74,10 +73,11 @@ def check_label_sizes(cfg, train, member_queries=True):
             f"training at k={cfg.k} needs 2k + 1 = {2 * cfg.k + 1}, "
             "as no query is its own candidate"
         )
-    if member_queries and cfg.m > n - 1:
+    fewest = min(eligible(queries, train)[1], default=n)
+    if cfg.m > fewest:
         raise ValueError(
-            f"m={cfg.m} is more than the {n - 1} candidates a query of the "
-            f"{train.split.value} split has, as no query is its own candidate"
+            f"m={cfg.m} is more than the {fewest} candidates a query of the "
+            f"{queries.split.value} split has, as no query is its own candidate"
         )
 
 
@@ -151,9 +151,9 @@ def _label_and_draw(query, cands, scorer, templates, k, task, pos_rng, neg_rng):
 
 def _candidates_for_query(state, index, query, query_input, m, bootstrap_rng):
     if bootstrap_rng is not None:
-        eligible = [c for c in index.candidates if c.id != query.id]
-        picks = bootstrap_rng.choice(len(eligible), size=m, replace=False)
-        return [eligible[i] for i in sorted(picks)]
+        others = [c for c in index.candidates if c.id != query.id]
+        picks = bootstrap_rng.choice(len(others), size=m, replace=False)
+        return [others[i] for i in sorted(picks)]
     return [
         sc.candidate
         for sc in retrieve(
@@ -168,10 +168,12 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
 
     The first epoch can draw candidates uniformly at random (the untrained
     retriever has nothing useful to say); later epochs retrieve with the
-    current retriever against an index rebuilt once per epoch.
+    current retriever against an index rebuilt once per epoch.  Its queries
+    are samples of ``train``, so none is among its own candidates.
     """
-    check_label_sizes(cfg, train)
+    check_label_sizes(cfg, train, train)
     templates = load_templates(cfg.template_dir)
+    check_prompts(scorer.vocab, templates, train, train, 1)  # one example each
     # step-dependent name: each alternating step labels a fresh subset
     subset = sample_training_subset(train, cfg.r, cfg.seed, name=f"{seed_tag}/subset")
     opt = AdamW(retr.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -218,27 +220,26 @@ def separation(retr, queries, scorer, cfg, train):
     """Mean sim(query, C+ pick) minus mean sim(query, C- pick) over queries.
 
     The training objective's literal target; positive means the retriever
-    agrees with the scorer's labeling.  A query that is a member of ``train``
-    (a pool candidate with its id and input) excludes itself from retrieval;
-    a held-out query keeps the train candidate that merely shares its id.
-    A k, m or train split too small to label is refused, as in training; a
-    held-out query has all n candidates, so ``m`` may reach n.
+    agrees with the scorer's labeling.  ``queries`` is a Dataset; a query
+    excludes the train candidate with its id exactly when
+    ``retriever.eligible`` lists it, so a held-out query keeps every train
+    candidate, its same-id twin included.  A k, m or train split too small to
+    label, or a labeling prompt the scorer's vocabulary cannot encode, is
+    refused before any index, as in training.
     """
-    check_label_sizes(cfg, train, member_queries=False)
+    check_label_sizes(cfg, train, queries)
     templates = load_templates(cfg.template_dir)
+    check_prompts(scorer.vocab, templates, queries, train, 1)
+    members = eligible(queries, train)[0]
     index = build_index(retr, train)
-    pool_inputs = {c.id: c.input for c in index.candidates}
     pos_rng = substream(cfg.seed, "separation/positive-choice")
     neg_rng = substream(cfg.seed, "separation/negative-choice")
     diffs = []
-    for query in queries:
+    for query in queries.samples:
         q_input = task_input(query, train.task)
-        member = pool_inputs.get(query.id) == q_input
-        cands = [
-            sc.candidate
-            for sc in retrieve(retr, index, q_input, cfg.m,
-                               exclude_id=query.id if member else None)
-        ]
+        exclude = query.id if query.id in members else None  # the query itself
+        cands = [sc.candidate
+                 for sc in retrieve(retr, index, q_input, cfg.m, exclude_id=exclude)]
         pos, neg = _label_and_draw(query, cands, scorer, templates, cfg.k,
                                    train.task, pos_rng, neg_rng)
         hq = encode_text(retr, query_text(q_input))

@@ -20,16 +20,15 @@ from .corpus import (
     parse_output_with_diagnostics,
     serialize_label,
 )
-from .retriever import build_index, retrieve
+from .retriever import build_index, eligible, retrieve
 from .template import (
+    check_prompts,
     load_templates,
     make_candidate,
     no_instruction_prompt,
     render,
-    scaffold,
     task_input,
 )
-from .vocab import tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -120,34 +119,6 @@ def atsc_accuracy(preds, golds):
     return Metrics(accuracy=acc, counts=(n, n, correct))
 
 
-def _check_prompts(vocab, templates, test, pool, k):
-    """Refuse prompts of up to ``k`` examples drawn from ``pool`` for queries of
-    ``test`` when the two hold different tasks, or when their fixed text, the
-    ``template.scaffold``, holds a token ``vocab`` would encode as ``<unk>``."""
-    if k > 0 and pool.task != test.task:
-        raise ValueError(f"the queries are {test.task.value} but the example pool "
-                         f"is {pool.task.value}; a prompt would mix two tasks")
-    unknown = dict.fromkeys(
-        tok for text in scaffold(templates, k) for tok in tokenize(text)
-        if tok not in vocab.index
-    )
-    if unknown:
-        raise ValueError(
-            f"the scorer's vocabulary encodes the prompt tokens {list(unknown)} "
-            f"as <unk> at k={k}; it was built for fewer examples per prompt"
-        )
-
-
-def _eligible(queries, pool):
-    """The pool ids a query of ``queries`` may match, and each query's count of
-    eligible pool candidates.  A query excludes the pool candidate with its own
-    id only when ``queries`` and ``pool`` are the same split, since each split
-    numbers its samples independently."""
-    members = {s.id for s in pool.samples} if queries.split == pool.split else set()
-    n = len(pool.samples)
-    return members, [n - (s.id in members) for s in queries.samples]
-
-
 def most_examples(queries, pool, k, mode):
     """The most examples a prompt of ``prompt_builder(..., queries, pool, k,
     mode, ...)`` carries, found without building an index, so that the prompts
@@ -158,7 +129,7 @@ def most_examples(queries, pool, k, mode):
         return 0
     if mode == AblationMode.NO_RETRIEVER:
         return min(k, n)
-    return min(k, max(_eligible(queries, pool)[1], default=n))
+    return min(k, max(eligible(queries, pool)[1], default=n))
 
 
 def prompt_builder(vocab, retriever, queries, pool, k, mode, cfg):
@@ -167,9 +138,9 @@ def prompt_builder(vocab, retriever, queries, pool, k, mode, cfg):
     with up to ``k`` examples drawn from ``pool``.
 
     Before any index or draw, the prompts are checked against ``vocab``, the
-    scorer's vocabulary (``_check_prompts`` at ``most_examples``).
+    scorer's vocabulary (``template.check_prompts`` at ``most_examples``).
     ``full`` retrieves the top k from an index built once here; a query
-    excludes itself (see ``_eligible``) and carries all its eligible
+    excludes itself (see ``retriever.eligible``) and carries all its eligible
     candidates when there are fewer than k, with one WARNING per builder.
     ``no_retriever`` gives every query the same k seeded draws, so it refuses
     queries of the pool's own split: one fixed set cannot leave out every query.
@@ -180,11 +151,12 @@ def prompt_builder(vocab, retriever, queries, pool, k, mode, cfg):
     mode = AblationMode(mode)
     task, n = queries.task, len(pool.samples)
     templates = load_templates(cfg.template_dir)
-    _check_prompts(vocab, templates, queries, pool, most_examples(queries, pool, k, mode))
+    check_prompts(vocab, templates, queries, pool, most_examples(queries, pool, k, mode))
+    members, counts = eligible(queries, pool)
     if mode == AblationMode.NO_INSTRUCTION:
         return lambda s: (no_instruction_prompt(task_input(s, task)), [])
     if mode == AblationMode.NO_RETRIEVER:
-        if queries.split == pool.split:
+        if members:
             raise ValueError(f"{mode.value} draws one fixed set from the {pool.split.value} "
                              "split, so its queries must come from another split")
         picks = substream(cfg.seed, "fixed-examples").choice(n, size=min(k, n), replace=False)
@@ -194,8 +166,7 @@ def prompt_builder(vocab, retriever, queries, pool, k, mode, cfg):
         choose = lambda s, q_input: []
     else:
         index = build_index(retriever, pool)
-        members, eligible = _eligible(queries, pool)
-        fewest = min(eligible, default=k)
+        fewest = min(counts, default=k)
         if k > fewest:
             logger.warning("k=%d exceeds the %d eligible pool candidates; "
                            "prompts carry all of them", k, fewest)
@@ -281,7 +252,7 @@ def k_sweep(scorer, retriever, test, k_max, pool, cfg):
     which is evaluated once.
     """
     top = most_examples(test, pool, k_max, AblationMode.FULL)
-    _check_prompts(scorer.vocab, load_templates(cfg.template_dir), test, pool, top)
+    check_prompts(scorer.vocab, load_templates(cfg.template_dir), test, pool, top)
     rows = []
     for k in range(top + 1):
         metrics, _ = run_inference(scorer, retriever, test, k, AblationMode.FULL,

@@ -113,15 +113,25 @@ def build_index(state, pool):
     )
 
 
+def eligible(queries, pool):
+    """The one membership rule of labeling, ``separation`` and every prompt:
+    the pool ids that are queries of ``queries`` themselves, and each query's
+    count of the other pool candidates.  A query is the pool sample with its
+    own id only when ``queries`` and ``pool`` are the same split, since each
+    split numbers its samples independently."""
+    members = {s.id for s in pool.samples} if queries.split == pool.split else set()
+    n = len(pool.samples)
+    return members, [n - (s.id in members) for s in queries.samples]
+
+
 def retrieve(state, index, text, m, allow_stale=False, exclude_id=None):
     """Top-m candidates by similarity to the query input ``text``, ties by
     ascending id.
 
     ``text`` is the prompt-side input (``template.task_input``, which carries
     the ATSC aspect splice).  ``exclude_id`` drops the candidate with that id:
-    pass the query's own id when the query is a member of the indexed pool.
-    Ids are unique only within one split, so a query from another split must
-    exclude nothing.  ``allow_stale`` is for the contrastive training loop,
+    pass the query's own id when ``eligible`` lists it among the pool's
+    members, else None.  ``allow_stale`` is for the contrastive training loop,
     which refreshes its index once per epoch by design.
     """
     if m < 1:

@@ -14,6 +14,7 @@ from pathlib import Path
 from types import MappingProxyType
 
 from .corpus import Task, serialize_label
+from .vocab import tokenize
 
 ASPECT_CUE = "The aspect is"
 
@@ -100,6 +101,25 @@ def scaffold(templates, n_examples):
         templates.target_block.format(input=""),
         ASPECT_CUE,
     ]
+
+
+def check_prompts(vocab, templates, queries, pool, k):
+    """Refuse prompts of up to ``k`` examples drawn from ``pool`` for queries of
+    ``queries`` when the two hold different tasks, or when their fixed text,
+    the ``scaffold``, holds a token ``vocab`` would encode as ``<unk>``."""
+    if k > 0 and pool.task != queries.task:
+        raise ValueError(f"the queries are {queries.task.value} but the example pool "
+                         f"is {pool.task.value}; a prompt would mix two tasks")
+    unknown = dict.fromkeys(
+        tok for text in scaffold(templates, k) for tok in tokenize(text)
+        if tok not in vocab.index
+    )
+    if unknown:
+        raise ValueError(
+            f"the scorer's vocabulary encodes the prompt tokens {list(unknown)} "
+            f"as <unk> at k={k}; it was built for fewer examples per prompt or "
+            "for other templates"
+        )
 
 
 def digest(templates):

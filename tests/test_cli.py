@@ -211,14 +211,26 @@ def test_train_retriever_then_finetune_lm_is_step_1_of_alternate(tmp_path, data_
         assert (tmp_path / path).read_bytes() == (tmp_path / step_path).read_bytes()
 
 
-def test_finetune_lm_refuses_a_finetune_k_beyond_the_scorer_indices(tmp_path, capsys):
-    # train-retriever's fresh scorer holds the example indices 1 to 8
-    data, retr = tmp_path / "data", tmp_path / "retr"
+SEED3_RETRIEVER = ["--k", "2", "--m", "8", "--d", "16", "--d-r", "16", "--lr", "3e-3",
+                   "--epochs-retriever", "1"]
+
+
+@pytest.fixture(scope="module")
+def seed3_retr(tmp_path_factory):
+    """A 40/8 corpus at seed 3 and a train-retriever run on it, whose fresh
+    scorer holds the example indices 1 to 8 of the built-in templates."""
+    data = tmp_path_factory.mktemp("data3")
+    retr = tmp_path_factory.mktemp("retr3") / "retr"
     assert main(["gen-data", "--train", "40", "--test", "8", "--seed", "3",
                  "--out", str(data)]) == 0
     assert main(["train-retriever", "--train-file", str(data / "train.jsonl"),
-                 "--k", "2", "--m", "8", "--d", "16", "--d-r", "16", "--lr", "3e-3",
-                 "--epochs-retriever", "1", "--out", str(retr)]) == 0
+                 *SEED3_RETRIEVER, "--out", str(retr)]) == 0
+    return data, retr
+
+
+def test_finetune_lm_refuses_a_finetune_k_beyond_the_scorer_indices(tmp_path, seed3_retr,
+                                                                   capsys):
+    data, retr = seed3_retr
     capsys.readouterr()
     rc = main(["finetune-lm", "--train-file", str(data / "train.jsonl"),
                "--scorer", str(retr / "scorer.ckpt.npz"),
@@ -228,6 +240,27 @@ def test_finetune_lm_refuses_a_finetune_k_beyond_the_scorer_indices(tmp_path, ca
     assert ("the scorer's vocabulary encodes the prompt tokens ['9-', '10-', '11-', "
             "'12-'] as <unk> at k=12" in capsys.readouterr().err)
     assert not (tmp_path / "ft").exists()
+
+
+def test_train_retriever_refuses_labeling_prompts_the_scorer_cannot_encode(
+        tmp_path, seed3_retr, capsys):
+    # the example block says "Sample" where the scorer's templates said "Example"
+    data, retr = seed3_retr
+    builtin = load_templates(None)
+    tpl = tmp_path / "tpl"
+    tpl.mkdir()
+    for task, text in builtin.definitions.items():
+        (tpl / f"def_{task.value}.txt").write_text(text)
+    (tpl / "example_block.txt").write_text(builtin.example_block.replace("Example", "Sample"))
+    (tpl / "target_block.txt").write_text(builtin.target_block)
+    capsys.readouterr()
+    rc = main(["train-retriever", "--train-file", str(data / "train.jsonl"),
+               *SEED3_RETRIEVER, "--scorer", str(retr / "scorer.ckpt.npz"),
+               "--template-dir", str(tpl), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert ("the scorer's vocabulary encodes the prompt tokens ['Sample'] as <unk> "
+            "at k=1" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("lr, warns", [(None, True), ("3e-3", False)])

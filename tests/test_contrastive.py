@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,14 +78,6 @@ class TestLabelCandidates:
         cands = [Candidate(id=0, input="a", output="y")]
         with pytest.raises(ValueError):
             label_candidates(_query(), cands, None, BUILT_IN, 1, Task.ASPE)
-
-    def test_query_among_candidates_rejected(self, monkeypatch):
-        query = _query()
-        cands = [Candidate(id=99, input=query.text, output="y"),
-                 Candidate(id=1, input="cand1", output="y")]
-        _stub_scores(monkeypatch, {"cand1": 0.0})
-        with pytest.raises(ValueError, match="own candidates"):
-            label_candidates(query, cands, None, BUILT_IN, 1, Task.ASPE)
 
     def test_same_id_from_another_split_is_labeled(self, monkeypatch):
         # ids are unique only within a split: same id, other text is not the query
@@ -258,29 +251,83 @@ class TestTrainRetriever:
         for k in before:
             assert np.array_equal(before[k], retr.params[k], equal_nan=True), k
 
-    def test_separation_keeps_the_same_id_candidate_for_held_out_queries(
-            self, monkeypatch):
-        train, test, cfg, scorer, retr = _prepped(4, n=20)
-        cfg = Config(**{**cfg.to_dict(), "m": len(train)})  # retrieve the whole pool
-        held_out = test.samples[0]
-        member = train.samples[held_out.id]
-        assert member.id == held_out.id and member.text != held_out.text
-        labeled = {}
+    def test_no_query_is_among_its_own_candidates(self, monkeypatch):
+        # the candidate sources leave the query out, in the bootstrap epoch
+        # and in the retrieval epoch alike
+        train, _, cfg, scorer, retr = _prepped(6, n=20)
+        cfg = Config(**{**cfg.to_dict(), "r": 1.0, "epochs_retriever": 2})
+        labeled = []
 
         def spy(query, cands, *args):
-            labeled[query.text] = {c.id for c in cands}
+            labeled.append((query.id, {c.id for c in cands}))
             return label_candidates(query, cands, *args)
 
         monkeypatch.setattr(contrastive, "label_candidates", spy)
-        separation(retr, [held_out, member], scorer, cfg, train)
-        assert labeled[held_out.text] == {s.id for s in train.samples}
-        assert labeled[member.text] == {s.id for s in train.samples} - {member.id}
+        train_retriever(retr, train, scorer, cfg)
+        assert sorted(q for q, _ in labeled) == sorted(2 * [s.id for s in train.samples])
+        assert all(q not in ids and len(ids) == cfg.m for q, ids in labeled)
+
+    @pytest.mark.parametrize("twin", [False, True], ids=["other-text", "twin"])
+    def test_separation_keeps_the_same_id_candidate_for_held_out_queries(
+            self, monkeypatch, twin):
+        # a held-out query sees all n train candidates, the one with its id
+        # included, even when that one also has its text and labels
+        train, test, cfg, scorer, retr = _prepped(4, n=20)
+        n = len(train)
+        held_out = replace(train.samples[0]) if twin else test.samples[0]
+        member = train.samples[held_out.id]
+        assert member.id == held_out.id
+        assert (member.text == held_out.text) == twin
+        labeled = []
+
+        def spy(query, cands, *args):
+            labeled.append({c.id for c in cands})
+            return label_candidates(query, cands, *args)
+
+        monkeypatch.setattr(contrastive, "label_candidates", spy)
+        separation(retr, replace(test, samples=[held_out]), scorer,
+                   Config(**{**cfg.to_dict(), "m": n}), train)
+        separation(retr, replace(train, samples=[member]), scorer,
+                   Config(**{**cfg.to_dict(), "m": n - 1}), train)
+        ids = {s.id for s in train.samples}
+        assert labeled == [ids, ids - {member.id}]
+
+    def test_separation_refuses_an_m_above_the_candidates_of_a_member_query(
+            self, monkeypatch):
+        train, test, cfg, scorer, retr = _prepped(5, n=20)
+        cfg = Config(**{**cfg.to_dict(), "m": len(train)})
+        built = []
+        build = contrastive.build_index
+        monkeypatch.setattr(contrastive, "build_index",
+                            lambda *args: built.append(args) or build(*args))
+        with pytest.raises(ValueError, match="m=20 is more than the 19 candidates "
+                                             "a query of the train split has"):
+            separation(retr, train, scorer, cfg, train)
+        assert built == []
+        # a held-out query has all 20
+        assert np.isfinite(separation(retr, test, scorer, cfg, train))
+        assert len(built) == 1
+
+    def test_separation_refuses_labeling_prompts_the_scorer_cannot_encode(
+            self, tmp_path, monkeypatch):
+        train, test, cfg, scorer, retr = _prepped(5, n=20)
+        tpl = tmp_path / "tpl"
+        tpl.mkdir()
+        for task, text in BUILT_IN.definitions.items():
+            (tpl / f"def_{task.value}.txt").write_text(text)
+        (tpl / "example_block.txt").write_text(
+            BUILT_IN.example_block.replace("Example", "Sample"))
+        (tpl / "target_block.txt").write_text(BUILT_IN.target_block)
+        cfg = Config(**{**cfg.to_dict(), "template_dir": str(tpl)})
+        monkeypatch.setattr(contrastive, "build_index", None)  # never reached
+        with pytest.raises(ValueError, match=r"\['Sample'\] as <unk> at k=1"):
+            separation(retr, test, scorer, cfg, train)
 
     def test_separation_refuses_m_below_2k(self):
         train, test, cfg, scorer, retr = _prepped(5, n=20)
         cfg = Config(**{**cfg.to_dict(), "m": 2 * cfg.k - 1})
         with pytest.raises(ValueError, match="m must be at least 2k"):
-            separation(retr, test.samples, scorer, cfg, train)
+            separation(retr, test, scorer, cfg, train)
 
     def test_separation_positive_over_seeds(self):
         # the training objective's literal target, on held-out queries
@@ -288,6 +335,6 @@ class TestTrainRetriever:
         for seed in range(5):
             train, test, cfg, scorer, retr = _prepped(seed)
             train_retriever(retr, train, scorer, cfg)
-            if separation(retr, test.samples, scorer, cfg, train) > 0.0:
+            if separation(retr, test, scorer, cfg, train) > 0.0:
                 wins += 1
         assert wins >= 4

@@ -347,6 +347,22 @@ def test_only_the_prompt_builder_and_labeling_render_prompts():
     assert callers == {"evaluation.prompt_builder", "contrastive.label_candidates"}
 
 
+def test_only_retriever_eligible_compares_splits():
+    # a second membership rule could give a query a pool sample in one stage
+    # and withhold it in another
+    from exrank import evaluation
+
+    sites = set()
+    for path in sorted(Path(evaluation.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Compare) and any(
+                        getattr(side, "attr", None) == "split"
+                        for side in (node.left, *node.comparators)):
+                    sites.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert sites == {"retriever.eligible"}
+
+
 def test_readme_lists_the_ablation_modes():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## Ablation modes", 1)[1].split("\n## ", 1)[0]

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from exrank.retriever import (
     CandidateIndex,
     StaleIndexError,
     build_index,
+    eligible,
     encode_text,
     encode_text_backward,
     init_retriever,
@@ -379,3 +381,12 @@ def test_retrieve_equals_brute_force_sort(rows, m, exclude, text):
     brute = sorted((-sims[r], int(ids[r])) for r in range(n) if ids[r] != exclude)[:m]
     got = retrieve(state, index, query.text, m, exclude_id=exclude)
     assert [(sc.id, -sc.similarity) for sc in got] == [(i, s) for s, i in brute]
+
+
+def test_eligible_lists_the_members_of_the_pool_split_only():
+    train, test = generate_synthetic(20, 3, 0)
+    twin = replace(test, samples=[replace(train.samples[0])])  # same id and text
+    assert eligible(train, train) == (set(range(20)), [19] * 20)
+    assert eligible(test, train) == (set(), [20] * 3)
+    assert eligible(twin, train) == (set(), [20])
+    assert eligible(train, replace(train, samples=[])) == (set(), [0] * 20)
