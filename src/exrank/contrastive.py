@@ -45,13 +45,12 @@ def label_candidates(query, cands, scorer, templates, k, task):
         raise ValueError(f"need at least {2 * k} candidates, got {len(cands)}")
     target = serialize_label(query, task)
     q_input = task_input(query, task)
-    scored = []
-    for c in cands:
-        prompt = render(templates, task, [c], q_input)
-        delta = scorer_mod.score(scorer, prompt, target).total
-        scored.append(ScoredCandidate(candidate=c, delta=delta))
-    scored.sort(key=lambda sc: (-sc.delta, sc.id))
-    return scored[:k], scored[-k:]
+    deltas = [scorer_mod.score(scorer, render(templates, task, [c], q_input), target).total
+              for c in cands]
+    order = sorted(range(len(cands)), key=lambda i: (-deltas[i], cands[i].id))
+    ends = [ScoredCandidate(candidate=cands[i], delta=deltas[i])
+            for i in order[:k] + order[-k:]]
+    return ends[:k], ends[k:]
 
 
 def check_label_sizes(cfg, train, queries):

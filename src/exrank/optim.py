@@ -1,6 +1,7 @@
 """The parameter and gradient container of both models, AdamW over it with
 decoupled weight decay, and the gradient helpers the models share."""
 
+import functools
 import math
 
 import numpy as np
@@ -73,6 +74,14 @@ def check_finite(loss, grads, context):
             )
 
 
+@functools.lru_cache(maxsize=None)
+def _column_offsets(width):
+    """0..width-1, memoised and shared by every caller, so read-only."""
+    offsets = np.arange(width)
+    offsets.flags.writeable = False
+    return offsets
+
+
 def add_rows_at(dest, *parts):
     """``np.add.at(dest, ids, rows)`` for each ``(ids, rows)`` pair in turn,
     done as one unbuffered add on the flattened ``dest``.
@@ -85,13 +94,16 @@ def add_rows_at(dest, *parts):
     if not dest.flags.c_contiguous:
         raise ValueError("add_rows_at needs a C-contiguous destination")
     d = dest.shape[1]
-    ids = np.concatenate([part_ids for part_ids, _ in parts])
-    vals = np.empty((len(ids), d), dtype=dest.dtype)
-    start = 0
-    for part_ids, rows in parts:
-        vals[start:start + len(part_ids)] = rows
-        start += len(part_ids)
-    flat_idx = (ids * d)[:, None] + np.arange(d)
+    if len(parts) == 1 and np.ndim(parts[0][1]) == 2:
+        (ids, vals), = parts  # already one row per id
+    else:
+        ids = np.concatenate([part_ids for part_ids, _ in parts])
+        vals = np.empty((len(ids), d), dtype=dest.dtype)
+        start = 0
+        for part_ids, rows in parts:
+            vals[start:start + len(part_ids)] = rows
+            start += len(part_ids)
+    flat_idx = (ids * d)[:, None] + _column_offsets(d)
     np.add.at(dest.reshape(-1), flat_idx.reshape(-1), vals.reshape(-1))
 
 

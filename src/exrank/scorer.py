@@ -82,56 +82,48 @@ def _encode_prompt(state, prompt):
     p = state.params
     if len(ids):
         # equal bit for bit to emb[ids].mean(axis=0)
-        mean = np.add.reduce(p["emb"].take(ids, axis=0), axis=0) / len(ids)
+        mean = np.add.reduce(p["emb"].take(ids, axis=0), axis=0)
+        mean /= len(ids)
     else:
         mean = np.zeros(state.d)
-    pre = p["w_enc"] @ mean + p["b_enc"]
-    return np.tanh(pre), ids, mean
-
-
-def _target_ids(state, target):
-    ids = state.vocab.ids(target)
-    if not len(ids):
-        raise ValueError("target is empty after tokenization")
-    tids = np.empty(len(ids) + 1, dtype=np.intp)
-    tids[:-1] = ids
-    tids[-1] = EOS_ID
-    return tids
+    # np.dot makes the BLAS call of `@` with less dispatch: the same floats
+    pre = np.dot(p["w_enc"], mean)
+    pre += p["b_enc"]
+    return np.tanh(pre, out=pre), ids, mean
 
 
 def _forward(state, prompt, target):
     """Teacher-forced forward pass shared by score and nll_and_grads.
 
-    Returns (shift, lse, tids, F, prev, h, prompt_ids, mean): the max-shifted
-    logits (L, V) and their row log-sum-exp (L,), so that
-    log p(tids[l]) = shift[l, tids[l]] - lse[l]; the target ids with the end
-    token; and what the backward pass needs.  Every step keeps the operation
-    order of the plain formula, so the results are bit-identical to it.
+    Returns (shift, lse, picks, F, prev, h, prompt_ids, mean): the max-shifted
+    logits (L, V) and their row log-sum-exp (L,), so that the log-probability
+    of the id step l must predict is shift.flat[picks[l]] - lse[l] (see
+    ``Vocabulary.target_ids``); and what the backward pass needs.  Every step
+    keeps the operation order of the plain formula, so the results are
+    bit-identical to it.
     """
     p = state.params
     d = state.d
-    tids = _target_ids(state, target)
-    L = len(tids)
+    prev, picks = state.vocab.target_ids(target)
+    L = len(prev)
     h, prompt_ids, mean = _encode_prompt(state, prompt)
-    prev = np.empty(L, dtype=np.intp)
-    prev[0] = BOS_ID
-    prev[1:] = tids[:-1]
     F = np.empty((L, 2 * d + POS_DIM))  # rows [h ; emb[prev token] ; pos_l]
     F[:, :d] = h
     F[:, d:2 * d] = p["emb"].take(prev, axis=0)
     F[:, 2 * d:] = position_codes(L)
-    shift = F @ p["w_out"].T
+    shift = np.dot(F, p["w_out"].T)
     shift += p["b_out"]
-    shift -= shift.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shift).sum(axis=1))
-    return shift, lse, tids, F, prev, h, prompt_ids, mean
+    shift -= np.maximum.reduce(shift, axis=1, keepdims=True)
+    lse = np.add.reduce(np.exp(shift), axis=1)
+    return shift, np.log(lse, out=lse), picks, F, prev, h, prompt_ids, mean
 
 
 def score(state, prompt, target):
     """Teacher-forced log-likelihood of target (plus end token) given prompt."""
-    shift, lse, tids, *_ = _forward(state, prompt, target)
-    per = shift[np.arange(len(tids)), tids] - lse
-    return LogLikelihood(total=float(per.sum()), per_token=per.tolist())
+    shift, lse, picks, *_ = _forward(state, prompt, target)
+    per = shift.take(picks)
+    per -= lse
+    return LogLikelihood(total=float(np.add.reduce(per)), per_token=per.tolist())
 
 
 def step_logits(state, prompt, prefix):
@@ -203,13 +195,12 @@ def nll_and_grads(state, prompt, target, out):
     """
     p = state.params
     d = state.d
-    logp, lse, tids, F, prev, h, prompt_ids, mean = _forward(state, prompt, target)
+    logp, lse, picks, F, prev, h, prompt_ids, mean = _forward(state, prompt, target)
     logp -= lse[:, None]  # the shifted logits become log-probabilities in place
-    rows = np.arange(len(tids))
-    loss = -float(logp[rows, tids].sum())
+    loss = -float(np.add.reduce(logp.take(picks)))
 
     dZ = np.exp(logp, out=logp)  # softmax rows
-    dZ[rows, tids] -= 1.0
+    dZ.reshape(-1)[picks] -= 1.0
 
     np.matmul(dZ.T, F, out=out["w_out"])
     np.add.reduce(dZ, axis=0, out=out["b_out"])

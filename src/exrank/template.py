@@ -76,7 +76,10 @@ def render(templates, task, examples, input_text):
     """Render the full instruction prompt for ``task`` with every example, in
     order, from the definition and blocks of ``templates``, as a ``Prompt``
     whose blocks are the definition, each example block and the target block."""
-    parts = [f"Definition: {templates.definitions[Task(task)]}"]
+    definition = templates.definitions.get(task)  # a Task, or its value
+    if definition is None:
+        definition = templates.definitions[Task(task)]  # raises for an unknown task
+    parts = [f"Definition: {definition}"]
     for i, ex in enumerate(examples):
         parts.append(
             templates.example_block.format(index=i + 1, input=ex.input, output=ex.output)

@@ -12,14 +12,29 @@ def tokenize(text):
     return text.split()
 
 
+class _BlockIds(dict):
+    """Block text -> its read-only ids; a missing block is encoded, once, by
+    indexing it."""
+
+    def __init__(self, vocab):
+        super().__init__()
+        self.vocab = vocab
+
+    def __missing__(self, block):
+        ids = self[block] = np.array(self.vocab.encode(block), dtype=np.intp)
+        ids.flags.writeable = False
+        return ids
+
+
 class Vocabulary:
     """Bijective token-to-id map whose first four tokens are the reserved ones.
 
     ``build`` makes one by a first-occurrence scan, so the ordering is
     deterministic for a fixed corpus.
 
-    ``ids`` memoizes the ids of each block of text it is given.  The token list
-    never changes, so no entry ever goes stale.
+    ``ids`` memoizes the ids of each block of text it is given, and
+    ``target_ids`` the decoder's ids of each target.  The token list never
+    changes, so no entry ever goes stale.
     """
 
     def __init__(self, tokens):
@@ -29,7 +44,8 @@ class Vocabulary:
         self.index = {t: i for i, t in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise ValueError("duplicate tokens in vocabulary")
-        self._ids = {}  # block text -> its read-only ids
+        self._ids = _BlockIds(self)
+        self._targets = {}  # target text -> its read-only (prev, picks)
 
     @classmethod
     def build(cls, texts):
@@ -48,12 +64,28 @@ class Vocabulary:
 
     def ids(self, block):
         """Ids of ``block`` as a read-only index array, encoded once per block."""
-        ids = self._ids.get(block)
-        if ids is None:
-            ids = np.array(self.encode(block), dtype=np.intp)
-            ids.flags.writeable = False
-            self._ids[block] = ids
-        return ids
+        return self._ids[block]
+
+    def target_ids(self, target):
+        """The teacher-forced decoder's ids for ``target``, memoized per target.
+
+        Returns read-only ``(prev, picks)`` for the L = n + 1 steps of a target
+        of n tokens followed by the end token: ``prev`` are the ids each step
+        reads (the begin token, then the target's), and ``picks`` are the
+        positions, in a row-major (L, len(self)) array of next-token logits, of
+        the id each step must predict (the target's, then the end token).  A
+        target without tokens raises ValueError on every call.
+        """
+        memo = self._targets.get(target)
+        if memo is None:
+            ids = self.ids(target)
+            if not len(ids):
+                raise ValueError("target is empty after tokenization")
+            prev = np.concatenate(([BOS_ID], ids))
+            picks = np.arange(len(prev)) * len(self) + np.append(ids, EOS_ID)
+            prev.flags.writeable = picks.flags.writeable = False
+            memo = self._targets[target] = (prev, picks)
+        return memo
 
     def prompt_ids(self, text):
         """Ids of every token of ``text``, never to be written into.
@@ -65,7 +97,7 @@ class Vocabulary:
         blocks = getattr(text, "blocks", None)
         if not blocks:
             return self.ids(text)
-        return np.concatenate([self.ids(b) for b in blocks])
+        return np.concatenate(list(map(self._ids.__getitem__, blocks)))
 
     def tail_ids(self, text, max_len):
         """Ids of the last ``max_len`` tokens of ``text``, never to be written into."""

@@ -224,6 +224,20 @@ def test_add_rows_at_equals_add_at_in_turn():
     assert ours.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("shape", ["rows", "strided rows", "one row"])
+def test_add_rows_at_one_part_equals_add_at(shape):
+    rng = np.random.default_rng(11)
+    ours = rng.normal(size=(9, 5))
+    ref = ours.copy()
+    ids = np.array([8, 3, 3, 0, 3], dtype=np.intp)
+    rows = {"rows": rng.normal(size=(5, 5)),
+            "strided rows": rng.normal(size=(5, 10))[:, ::2],
+            "one row": rng.normal(size=5)}[shape]
+    np.add.at(ref, ids, rows)
+    add_rows_at(ours, (ids, rows))
+    assert ours.tobytes() == ref.tobytes()
+
+
 def test_add_rows_at_refuses_a_strided_destination():
     dest = np.zeros((5, 8))[:, ::2]
     with pytest.raises(ValueError, match="C-contiguous"):

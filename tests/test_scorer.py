@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exrank.alternating import build_vocabulary
+from exrank.config import Config
+from exrank.corpus import Task, generate_synthetic, serialize_label, to_atsc
 from exrank.optim import AdamW
 from exrank.scorer import (
     LogLikelihood,
@@ -18,7 +21,8 @@ from exrank.scorer import (
     score,
     step_logits,
 )
-from exrank.vocab import BOS_ID, EOS_ID, Vocabulary
+from exrank.template import load_templates, make_candidate, render, task_input
+from exrank.vocab import BOS_ID, EOS_ID, Vocabulary, tokenize
 
 RNG = np.random.default_rng(20240817)
 
@@ -69,6 +73,12 @@ class TestScore:
         state = _micro_scorer()
         with pytest.raises(ValueError):
             score(state, "alpha", "")
+
+    def test_an_empty_target_raises_on_every_call(self):
+        state = _micro_scorer()
+        for target in ("", " \t ", "", " \t "):  # a memoized refusal would pass twice
+            with pytest.raises(ValueError, match="target is empty after tokenization"):
+                score(state, "alpha", target)
 
     def test_long_prompt_keeps_tail(self):
         vocab = Vocabulary.build(["w" + str(i) for i in range(40)])
@@ -347,6 +357,24 @@ ORACLE_CASES = {
 }
 
 
+def _labeling_scorer(seed):
+    """A randomised scorer over the vocabulary of an ATSC split, and the split,
+    so that prompts rendered from it are the ones labeling scores."""
+    train = to_atsc(generate_synthetic(40, 1, seed)[0])
+    state = init_scorer(build_vocabulary(train, Config(task=Task.ATSC)), d=8, seed=seed)
+    rng = np.random.default_rng(seed + 7)
+    for key in ("w_out", "b_out", "b_enc"):
+        state.params[key] = rng.normal(0.0, 0.5, state.params[key].shape)
+    return state, train
+
+
+def _labeling_prompt(train, query, sample):
+    """The prompt ``label_candidates`` scores for ``query`` with ``sample``'s
+    candidate as its one example."""
+    return render(load_templates(), train.task, [make_candidate(sample, train.task)],
+                  task_input(query, train.task))
+
+
 def _assert_matches_oracle(state):
     for name, (prompt, target) in ORACLE_CASES.items():
         ll = score(state, prompt, target)
@@ -407,6 +435,49 @@ class TestBitExactAgainstOracle:
             finetune_step(reused, prompt, target, opt_reused)
         for key, p in fresh.params.items():
             assert p.tobytes() == reused.params[key].tobytes(), key
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_labeling_shapes_scored_in_a_row(self, seed):
+        # label_candidates' calls: one query's one-word target after each of
+        # m one-example prompts in turn
+        state, train = _labeling_scorer(seed)
+        query, *pool = train.samples[:13]
+        target = serialize_label(query, train.task)
+        assert len(tokenize(target)) == 1
+        for sample in pool:
+            prompt = _labeling_prompt(train, query, sample)
+            ll = score(state, prompt, target)
+            assert (ll.total, ll.per_token) == _reference_score(state, prompt, target)
+
+    def test_a_finetune_step_between_two_scores_of_one_target(self):
+        # the second score must see the parameters the step changed: a target's
+        # memoized ids may carry nothing that depends on them
+        state, train = _labeling_scorer(2)
+        query, sample = train.samples[:2]
+        target = serialize_label(query, train.task)
+        prompt = _labeling_prompt(train, query, sample)
+        before = score(state, prompt, target)
+        assert (before.total, before.per_token) == _reference_score(state, prompt, target)
+        finetune_step(state, prompt, target, AdamW(state.params, lr=0.05))
+        after = score(state, prompt, target)
+        assert (after.total, after.per_token) == _reference_score(state, prompt, target)
+        assert after.total != before.total
+
+    def test_memoized_target_ids_are_read_only(self):
+        state = _oracle_scorer(2)
+        prompt, target = ORACLE_CASES["multi-token-target"]
+        before = score(state, prompt, target)
+        prev, picks = state.vocab.target_ids(target)
+        kept = prev.tobytes(), picks.tobytes()
+        for ids in (prev, picks):
+            with pytest.raises(ValueError):
+                ids[0] = 0
+            with pytest.raises(ValueError):
+                ids += 1
+        again = state.vocab.target_ids(target)
+        assert again[0] is prev and again[1] is picks
+        assert (prev.tobytes(), picks.tobytes()) == kept
+        assert score(state, prompt, target) == before
 
     def test_position_codes_are_read_only(self):
         state = _oracle_scorer(2)

@@ -107,3 +107,44 @@ def test_memoized_ids_are_read_only_and_shared():
         ids[0] = 0
     with pytest.raises(ValueError, match="read-only"):
         v.tail_ids("the food was", 2)[0] = 0
+
+
+def test_a_miss_and_a_hit_return_equal_read_only_ids(monkeypatch):
+    encoded = []
+    encode = Vocabulary.encode
+    monkeypatch.setattr(Vocabulary, "encode",
+                        lambda self, text: encoded.append(text) or encode(self, text))
+    v = Vocabulary.build(["the food was good"])
+    miss = v.ids("the food")
+    hit = v.ids("the food")
+    v.prompt_ids(Prompt(["was zz", "the food"]))  # a miss inside a prompt
+    for got in (miss, hit, v.ids("was zz")):
+        assert got.dtype == np.intp
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0
+    assert hit is miss
+    assert miss.tolist() == encode(v, "the food")
+    assert v.ids("was zz").tolist() == encode(v, "was zz")
+    assert encoded == ["the food", "was zz"]  # once per block
+
+
+def test_target_ids_are_memoized_read_only_and_framed():
+    v = Vocabulary.build(["the food was good"])
+    prev, picks = v.target_ids("food zz good")
+    ids = v.encode("food zz good")
+    assert prev.tolist() == [BOS_ID] + ids
+    assert picks.tolist() == [step * len(v) + i for step, i in enumerate(ids + [EOS_ID])]
+    assert prev.dtype == picks.dtype == np.intp
+    again = v.target_ids("food zz good")
+    assert again[0] is prev and again[1] is picks
+    for got in (prev, picks):
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 0
+
+
+@pytest.mark.parametrize("target", ["", " \t\n"])
+def test_an_empty_target_raises_on_every_call(target):
+    v = Vocabulary.build(["the food"])
+    for _ in range(3):
+        with pytest.raises(ValueError, match="target is empty after tokenization"):
+            v.target_ids(target)
