@@ -1,5 +1,6 @@
 """Whitespace tokenizer and the vocabulary shared by scorer and retriever."""
 
+import weakref
 from itertools import repeat
 
 import numpy as np
@@ -14,11 +15,13 @@ def tokenize(text):
 
 class _BlockIds(dict):
     """Block text -> its read-only ids; a missing block is encoded, once, by
-    indexing it."""
+    indexing it.  It reaches its vocabulary through a weak proxy: a strong
+    reference would make a cycle, and a vocabulary with its memo would then
+    outlive its last user until the cyclic collector ran."""
 
     def __init__(self, vocab):
         super().__init__()
-        self.vocab = vocab
+        self.vocab = weakref.proxy(vocab)
 
     def __missing__(self, block):
         ids = self[block] = np.array(self.vocab.encode(block), dtype=np.intp)

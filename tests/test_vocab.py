@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -128,7 +131,7 @@ def test_a_miss_and_a_hit_return_equal_read_only_ids(monkeypatch):
     assert encoded == ["the food", "was zz"]  # once per block
 
 
-def test_target_ids_are_memoized_read_only_and_framed():
+def test_target_ids_frame_the_target_for_the_decoder():
     v = Vocabulary.build(["the food was good"])
     prev, picks = v.target_ids("food zz good")
     ids = v.encode("food zz good")
@@ -137,14 +140,20 @@ def test_target_ids_are_memoized_read_only_and_framed():
     assert prev.dtype == picks.dtype == np.intp
     again = v.target_ids("food zz good")
     assert again[0] is prev and again[1] is picks
-    for got in (prev, picks):
-        with pytest.raises(ValueError, match="read-only"):
-            got[0] = 0
 
 
-@pytest.mark.parametrize("target", ["", " \t\n"])
-def test_an_empty_target_raises_on_every_call(target):
+def test_a_vocabulary_is_freed_without_the_cyclic_collector():
+    # a cycle through the memo would keep a finished run's vocabulary and
+    # every memoized array alive into the next run, raising its peak memory
     v = Vocabulary.build(["the food"])
-    for _ in range(3):
-        with pytest.raises(ValueError, match="target is empty after tokenization"):
-            v.target_ids(target)
+    v.prompt_ids(Prompt(["the", "food zz"]))
+    v.target_ids("food")
+    gone = weakref.ref(v)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del v
+        assert gone() is None
+    finally:
+        if was_enabled:
+            gc.enable()
