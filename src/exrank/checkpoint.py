@@ -47,8 +47,8 @@ def load(path, state_cls, tag, width, shapes):
     """Read a ``state_cls`` written by ``save``.
 
     ``shapes(n_vocab, width)`` maps each parameter, in the model's order, to
-    the shape the header implies; any other shape, or a dtype other than
-    float64, is refused.
+    the shape the header implies; any other shape, a dtype other than
+    float64, or a NaN or infinite value is refused.
     """
     with np.load(path, allow_pickle=False) as blob:
         if str(blob["format"]) != tag:
@@ -70,5 +70,8 @@ def load(path, state_cls, tag, width, shapes):
             if params[key].dtype != np.float64:
                 raise ValueError(f"checkpoint parameter {key!r} has dtype "
                                  f"{params[key].dtype}, expected float64")
+            if not np.isfinite(params[key]).all():
+                raise ValueError(f"checkpoint {os.fspath(path)}: parameter {key!r} "
+                                 "holds a NaN or infinite value")
         return state_cls(vocab=vocab, max_len=max_len,
                          params=FlatViews.pack(params), **{width: size})

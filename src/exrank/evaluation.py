@@ -205,7 +205,7 @@ def run_inference(scorer, retriever, test, k, mode, pool, cfg, records=True):
         failures += dropped
         preds.append(labels)
         golds.append(s.labels)
-        prompt_len = len(scorer.vocab.prompt_ids(prompt))
+        prompt_len = scorer.vocab.prompt_len(prompt)
         truncated += prompt_len > scorer.max_len
         if records:
             dump.append(

@@ -70,7 +70,7 @@ def _token_outputs(state, ids):
     """Token embeddings e and encoder outputs u = tanh(e @ w.T + b), each (n, d_r)."""
     p = state.params
     e = p["emb"].take(ids, axis=0)
-    u = e @ p["w"].T
+    u = np.dot(e, p["w"].T)  # the BLAS call of `@` with less dispatch
     u += p["b"]
     np.tanh(u, out=u)
     return e, u
@@ -82,8 +82,9 @@ def encode_text(state, text):
     if not len(ids):
         return np.zeros(state.d_r)
     _, u = _token_outputs(state, ids)
-    # equal bit for bit to u.mean(axis=0)
-    return np.add.reduce(u, axis=0) / len(ids)
+    mean = np.add.reduce(u, axis=0)  # divided in place: bit for bit u.mean(axis=0)
+    mean /= len(ids)
+    return mean
 
 
 def encode_text_backward(state, text, dh, grads):
@@ -101,10 +102,9 @@ def encode_text_backward(state, text, dh, grads):
 def build_index(state, pool):
     """Embed every pool sample as a candidate, in id order."""
     candidates = [make_candidate(s, pool.task) for s in pool.samples]
-    if candidates:
-        matrix = np.stack([encode_text(state, candidate_text(c)) for c in candidates])
-    else:
-        matrix = np.zeros((0, state.d_r))
+    matrix = np.empty((len(candidates), state.d_r))
+    for i, c in enumerate(candidates):
+        matrix[i] = encode_text(state, candidate_text(c))
     return CandidateIndex(
         matrix=matrix,
         ids=np.array([c.id for c in candidates], dtype=int),
@@ -140,12 +140,11 @@ def retrieve(state, index, text, m, allow_stale=False, exclude_id=None):
         raise StaleIndexError(
             f"index built at version {index.version}, state is at {state.version}"
         )
-    q = encode_text(state, query_text(text))
-    sims = index.matrix @ q
+    sims = np.dot(index.matrix, encode_text(state, query_text(text)))
     ids = index.ids
     keep = None
     if exclude_id is not None:
-        keep = np.flatnonzero(ids != exclude_id)
+        keep = (ids != exclude_id).nonzero()[0]
         ids, sims = ids[keep], sims[keep]
     if m > len(ids):
         logger.warning(
@@ -153,12 +152,11 @@ def retrieve(state, index, text, m, allow_stale=False, exclude_id=None):
             m, len(ids),
         )
         m = len(ids)
+    top = _top_m(sims, ids, m)
     rows = index.candidates
-    return [
-        ScoredCandidate(candidate=rows[i if keep is None else keep[i]],
-                        similarity=float(sims[i]))
-        for i in _top_m(sims, ids, m)
-    ]
+    # tolist() gives Python ints and floats, the values of int() and float()
+    return [ScoredCandidate(rows[i], s) for i, s in
+            zip((top if keep is None else keep[top]).tolist(), sims[top].tolist())]
 
 
 def _top_m(sims, ids, m):
@@ -170,8 +168,8 @@ def _top_m(sims, ids, m):
     neg = -sims
     if 0 < m < len(neg):
         cut = np.partition(neg, m - 1)[m - 1]
-        if not np.isnan(cut):  # NaN sorts last; the full sort handles it
-            near = np.flatnonzero(neg <= cut)  # every tie at the cut
+        if cut == cut:  # a NaN cut sorts last; the full sort handles it
+            near = (neg <= cut).nonzero()[0]  # every tie at the cut
             return near[np.lexsort((ids[near], neg[near]))[:m]]
     return np.lexsort((ids, neg))[:m]
 

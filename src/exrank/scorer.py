@@ -128,31 +128,33 @@ def score(state, prompt, target):
 
 def step_logits(state, prompt, prefix):
     """Softmax-normalized next-token distribution after a target prefix."""
-    h, _, _ = _encode_prompt(state, prompt)
-    z = _next_token_logits(state, _decoder_input(state, h), prefix)
+    z = _decoder(state, prompt, len(prefix) + 1)(prefix)
     z -= z.max()
     return _normalise(z)
 
 
-def _decoder_input(state, h):
-    """The decoder input [h ; emb[prev token] ; pos] with h filled in."""
-    f = np.empty(2 * state.d + POS_DIM)
-    f[:state.d] = h
-    return f
-
-
-def _next_token_logits(state, f, prefix):
-    """Raw next-token logits for a decoder input ``f`` that holds the encoded
-    prompt.  Refills the prev-token and position slices of ``f`` in place.
+def _decoder(state, prompt, max_len):
+    """The next-token logits of decoding from ``prompt``: a function of a
+    target prefix of fewer than ``max_len`` ids that returns the raw logits
+    after it, in one array that each call overwrites.  The prompt is encoded,
+    and the parameters are looked up, once per decoder.
     """
     p = state.params
-    d = state.d
-    n = len(prefix)
-    f[d:2 * d] = p["emb"][prefix[-1] if prefix else BOS_ID]
-    f[2 * d:] = position_codes(n + 1)[n]
-    z = p["w_out"] @ f
-    z += p["b_out"]
-    return z
+    emb, w_out, b_out, d = p["emb"], p["w_out"], p["b_out"], state.d
+    codes = position_codes(max_len)
+    f = np.empty(2 * d + POS_DIM)  # [h ; emb[prev token] ; pos]
+    f[:d] = _encode_prompt(state, prompt)[0]
+    prev, pos = f[d:2 * d], f[2 * d:]
+    z = np.empty(len(b_out))
+
+    def logits(prefix):
+        n = len(prefix)
+        prev[...] = emb[prefix[-1] if n else BOS_ID]
+        pos[...] = codes[n]  # equal bit for bit to position_codes(n + 1)[n]
+        np.dot(w_out, f, out=z)  # the BLAS call of `w_out @ f`, into z
+        return np.add(z, b_out, out=z)
+
+    return logits
 
 
 def _normalise(shift):
@@ -175,11 +177,10 @@ def generate(state, prompt, max_len):
     """Greedy decoding until the end token or ``max_len`` tokens."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    h, _, _ = _encode_prompt(state, prompt)
-    f = _decoder_input(state, h)
+    logits = _decoder(state, prompt, max_len)
     out = []
     for _ in range(max_len):
-        nxt = _greedy_token(_next_token_logits(state, f, out))
+        nxt = _greedy_token(logits(out))
         if nxt == EOS_ID:
             break
         out.append(nxt)

@@ -7,6 +7,7 @@ import numpy as np
 
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
+_N_RESERVED = len(RESERVED_TOKENS)
 
 
 def tokenize(text):
@@ -102,6 +103,12 @@ class Vocabulary:
             return self.ids(text)
         return np.concatenate(list(map(self._ids.__getitem__, blocks)))
 
+    def prompt_len(self, text):
+        """``len(self.prompt_ids(text))``, summed over the memoized blocks
+        without joining their ids."""
+        blocks = getattr(text, "blocks", None) or (text,)
+        return sum(map(len, map(self._ids.__getitem__, blocks)))
+
     def tail_ids(self, text, max_len):
         """Ids of the last ``max_len`` tokens of ``text``, never to be written into."""
         # a model keeps the tail so the query input, which ends every prompt,
@@ -109,6 +116,5 @@ class Vocabulary:
         return self.prompt_ids(text)[-max_len:]
 
     def decode(self, ids):
-        return " ".join(
-            self.tokens[i] for i in ids if i >= len(RESERVED_TOKENS)
-        )
+        tokens = self.tokens
+        return " ".join([tokens[i] for i in ids if i >= _N_RESERVED])

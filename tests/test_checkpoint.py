@@ -101,3 +101,20 @@ def test_max_len_below_one_is_refused_at_init_and_at_load(tmp_path, model, max_l
     _write_by_hand(path, state, tag, width)
     with pytest.raises(ValueError, match=f"max_len must be at least 1, got {max_len}"):
         load(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_a_non_finite_parameter_is_refused_at_load_naming_the_file_and_key(
+        tmp_path, model, bad):
+    make, _, load, tag, width = MODELS[model]
+    state = make()
+    emb, last = state.params["emb"].copy(), list(state.params)[-1]
+    emb[1, 2] = bad
+    path = tmp_path / "bad.ckpt.npz"
+    # two bad parameters: the first in the model's order is named
+    _write_by_hand(path, state, tag, width, emb=emb,
+                   **{last: np.full_like(state.params[last], bad)})
+    with pytest.raises(ValueError, match=f"checkpoint {path}: parameter 'emb' holds a "
+                                         "NaN or infinite value"):
+        load(path)

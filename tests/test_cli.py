@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from exrank import cli
@@ -324,6 +325,25 @@ def test_evaluate_full_smoke(tmp_path, data_dir, trained_dir, fast):
     preds = [json.loads(l) for l in
              (out / "predictions.jsonl").read_text().splitlines()]
     assert len(preds) == 8
+
+
+def test_evaluate_refuses_a_checkpoint_holding_a_nan_in_one_line(tmp_path, data_dir,
+                                                                trained_dir, fast, capsys):
+    bad = tmp_path / "scorer_nan.ckpt.npz"
+    with np.load(trained_dir / "scorer_1.ckpt.npz") as blob:
+        members = dict(blob)
+    members["w_out"] = members["w_out"].copy()
+    members["w_out"][3, 5] = np.nan
+    np.savez(bad, **members)
+    out = tmp_path / "eval"
+    rc = main(["evaluate", "--train-file", str(data_dir / "train.jsonl"),
+               "--test-file", str(data_dir / "test.jsonl"), "--scorer", str(bad),
+               "--retriever", str(trained_dir / "retriever_1.ckpt.npz"),
+               "--out", str(out), *fast])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"runtime error: checkpoint {bad}: parameter "
+                                       "'w_out' holds a NaN or infinite value\n")
+    assert not out.exists()
 
 
 def test_evaluate_records_the_examples_its_prompts_carried(tmp_path, data_dir,

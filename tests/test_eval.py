@@ -307,6 +307,21 @@ class TestRunInference:
         assert metrics.truncated == truncated
         assert "truncated" not in metrics.row()
 
+    @pytest.mark.parametrize("mode", [AblationMode.NO_INSTRUCTION,
+                                      AblationMode.NO_RETRIEVER])
+    def test_truncated_counts_the_long_prompts_of_the_other_modes(self, trained_small,
+                                                                  mode):
+        # no_instruction prompts are plain strs, no_retriever ones carry blocks
+        train, test, cfg, scorer, retr = trained_small
+        _, dump = run_inference(scorer, retr, test, 2, mode, train, cfg)
+        assert all(rec["prompt_len"] == len(rec["prompt"].split()) for rec in dump)
+        lens = sorted(rec["prompt_len"] for rec in dump)
+        cut = replace(scorer, max_len=lens[len(lens) // 2])
+        metrics, dump = run_inference(cut, retr, test, 2, mode, train, cfg)
+        truncated = sum(rec["prompt_len"] > cut.max_len for rec in dump)
+        assert 0 < truncated < len(test)
+        assert metrics.truncated == truncated
+
     def test_k_above_the_eligible_pool_warns_once_per_call(self, caplog):
         from exrank.alternating import build_vocabulary
         from exrank.retriever import init_retriever

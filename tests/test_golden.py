@@ -7,16 +7,21 @@ paths: ``gen-data`` 40/8 at seed 3; ``alternate --t 2`` and its
 Each output file and each command's stdout is one entry of ``GOLDEN``, so a
 refactor that moves any output byte names the file it moved.
 
-The hashes were recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64), and
-they held at PYTHONHASHSEED 0, 1 and 12345 and at OPENBLAS_NUM_THREADS 1 and
-2.  Another numpy or BLAS may round differently; the mismatch message names
-the versions running.  A change that moves output bytes on purpose
-re-records only the entries it means to change.
+The hashes were recorded on ``RECORDED_ON``, and they held at PYTHONHASHSEED
+0, 1 and 12345 and at OPENBLAS_NUM_THREADS 1 and 2.  Trained checkpoints
+round differently on another platform even at the same versions: OpenBLAS
+picks its GEMM kernel by CPU core, and numpy its ``exp``/``log``/``tanh``
+loops by SIMD level.  So the mismatch message names the versions, the
+OpenBLAS core and numpy's SIMD targets running.  A change that moves output
+bytes on purpose re-records only the entries it means to change.
 """
 
 import contextlib
+import ctypes
+import glob
 import hashlib
 import io
+import os
 from pathlib import Path
 
 import numpy as np
@@ -105,13 +110,38 @@ def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def _versions():
+RECORDED_ON = ("numpy 2.4.6 on scipy-openblas 0.3.31.188.0, OpenBLAS core SkylakeX, "
+               "numpy SIMD found X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
+
+
+def _openblas_core():
+    """The core name of the OpenBLAS bundled with numpy, or None."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*.so*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            query = getattr(lib, symbol, None)
+            if query is not None:
+                query.restype = ctypes.c_char_p
+                return query().decode()
+    return None
+
+
+def _platform():
+    """What decides how this platform rounds, spelled as ``RECORDED_ON``."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas.get('name')} {blas.get('version')}"
     except (TypeError, KeyError):
         blas = "an unnamed BLAS"
-    return f"numpy {np.__version__} on {blas}"
+    from numpy._core import _multiarray_umath as umath
+
+    found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    return (f"numpy {np.__version__} on {blas}, OpenBLAS core {_openblas_core()}, "
+            f"numpy SIMD found {' '.join(found) or 'none'}")
 
 
 @pytest.fixture(scope="module")
@@ -143,5 +173,10 @@ def test_the_session_writes_its_recorded_bytes(session, name):
     moved = sorted(key for key in got.keys() | want.keys()
                    if got.get(key) != want.get(key))
     assert not moved, (f"{name}: {moved} differ from the recorded hashes "
-                       f"(recorded on numpy 2.4.6 on OpenBLAS 0.3.31; "
-                       f"running {_versions()})")
+                       f"(recorded on {RECORDED_ON}; running on {_platform()})")
+
+
+def test_the_mismatch_message_names_the_core_and_the_simd_targets():
+    running = _platform()
+    assert running.startswith(f"numpy {np.__version__} on ")
+    assert "OpenBLAS core " in running and "numpy SIMD found " in running

@@ -19,7 +19,7 @@ from exrank.retriever import (
     retrieve,
     save_retriever,
 )
-from exrank.template import Candidate, candidate_text, query_text
+from exrank.template import Candidate, candidate_text, make_candidate, query_text
 from exrank.vocab import Vocabulary
 
 RNG = np.random.default_rng(20240818)
@@ -297,6 +297,21 @@ class TestBitExactAgainstOracle:
             assert got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
 
+    @pytest.mark.parametrize("max_len", [6, 128])
+    def test_build_index(self, max_len):
+        pool, _ = generate_synthetic(30, 1, 4)
+        texts = [candidate_text(make_candidate(s, pool.task)) for s in pool.samples]
+        # built from every other text, so the rest hold <unk> tokens
+        state = init_retriever(Vocabulary.build(texts[::2]), d_r=5, max_len=max_len,
+                               seed=4)
+        state.params["b"] = np.random.default_rng(4).normal(0.0, 0.5, 5)
+        index = build_index(state, pool)
+        assert index.matrix.shape == (len(texts), state.d_r)
+        for row, text in zip(index.matrix, texts):
+            assert row.tobytes() == _reference_encode_text(state, text).tobytes(), text
+        empty = build_index(state, replace(pool, samples=[]))
+        assert empty.matrix.shape == (0, state.d_r) and len(empty.ids) == 0
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_encode_text_backward(self, seed):
         state = _oracle_retriever(seed)
@@ -322,6 +337,18 @@ class TestBitExactAgainstOracle:
                 got = retrieve(state, index, query.text, m, exclude_id=exclude_id)
                 assert [(sc.id, sc.similarity) for sc in got] == _reference_retrieve(
                     state, index, query, m, exclude_id), (text, m)
+
+    @pytest.mark.parametrize("exclude", [False, True])
+    def test_retrieve_gives_python_floats(self, exclude):
+        # a numpy scalar would compare equal to the oracle's float, yet carry
+        # its type into every record built from it
+        state = _oracle_retriever(2)
+        index = _permuted_index(state, 20, 5, quantize=False)
+        exclude_id = int(index.ids[3]) if exclude else None
+        got = retrieve(state, index, "w1 w2 w3", 6, exclude_id=exclude_id)
+        assert len(got) == 6
+        assert all(type(sc.similarity) is float for sc in got)
+        assert all(type(sc.id) is int for sc in got)
 
     def test_retrieve_m_at_and_past_pool(self, caplog):
         state = _oracle_retriever(3)

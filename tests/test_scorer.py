@@ -493,6 +493,16 @@ class TestBitExactAgainstOracle:
         assert codes.tobytes() == kept.tobytes()
         assert (score(state, prompt, target), generate(state, prompt, 40)) == before
 
+    def test_position_codes_are_the_first_rows_of_every_larger_table(self):
+        # greedy decoding reads position n from one table per call,
+        # position_codes(max_len), where the oracle reads position_codes(n + 1)
+        tables = [position_codes(n) for n in (24, 129, 513)]
+        for n in range(1, 130):
+            rows = position_codes.__wrapped__(n)  # computed afresh, not memoised
+            for table in tables:
+                if len(table) >= n:
+                    assert table[:n].tobytes() == rows.tobytes(), (n, len(table))
+
     def test_untrained_zero_output_weights(self, small_scorer):
         _assert_matches_oracle(small_scorer)
 
