@@ -9,10 +9,29 @@ import numpy as np
 # Adam's moment decay rates and its denominator guard, the usual defaults
 BETAS = (0.9, 0.999)
 EPS = 1e-8
+# Byte boundary on which every parameter buffer and retrieval index starts:
+# a cache line, and a multiple of every SIMD width
+ALIGN = 64
+
+
+def aligned_zeros(n):
+    """``n`` float64 zeros whose data starts on an ``ALIGN``-byte boundary.
+
+    numpy's allocator promises 16 bytes.  OpenBLAS's SkylakeX matrix-vector
+    kernel reads rows that start 16 bytes off a 32-byte boundary about 1.4x
+    slower, with the same result bit for bit, so the decoder's and the index's
+    products would otherwise run at a speed set by where the allocator
+    happened to place them.
+    """
+    buf = np.zeros(n + ALIGN // 8 - 1)
+    # through the buffer protocol, so that views of the result have the
+    # result, not `buf`, as their base
+    return np.frombuffer(buf.data, count=n, offset=-buf.ctypes.data % ALIGN)
 
 
 class FlatViews(dict):
-    """Named C-contiguous views, in key order, of one 1-D buffer ``flat``.
+    """Named C-contiguous views, in key order, of one 1-D buffer ``flat``,
+    which ``zeros`` and ``pack`` start on an ``ALIGN``-byte boundary.
 
     It holds a model's parameters, an optimizer's moments and every gradient.
     An operation on ``flat`` is one pass over every value at once.  Assigning
@@ -32,13 +51,15 @@ class FlatViews(dict):
     @classmethod
     def pack(cls, arrays):
         """A copy of the dict ``arrays`` in one new buffer, keys in its order."""
-        return cls(np.concatenate([np.ravel(v) for v in arrays.values()]),
-                   {k: np.shape(v) for k, v in arrays.items()})
+        views = cls.zeros({k: np.shape(v) for k, v in arrays.items()})
+        np.concatenate([np.ravel(v) for v in arrays.values()], out=views.flat)
+        return views
 
     @classmethod
     def zeros(cls, shapes):
-        """Zeros in one new buffer, laid out by ``shapes``, a dict of key to shape."""
-        return cls(np.zeros(sum(math.prod(shape) for shape in shapes.values())), shapes)
+        """Zeros in one new ``aligned_zeros`` buffer, laid out by ``shapes``, a
+        dict of key to shape."""
+        return cls(aligned_zeros(sum(math.prod(shape) for shape in shapes.values())), shapes)
 
     def zeros_like(self):
         """Zeros with the keys and shapes of these views, in a buffer of their own."""

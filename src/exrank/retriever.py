@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint
-from .optim import FlatViews, add_rows_at
+from .optim import FlatViews, add_rows_at, aligned_zeros
 from .template import candidate_text, make_candidate, query_text
 from .vocab import Vocabulary
 
@@ -102,7 +102,7 @@ def encode_text_backward(state, text, dh, grads):
 def build_index(state, pool):
     """Embed every pool sample as a candidate, in id order."""
     candidates = [make_candidate(s, pool.task) for s in pool.samples]
-    matrix = np.empty((len(candidates), state.d_r))
+    matrix = aligned_zeros(len(candidates) * state.d_r).reshape(-1, state.d_r)
     for i, c in enumerate(candidates):
         matrix[i] = encode_text(state, candidate_text(c))
     return CandidateIndex(

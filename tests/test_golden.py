@@ -137,11 +137,14 @@ def _platform():
         blas = f"{blas.get('name')} {blas.get('version')}"
     except (TypeError, KeyError):
         blas = "an unnamed BLAS"
-    from numpy._core import _multiarray_umath as umath
+    try:  # the "found" list of np.show_runtime(), which only prints it
+        from numpy._core import _multiarray_umath as umath
 
-    found = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+        found = " ".join(f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f))
+    except (ImportError, AttributeError):
+        found = "unknown"
     return (f"numpy {np.__version__} on {blas}, OpenBLAS core {_openblas_core()}, "
-            f"numpy SIMD found {' '.join(found) or 'none'}")
+            f"numpy SIMD found {found or 'none'}")
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from exrank.contrastive import _batch_loss_and_grads
-from exrank.optim import AdamW, FlatViews, add_rows_at, check_finite
-from exrank.retriever import init_retriever, load_retriever, save_retriever
-from exrank.scorer import init_scorer, load_scorer, nll_and_grads, save_scorer
+from exrank.optim import ALIGN, AdamW, FlatViews, add_rows_at, aligned_zeros, check_finite
+from exrank.retriever import build_index, init_retriever, load_retriever, retrieve, save_retriever
+from exrank.scorer import generate, init_scorer, load_scorer, nll_and_grads, save_scorer, step_logits
 from exrank.vocab import Vocabulary
 
 
@@ -183,6 +183,53 @@ def test_packing_leaves_checkpoint_bytes_unchanged(tmp_path, init, save, load):
     # a loaded checkpoint is packed the same way
     save(load(tmp_path / "flat.npz"), tmp_path / "again.npz")
     assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "plain.npz").read_bytes()
+
+
+@_MODELS
+def test_buffers_start_on_an_aligned_boundary(tmp_path, init, save, load):
+    assert all(aligned_zeros(n).ctypes.data % ALIGN == 0 for n in (0, 1, 7, 50_000))
+    state = init(Vocabulary.build(["alpha beta gamma delta"]))
+    save(state, tmp_path / "aligned.npz")
+    for params in (state.params, load(tmp_path / "aligned.npz").params,
+                   state.params.zeros_like(), AdamW(state.params, lr=1e-3).grads):
+        assert params.flat.ctypes.data % ALIGN == 0
+
+
+def _misaligned(params):
+    """A copy of ``params`` in a buffer that starts 16 bytes off ``ALIGN``."""
+    buf = aligned_zeros(params.flat.size + 2)
+    flat = buf[2:]
+    flat[...] = params.flat
+    return FlatViews(flat, {k: v.shape for k, v in params.items()})
+
+
+def test_alignment_moves_no_float_of_decoding_or_retrieval():
+    # aligned buffers change the speed of the BLAS products, never their bits
+    from exrank.corpus import generate_synthetic
+    from exrank.template import task_input
+
+    train, test = generate_synthetic(60, 6, 2)
+    vocab = Vocabulary.build([task_input(s, train.task) for s in train.samples])
+    rng = np.random.default_rng(2)
+    scorer = init_scorer(vocab, d=64, max_len=128, seed=2)
+    scorer.params["w_out"] = rng.normal(0.0, 0.3, scorer.params["w_out"].shape)
+    retr = init_retriever(vocab, d_r=64, max_len=128, seed=2)
+    index = build_index(retr, train)
+    assert index.matrix.ctypes.data % ALIGN == 0
+    moved_scorer = dataclasses.replace(scorer, params=_misaligned(scorer.params))
+    moved_index = dataclasses.replace(index, matrix=_misaligned(
+        FlatViews.pack({"m": index.matrix}))["m"])
+    assert moved_scorer.params["w_out"].ctypes.data % 32 == 16
+    assert moved_index.matrix.ctypes.data % 32 == 16
+    for s in test.samples:
+        prompt = task_input(s, test.task)
+        assert generate(moved_scorer, prompt, 6) == generate(scorer, prompt, 6)
+        for prefix in ([], [5], [5, 9, 11]):
+            assert (step_logits(moved_scorer, prompt, prefix).tobytes()
+                    == step_logits(scorer, prompt, prefix).tobytes())
+        got = retrieve(retr, moved_index, prompt, 5)
+        assert [(c.id, c.similarity) for c in got] == [
+            (c.id, c.similarity) for c in retrieve(retr, index, prompt, 5)]
 
 
 def test_zero_weight_decay_keeps_signed_zeros_of_the_reference():
