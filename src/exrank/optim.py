@@ -17,11 +17,11 @@ ALIGN = 64
 def aligned_zeros(n):
     """``n`` float64 zeros whose data starts on an ``ALIGN``-byte boundary.
 
-    numpy's allocator promises 16 bytes.  OpenBLAS's SkylakeX matrix-vector
-    kernel reads rows that start 16 bytes off a 32-byte boundary about 1.4x
-    slower, with the same result bit for bit, so the decoder's and the index's
-    products would otherwise run at a speed set by where the allocator
-    happened to place them.
+    numpy's allocator gives malloc's 16 bytes.  OpenBLAS's SkylakeX
+    matrix-vector kernel reads rows that start 16 bytes off a 32-byte
+    boundary about 1.4x slower, with the same result bit for bit, so the
+    decoder's and the index's products would otherwise run at a speed set by
+    where the allocator happened to place them.
     """
     buf = np.zeros(n + ALIGN // 8 - 1)
     # through the buffer protocol, so that views of the result have the
