@@ -1,9 +1,12 @@
 """A golden CLI session: the sha256 of every file and every stdout it makes.
 
-Nine ``exrank`` invocations run in-process, in one directory, with relative
-paths: ``gen-data`` 40/8 at seed 3; ``alternate --t 2`` and its
+Thirteen ``exrank`` invocations run in-process, in one directory, with
+relative paths: ``gen-data`` 40/8 at seed 3; ``alternate --t 2`` and its
 ``--resume-step 1`` replay; ``evaluate`` in each ablation mode; ``sweep
 --k-max 3``; ``train-retriever``, then ``finetune-lm`` on its checkpoints.
+The other two tasks follow: ``gen-data --task atsc`` with ``train-retriever
+--task atsc``, and ``gen-data --task ate`` with ``alternate --t 1 --task
+ate``.
 Each output file and each command's stdout is one entry of ``GOLDEN``, so a
 refactor that moves any output byte names the file it moved.
 
@@ -51,6 +54,18 @@ SESSION = [
     ("train-retriever", ["train-retriever", *DATA, "--out", "retr"], "retr"),
     ("finetune-lm", ["finetune-lm", *DATA, "--scorer", "retr/scorer.ckpt.npz",
                      "--retriever", "retr/retriever.ckpt.npz", "--out", "ft"], "ft"),
+    # the other two tasks: ATSC's one-word targets through labeling and
+    # separation, ATE through one schedule step
+    ("gen-data-atsc", ["gen-data", "--task", "atsc", "--train", "40", "--test", "8",
+                       "--seed", "3", "--out", "data-atsc"], "data-atsc"),
+    ("train-retriever-atsc", ["train-retriever", "--task", "atsc", "--train-file",
+                              "data-atsc/train.jsonl", "--out", "retr-atsc"],
+     "retr-atsc"),
+    ("gen-data-ate", ["gen-data", "--task", "ate", "--train", "40", "--test", "8",
+                      "--seed", "3", "--out", "data-ate"], "data-ate"),
+    ("alternate-ate", ["alternate", "--task", "ate", "--train-file", "data-ate/train.jsonl",
+                       "--test-file", "data-ate/test.jsonl", "--t", "1", "--out", "run-ate"],
+     "run-ate"),
 ]
 
 # train-retriever and finetune-lm run step 1 of the schedule: their checkpoints
@@ -103,6 +118,27 @@ GOLDEN = {
     "finetune-lm stdout": "681347fe50f30277ee69957250caadedb587bf8ed8683a651aaadd3a62d0d6fe",
     "finetune-lm ft/run.json": "f8cc38ed66ebf1d3adf2b705ef44d38580525744dbe9ec18508172e5855e9a14",
     "finetune-lm ft/scorer.ckpt.npz": "bc259039a50571db529749af9622664d25870ecd8d83be97608c974c76d057dc",
+    "gen-data-atsc stdout": "49c3c5f0c2ac38614cfc951f65f4de615c6970389a838a0f86faec11b5a051fc",
+    "gen-data-atsc data-atsc/run.json": "eb7760be93401b8a7c9cf235e8f98b3adbd958ddf37568baa54581c2efa1e2f9",
+    "gen-data-atsc data-atsc/test.jsonl": "315cafc6a8d27f5d04c287a0feeaed44ef923be0523c60d3fadc3a3f61a553f9",
+    "gen-data-atsc data-atsc/train.jsonl": "2df99b509b380b22ff1e0eae034e71ed4f5d15280fcc4984fcc9478d24a58eec",
+    "train-retriever-atsc stdout": "95b9acb69e147b9a929f5009de821a9cbcef9b4e8d7261f5cde84ad8175ac4bd",
+    "train-retriever-atsc retr-atsc/retriever.ckpt.npz": "ced70ffc559380fca21dbd802e66b7739d602e880621b2296a2eb6d67f991d1d",
+    "train-retriever-atsc retr-atsc/run.json": "f0251ad48c38a435a807eced0a8c5d9e949a4da68694e3d6ea907678026fd5d2",
+    "train-retriever-atsc retr-atsc/scorer.ckpt.npz": "dc9e4e36e484aa5d3f0ddf5a5b6ef448eb2c625124572d55662f1d9372cfbbb4",
+    "train-retriever-atsc retr-atsc/training.tsv": "4a3490756c9493f87afa8cd35451c4fdb702c4fcc471ac1b6c2b0a45acf8c86e",
+    "gen-data-ate stdout": "ef3e056a5356f729478ac840d9708368d7c8a8e038fbda73540b93251367e4d9",
+    "gen-data-ate data-ate/run.json": "413d6083d1b649e9f59bb1623a160a4652d606383d13e8946c4567cf6bb34531",
+    "gen-data-ate data-ate/test.jsonl": "f48904ce2c2f7e85463ccc0d0101a9639fb2f49487cea323461d4270ff4adac8",
+    "gen-data-ate data-ate/train.jsonl": "6db721bbe68461e4a500cd2e7e9e9b0ced1302167b7fba38ebbc5d25c6a0a3c6",
+    "alternate-ate stdout": "a6c83ddcaa1aa5544f54327b9cc2201d1ec19cbc12fdaa354d2bf45f836f21c9",
+    "alternate-ate run-ate/metrics.tsv": "beb797aee89d8e2a7557d821ef47c4940c929436a880ee226f749811f183d882",
+    "alternate-ate run-ate/retriever_0.ckpt.npz": "a02a8c7cad6f49a1fc9899eb6cf939443bf431ac34eeda68dc98a4ddce3de39c",
+    "alternate-ate run-ate/retriever_1.ckpt.npz": "527caa35457b8bfaa77026b7c90228c2a7d43c46b7221e743a1ce0cecc98a8ad",
+    "alternate-ate run-ate/run.json": "8976258a49de781c80402b07d7ded800366fe195e5a1bb8911041e4642d61a57",
+    "alternate-ate run-ate/scorer_0.ckpt.npz": "16d032a2f767969985b6f16cb4d694d0b14ec2fc99c892b2ed7d65b14b745c69",
+    "alternate-ate run-ate/scorer_1.ckpt.npz": "d3e6b60a586c8056d91305cc6bd924bbccffd90ce70d3a45336538139c8cfa4f",
+    "alternate-ate run-ate/scorer_init.ckpt.npz": "7ea088f9608eb02954cd408af805156c618336327f060200aa4d4f61307defa3",
 }
 
 
