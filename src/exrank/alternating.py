@@ -1,7 +1,7 @@
 """Alternating training schedule: the scorer of step t-1 labels candidates for
 the retriever of step t; the updated retriever then feeds the scorer's
-fine-tuning prompts.  Every step persists both checkpoints plus a metrics row,
-so a run can resume from any step and replay bit-identically.
+fine-tuning prompts.  Every step persists a metrics row, then both
+checkpoints, so a run can resume from any step and replay bit-identically.
 """
 
 import csv
@@ -160,8 +160,11 @@ def check_schedule_inputs(train, dev, cfg, resume_step=None):
 def run_schedule(train, dev, cfg, out_dir, resume_step=None):
     """Run the t-step schedule, persisting checkpoints and dev metrics.
 
-    ``resume_step`` reloads the step-s checkpoints from out_dir and reruns
-    steps s+1..t; under the same seed this replays the original run exactly.
+    Each step writes its ``metrics.tsv`` row, then ``retriever_s``, then
+    ``scorer_s``.  ``resume_step`` reloads the step-s checkpoints from out_dir
+    and reruns steps s+1..t; under the same seed this replays the original run
+    exactly.  After a crash, resume from the newest step with both
+    checkpoints: its row and every earlier one are in ``metrics.tsv``.
     """
     check_schedule_inputs(train, dev, cfg, resume_step)
     out = Path(out_dir)
@@ -191,13 +194,14 @@ def run_schedule(train, dev, cfg, out_dir, resume_step=None):
                                    seed_tag=stage_tag(step, "retriever-train"))
             scorer = finetune_lm(scorer, retr, train, cfg,
                                  seed_tag=stage_tag(step, "finetune-lm"))
-        retriever_mod.save_retriever(retr, ckpt("retriever", step))
-        scorer_mod.save_scorer(scorer, ckpt("scorer", step))
         metrics, _ = run_inference(
             scorer, retr, dev, cfg.k, AblationMode.FULL, train, cfg, records=False
         )
         rows.append(_metrics_row(step, dev, metrics))
         _write_metrics(metrics_path, rows)
+        # the checkpoints last: a step whose two checkpoints exist has its row
+        retriever_mod.save_retriever(retr, ckpt("retriever", step))
+        scorer_mod.save_scorer(scorer, ckpt("scorer", step))
         logger.info("alternating step %d complete", step)
 
     return ScheduleState(

@@ -9,7 +9,6 @@ negative, and the 2(B-1) in-batch candidates of the other queries.
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,7 @@ def label_candidates(query, cands, scorer, templates, k, task):
 
     Each candidate is the one example of a ``task`` prompt rendered from
     ``templates``.  Returns two lists of ScoredCandidate with delta filled in,
-    each of size k.  Which candidates a query may see is its callers' choice
+    each of size k.  Which candidates a query may see is ``labeler``'s choice
     (``retriever.eligible``); every candidate given is labeled.
     """
     if k < 1:
@@ -140,25 +139,41 @@ def _batch_loss_and_grads(state, batch, out):
     return total * scale, out
 
 
-def _label_and_draw(query, cands, scorer, templates, k, task, pos_rng, neg_rng):
-    """Label ``cands`` for ``query``, then draw one candidate from C+ with
-    ``pos_rng`` and one from C- with ``neg_rng``."""
-    c_plus, c_minus = label_candidates(query, cands, scorer, templates, k, task)
-    return (c_plus[pos_rng.integers(len(c_plus))].candidate,
-            c_minus[neg_rng.integers(len(c_minus))].candidate)
+def labeler(retr, queries, pool, scorer, cfg):
+    """The one labeling rule of retriever training and ``separation``.
 
+    First refuses a k, m or ``pool`` too small to label ``queries`` against
+    ``pool`` (``check_label_sizes``), and a one-example prompt the scorer's
+    vocabulary cannot encode.  Returns ``label(query, index, pos_rng, neg_rng,
+    boot_rng=None)``, which takes ``cfg.m`` candidates from ``index``, an index
+    of ``pool``, less the query itself as ``retriever.eligible`` decides: drawn
+    with ``boot_rng`` when given, else retrieved with the current ``retr``,
+    the index's staleness allowed.  It splits them with ``label_candidates``,
+    draws one of C+ with ``pos_rng`` and one of C- with ``neg_rng``, and
+    returns the retriever texts of the query, the positive and the negative.
+    """
+    check_label_sizes(cfg, pool, queries)
+    templates = load_templates(cfg.template_dir)
+    check_prompts(scorer.vocab, templates, queries, pool, 1)  # one example each
+    members = eligible(queries, pool)[0]
 
-def _candidates_for_query(state, index, query, query_input, m, bootstrap_rng):
-    if bootstrap_rng is not None:
-        others = [c for c in index.candidates if c.id != query.id]
-        picks = bootstrap_rng.choice(len(others), size=m, replace=False)
-        return [others[i] for i in sorted(picks)]
-    return [
-        sc.candidate
-        for sc in retrieve(
-            state, index, query_input, m, allow_stale=True, exclude_id=query.id
-        )
-    ]
+    def label(query, index, pos_rng, neg_rng, boot_rng=None):
+        q_input = task_input(query, pool.task)
+        exclude = query.id if query.id in members else None  # the query itself
+        if boot_rng is None:
+            cands = [sc.candidate for sc in retrieve(
+                retr, index, q_input, cfg.m, allow_stale=True, exclude_id=exclude)]
+        else:
+            others = [c for c in index.candidates if c.id != exclude]
+            picks = boot_rng.choice(len(others), size=cfg.m, replace=False)
+            cands = [others[i] for i in sorted(picks)]
+        c_plus, c_minus = label_candidates(query, cands, scorer, templates, cfg.k,
+                                           pool.task)
+        pos = c_plus[pos_rng.integers(len(c_plus))].candidate
+        neg = c_minus[neg_rng.integers(len(c_minus))].candidate
+        return query_text(q_input), candidate_text(pos), candidate_text(neg)
+
+    return label
 
 
 def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
@@ -170,9 +185,7 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
     current retriever against an index rebuilt once per epoch.  Its queries
     are samples of ``train``, so none is among its own candidates.
     """
-    check_label_sizes(cfg, train, train)
-    templates = load_templates(cfg.template_dir)
-    check_prompts(scorer.vocab, templates, train, train, 1)  # one example each
+    label = labeler(retr, train, train, scorer, cfg)
     # step-dependent name: each alternating step labels a fresh subset
     subset = sample_training_subset(train, cfg.r, cfg.seed, name=f"{seed_tag}/subset")
     opt = AdamW(retr.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -190,18 +203,8 @@ def train_retriever(retr, train, scorer, cfg, bootstrap_first_epoch=True,
         order = shuffle_rng.permutation(len(subset.samples))
         epoch_loss, n_batches = 0.0, 0
         for start in range(0, len(order), B):
-            batch = []  # (query_render, pos_render, neg_render) per query
-            for i in order[start:start + B]:
-                query = subset.samples[i]
-                q_input = task_input(query, train.task)
-                cands = _candidates_for_query(
-                    retr, index, query, q_input, cfg.m, boot_rng
-                )
-                pos, neg = _label_and_draw(query, cands, scorer, templates, cfg.k,
-                                           train.task, pos_rng, neg_rng)
-                batch.append(
-                    (query_text(q_input), candidate_text(pos), candidate_text(neg))
-                )
+            batch = [label(subset.samples[i], index, pos_rng, neg_rng, boot_rng)
+                     for i in order[start:start + B]]
             loss, grads = _batch_loss_and_grads(retr, batch, opt.grads)
             check_finite(loss, grads, f"retriever epoch {epoch} batch {n_batches}")
             opt.step()
@@ -219,31 +222,21 @@ def separation(retr, queries, scorer, cfg, train):
     """Mean sim(query, C+ pick) minus mean sim(query, C- pick) over queries.
 
     The training objective's literal target; positive means the retriever
-    agrees with the scorer's labeling.  ``queries`` is a Dataset; a query
-    excludes the train candidate with its id exactly when
-    ``retriever.eligible`` lists it, so a held-out query keeps every train
-    candidate, its same-id twin included.  A k, m or train split too small to
-    label, or a labeling prompt the scorer's vocabulary cannot encode, is
-    refused before any index, as in training.
+    agrees with the scorer's labeling.  ``queries`` is a Dataset, labeled
+    against ``train`` by ``labeler``, so a held-out query keeps every train
+    candidate, its same-id twin included, and a k, m or labeling prompt that
+    training would refuse is refused before any index.  The index is built
+    from ``retr`` just before it is used and ``retr`` does not change here,
+    so the stale index that ``labeler`` allows cannot occur.
     """
-    check_label_sizes(cfg, train, queries)
-    templates = load_templates(cfg.template_dir)
-    check_prompts(scorer.vocab, templates, queries, train, 1)
-    members = eligible(queries, train)[0]
+    label = labeler(retr, queries, train, scorer, cfg)
     index = build_index(retr, train)
     pos_rng = substream(cfg.seed, "separation/positive-choice")
     neg_rng = substream(cfg.seed, "separation/negative-choice")
     diffs = []
     for query in queries.samples:
-        q_input = task_input(query, train.task)
-        exclude = query.id if query.id in members else None  # the query itself
-        cands = [sc.candidate
-                 for sc in retrieve(retr, index, q_input, cfg.m, exclude_id=exclude)]
-        pos, neg = _label_and_draw(query, cands, scorer, templates, cfg.k,
-                                   train.task, pos_rng, neg_rng)
-        hq = encode_text(retr, query_text(q_input))
-        diffs.append(
-            float(hq @ encode_text(retr, candidate_text(pos)))
-            - float(hq @ encode_text(retr, candidate_text(neg)))
-        )
+        q_text, pos_text, neg_text = label(query, index, pos_rng, neg_rng)
+        hq = encode_text(retr, q_text)
+        diffs.append(float(hq @ encode_text(retr, pos_text))
+                     - float(hq @ encode_text(retr, neg_text)))
     return float(np.mean(diffs)) if diffs else 0.0

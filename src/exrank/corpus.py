@@ -151,8 +151,10 @@ def _read_record(line, task, sample_id):
         labels.append(AspectLabel(term, _POLARITY_WORDS[pol]))
     sample = Sample(id=sample_id, text=text, labels=labels or [SENTINEL], aspect=aspect)
     _check_sample(sample)
-    if task == Task.ATSC:
-        serialize_label(sample, task)  # refuses a missing aspect or one not among the labels
+    # serialize_label refuses a missing aspect or one not among the labels
+    if task == Task.ATSC and serialize_label(sample, task) == Polarity.NONE.value:
+        raise ValueError(f"designated aspect {aspect!r} is the no-aspect sentinel; "
+                         "an ATSC record needs an aspect term to classify")
     return sample
 
 

@@ -114,9 +114,10 @@ def build_index(state, pool):
 
 
 def eligible(queries, pool):
-    """The one membership rule of labeling, ``separation`` and every prompt:
-    the pool ids that are queries of ``queries`` themselves, and each query's
-    count of the other pool candidates.  A query is the pool sample with its
+    """The one membership rule of labeling (retrieved and bootstrap-drawn
+    candidates alike), ``separation`` and every prompt: the pool ids that are
+    queries of ``queries`` themselves, and each query's count of the other
+    pool candidates.  A query is the pool sample with its
     own id only when ``queries`` and ``pool`` are the same split, since each
     split numbers its samples independently."""
     members = {s.id for s in pool.samples} if queries.split == pool.split else set()
@@ -131,8 +132,8 @@ def retrieve(state, index, text, m, allow_stale=False, exclude_id=None):
     ``text`` is the prompt-side input (``template.task_input``, which carries
     the ATSC aspect splice).  ``exclude_id`` drops the candidate with that id:
     pass the query's own id when ``eligible`` lists it among the pool's
-    members, else None.  ``allow_stale`` is for the contrastive training loop,
-    which refreshes its index once per epoch by design.
+    members, else None.  ``allow_stale`` is for ``contrastive.labeler``:
+    retriever training refreshes its index once per epoch by design.
     """
     if m < 1:
         raise ValueError("m must be at least 1")

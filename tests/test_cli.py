@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exrank import cli
+from exrank import alternating, cli
 from exrank.alternating import build_vocabulary
 from exrank.cli import _sha256, main
 from exrank.config import Config
@@ -530,6 +530,78 @@ def test_alternate_resume(tmp_path, data_dir, fast):
     assert main(base + ["--resume-step", "1"]) == 0
     rows = (out / "metrics.tsv").read_text().strip().splitlines()
     assert len(rows) == 4  # header + steps 0..2
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """The alternate argv of the golden session's config at t=2 (40/8 synthetic,
+    seed 3), less --out, and the files of its run without a crash."""
+    root = tmp_path_factory.mktemp("uninterrupted")
+    config = root / "golden.cfg"
+    config.write_text("seed = 3\nd = 16\nd_r = 16\nm = 8\nk = 2\nfinetune_k = 2\n"
+                      "lr = 0.003\nr = 0.5\n")
+    assert main(["gen-data", "--train", "40", "--test", "8", "--seed", "3",
+                 "--out", str(root / "data")]) == 0
+    argv = ["alternate", "--train-file", str(root / "data" / "train.jsonl"),
+            "--test-file", str(root / "data" / "test.jsonl"), "--t", "2",
+            "--config", str(config)]
+    assert main([*argv, "--out", str(root / "run")]) == 0
+    return argv, _snapshot(root / "run")
+
+
+# each write point of a schedule step: its module, and how many calls it gets
+# before step 0's (save_scorer writes scorer_init first)
+_WRITE_POINTS = {"run_inference": (alternating, 0), "_write_metrics": (alternating, 0),
+                 "save_retriever": (alternating.retriever_mod, 0),
+                 "save_scorer": (alternating.scorer_mod, 1)}
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("write", list(_WRITE_POINTS))
+def test_a_run_resumed_after_a_crash_at_any_write_equals_an_uninterrupted_one(
+        tmp_path, uninterrupted, write, step):
+    # a step's checkpoints come after its metrics row, so the newest step with
+    # both checkpoints has its row, and resuming there loses none
+    argv, want = uninterrupted
+    module, before = _WRITE_POINTS[write]
+    real = getattr(module, write)
+    calls = []
+
+    def crash_at_step(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == before + step + 1:
+            raise RuntimeError(f"crashed in {write} at step {step}")
+        return real(*args, **kwargs)
+
+    out = tmp_path / "run"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, write, crash_at_step)
+        assert main([*argv, "--out", str(out)]) == 2
+    saved = [s for s in range(3)
+             if all((out / f"{kind}_{s}.ckpt.npz").exists() for kind in ("scorer", "retriever"))]
+    assert main([*argv, "--out", str(out), "--resume-step", str(max(saved))]) == 0
+    got = _snapshot(out)
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] != want[name]] == []
+
+
+def test_an_atsc_record_whose_aspect_is_the_sentinel_is_refused_at_load(tmp_path, fast,
+                                                                       capsys):
+    data = tmp_path / "data"
+    assert main(["gen-data", "--task", "atsc", "--train", "40", "--test", "8",
+                 "--seed", "0", "--out", str(data)]) == 0
+    test_file = data / "test.jsonl"
+    n = len(test_file.read_text().splitlines())
+    with open(test_file, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"text": "The room was quiet .", "labels": [],
+                             "aspect": "noaspectterm"}) + "\n")
+    out = tmp_path / "alt"
+    assert main(["alternate", "--task", "atsc", "--train-file", str(data / "train.jsonl"),
+                 "--test-file", str(test_file), "--t", "1", "--out", str(out), *fast]) == 2
+    assert (f"designated aspect 'noaspectterm' is the no-aspect sentinel; an ATSC "
+            f"record needs an aspect term to classify at line {n + 1}"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, option, value", [

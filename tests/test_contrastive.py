@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,3 +340,24 @@ class TestTrainRetriever:
             if separation(retr, test, scorer, cfg, train) > 0.0:
                 wins += 1
         assert wins >= 4
+
+
+def test_labeler_is_the_one_site_that_labels_or_retrieves_from_a_stale_index():
+    # a second labeling path could pick, exclude or draw candidates its own way
+    sites = {"label_candidates": set(), "stale retrieve": set()}
+    for path in sorted(Path(contrastive.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name == "label_candidates":
+                    sites["label_candidates"].add(where)
+                stale = len(node.args) > 4 or any(
+                    kw.arg == "allow_stale" and getattr(kw.value, "value", True) is not False
+                    for kw in node.keywords)
+                if name == "retrieve" and stale:
+                    sites["stale retrieve"].add(where)
+    assert sites == {"label_candidates": {"contrastive.labeler"},
+                     "stale retrieve": {"contrastive.labeler"}}

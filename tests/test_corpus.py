@@ -96,6 +96,20 @@ class TestLoadDataset:
         with pytest.raises(ValueError, match="aspect"):
             load_dataset(p, Task.ATSC)
 
+    @pytest.mark.parametrize("labels", [[], [[NO_ASPECT_TERM, "none"]]],
+                             ids=["no-labels", "sentinel-label"])
+    def test_atsc_refuses_the_sentinel_as_designated_aspect(self, tmp_path, labels):
+        # its gold would be the polarity 'none', which no ATSC answer can be
+        p = tmp_path / "d.jsonl"
+        _write_jsonl(p, [
+            {"text": "x", "labels": [["food", "positive"]], "aspect": "food"},
+            {"text": "y", "labels": labels, "aspect": NO_ASPECT_TERM},
+        ])
+        with pytest.raises(ValueError, match="^designated aspect 'noaspectterm' is the "
+                                             "no-aspect sentinel; .* at line 2$"):
+            load_dataset(p, Task.ATSC)
+        assert len(load_dataset(p, Task.ASPE)) == 2  # other tasks have no aspect
+
     @pytest.mark.parametrize("term, message", [
         ("fries; salad", "contains the label separator"),
         (" ", "blank aspect term"),
