@@ -568,7 +568,7 @@ def test_a_run_resumed_after_a_crash_at_any_write_equals_an_uninterrupted_one(
     calls = []
 
     def crash_at_step(*args, **kwargs):
-        calls.append(args)
+        calls.append(write)
         if len(calls) == before + step + 1:
             raise RuntimeError(f"crashed in {write} at step {step}")
         return real(*args, **kwargs)
@@ -581,8 +581,8 @@ def test_a_run_resumed_after_a_crash_at_any_write_equals_an_uninterrupted_one(
              if all((out / f"{kind}_{s}.ckpt.npz").exists() for kind in ("scorer", "retriever"))]
     assert main([*argv, "--out", str(out), "--resume-step", str(max(saved))]) == 0
     got = _snapshot(out)
-    assert sorted(got) == sorted(want)
-    assert [name for name in want if got[name] != want[name]] == []
+    assert [name for name in sorted(got.keys() | want.keys())
+            if got.get(name) != want.get(name)] == []
 
 
 def test_an_atsc_record_whose_aspect_is_the_sentinel_is_refused_at_load(tmp_path, fast,
