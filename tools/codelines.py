@@ -42,7 +42,7 @@ def code_lines(path):
 
 
 def python_files(paths):
-    """Each path that is a file, then the .py files under each directory, sorted."""
+    """``paths`` in order, each directory replaced by its .py files, sorted."""
     for path in map(Path, paths):
         if path.is_dir():
             yield from sorted(path.rglob("*.py"))
