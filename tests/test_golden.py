@@ -14,9 +14,14 @@ The hashes were recorded on ``RECORDED_ON``, and they held at PYTHONHASHSEED
 0, 1 and 12345 and at OPENBLAS_NUM_THREADS 1 and 2.  Trained checkpoints
 round differently on another platform even at the same versions: OpenBLAS
 picks its GEMM kernel by CPU core, and numpy its ``exp``/``log``/``tanh``
-loops by SIMD level.  So the mismatch message names the versions, the
-OpenBLAS core and numpy's SIMD targets running.  A change that moves output
-bytes on purpose re-records only the entries it means to change.
+loops by SIMD level.  So ``GOLDEN_ON`` holds one hash set per platform
+signature, as ``_platform()`` spells it: ``GOLDEN`` for ``RECORDED_ON``, and a
+second set for the AVX2-class paths, which an AVX-512 box takes under
+``AVX2_ENV`` and which a subprocess test checks there.  An unrecorded platform
+is compared with ``GOLDEN``, and the mismatch message names the versions, the
+OpenBLAS core and numpy's SIMD targets recorded and running.  A change that
+moves output bytes on purpose re-records only the entries it means to change,
+on every recorded platform.
 """
 
 import contextlib
@@ -25,6 +30,8 @@ import glob
 import hashlib
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -149,6 +156,46 @@ def _sha256(data):
 RECORDED_ON = ("numpy 2.4.6 on scipy-openblas 0.3.31.188.0, OpenBLAS core SkylakeX, "
                "numpy SIMD found X86_V3 X86_V4 AVX512_ICL AVX512_SPR")
 
+# The AVX2-class paths, which an AVX-512 box takes under AVX2_ENV: OpenBLAS's
+# Haswell kernels and numpy's X86_V3 loops
+AVX2 = ("numpy 2.4.6 on scipy-openblas 0.3.31.188.0, OpenBLAS core Haswell, "
+        "numpy SIMD found X86_V3")
+AVX2_ENV = {"OPENBLAS_CORETYPE": "Haswell",
+            "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"}
+
+# Each recorded platform's hashes, by its ``_platform()``.  On AVX2 only the
+# trained checkpoints and the run.jsons that hash them differ from GOLDEN.
+GOLDEN_ON = {
+    RECORDED_ON: GOLDEN,
+    AVX2: {
+        **GOLDEN,
+        "alternate run/retriever_1.ckpt.npz": "faf7d95e166e2952e2df7b10ce11872a548616fffbd8564c9f0a57902d47d840",
+        "alternate run/retriever_2.ckpt.npz": "bcc1bb91fb2dd5fb37fb79cf9b8cb8e6de9992183334585b1303e7d7955a6846",
+        "alternate run/run.json": "ba363c26e679d476eb3b50854c01ad7bbc558cc4b986a12ce9e5b4a24ff49451",
+        "alternate run/scorer_0.ckpt.npz": "879d9a54c933279cec7b31303ef99869c921c4e41359e5ead136f031672ad4d0",
+        "alternate run/scorer_1.ckpt.npz": "bc4491a6b96d57ce5530fe9d5c447cc398bebf026f9d6a142b76d74917b9e0c2",
+        "alternate run/scorer_2.ckpt.npz": "2e25421aa0cab67f128d23446452df33cd136c8ef27bb620d3868a6e048b3ebb",
+        "alternate-resume run/retriever_1.ckpt.npz": "faf7d95e166e2952e2df7b10ce11872a548616fffbd8564c9f0a57902d47d840",
+        "alternate-resume run/retriever_2.ckpt.npz": "bcc1bb91fb2dd5fb37fb79cf9b8cb8e6de9992183334585b1303e7d7955a6846",
+        "alternate-resume run/run.json": "ba363c26e679d476eb3b50854c01ad7bbc558cc4b986a12ce9e5b4a24ff49451",
+        "alternate-resume run/scorer_0.ckpt.npz": "879d9a54c933279cec7b31303ef99869c921c4e41359e5ead136f031672ad4d0",
+        "alternate-resume run/scorer_1.ckpt.npz": "bc4491a6b96d57ce5530fe9d5c447cc398bebf026f9d6a142b76d74917b9e0c2",
+        "alternate-resume run/scorer_2.ckpt.npz": "2e25421aa0cab67f128d23446452df33cd136c8ef27bb620d3868a6e048b3ebb",
+        "train-retriever retr/retriever.ckpt.npz": "faf7d95e166e2952e2df7b10ce11872a548616fffbd8564c9f0a57902d47d840",
+        "train-retriever retr/run.json": "5a0dd24e8c54377d63c3bc5ce907bf2b5300b1bd2723ee00713a3a0f0401b50d",
+        "train-retriever retr/scorer.ckpt.npz": "879d9a54c933279cec7b31303ef99869c921c4e41359e5ead136f031672ad4d0",
+        "finetune-lm ft/run.json": "2237049a8f0b04c1970b84cd3f734c7bfd143918569e544090b2ccd9823ff76f",
+        "finetune-lm ft/scorer.ckpt.npz": "bc4491a6b96d57ce5530fe9d5c447cc398bebf026f9d6a142b76d74917b9e0c2",
+        "train-retriever-atsc retr-atsc/retriever.ckpt.npz": "7002aca2728961dfdea0ed88c898d0bed561b469dee828c706a49bb17773de5a",
+        "train-retriever-atsc retr-atsc/run.json": "f160fb5eaf146c7f962f8318616c7bc4ad6858dfbfb603de91c5f882c6145f92",
+        "train-retriever-atsc retr-atsc/scorer.ckpt.npz": "ab39897eeb3d115bcb95d5d7990ba9623c449d8bcfd48f3f62f633d2a44b9e29",
+        "alternate-ate run-ate/retriever_1.ckpt.npz": "ffde508eab32c2d0e728ad46117f356f8e9723bc01729d346c967c52c41b4f70",
+        "alternate-ate run-ate/run.json": "0815c718ecb5867272cd5517a7734cb21ebc1c0003bf313489fce5f63bd96b7e",
+        "alternate-ate run-ate/scorer_0.ckpt.npz": "3b7da310342eb896babc97120db7488f254adeed2b3a9df86ec5e33416fb7dd2",
+        "alternate-ate run-ate/scorer_1.ckpt.npz": "0dc0c6e9b587a7842dcb04641dba05b49ec505749350481d91a40e23eadcd816",
+    },
+}
+
 
 def _openblas_core():
     """The core name of the OpenBLAS bundled with numpy, or None."""
@@ -206,13 +253,34 @@ def session(tmp_path_factory):
 
 @pytest.mark.parametrize("name", [name for name, _, _ in SESSION])
 def test_the_session_writes_its_recorded_bytes(session, name):
-    got = session[name]
-    want = {key: value for key, value in GOLDEN.items()
+    got, running = session[name], _platform()
+    recorded = running if running in GOLDEN_ON else RECORDED_ON
+    want = {key: value for key, value in GOLDEN_ON[recorded].items()
             if key.split(" ", 1)[0] == name}
     moved = sorted(key for key in got.keys() | want.keys()
                    if got.get(key) != want.get(key))
     assert not moved, (f"{name}: {moved} differ from the recorded hashes "
-                       f"(recorded on {RECORDED_ON}; running on {_platform()})")
+                       f"(recorded on {recorded}; running on {running})")
+
+
+def test_the_session_writes_the_avx2_bytes_under_the_emulated_signature():
+    """The session test again, in a subprocess that takes the AVX2-class paths."""
+    if _platform() == AVX2:
+        pytest.skip("the native platform is AVX2, which the session test checks")
+    env = {**os.environ, **AVX2_ENV}
+    here = Path(__file__).resolve().parent
+    probe = subprocess.run(
+        [sys.executable, "-c", "import test_golden; print(test_golden._platform())"],
+        cwd=here, capture_output=True, text=True,
+        env={**env, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])})
+    if probe.stdout.strip() != AVX2:
+        pytest.skip(f"this box cannot emulate {AVX2}: it runs {probe.stdout.strip()}"
+                    f"{probe.stderr[-300:]}")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).name}::test_the_session_writes_its_recorded_bytes"],
+        cwd=here, capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-1000:]
 
 
 def test_the_mismatch_message_names_the_core_and_the_simd_targets():
