@@ -29,6 +29,10 @@ class Polarity(str, Enum):
 
 
 class Task(str, Enum):
+    """A subtask.  It is checked once, where it enters: ``Config``,
+    ``load_dataset`` and ``with_task`` convert it.  The helpers that take one
+    only compare it, so a valid value given as a plain ``str`` works there too."""
+
     ATE = "ate"
     ATSC = "atsc"
     ASPE = "aspe"
@@ -182,7 +186,6 @@ def serialize_label(sample, task):
     ATE joins aspect terms with "; ", ATSC emits the bare polarity word of the
     designated aspect, ASPE joins "term: polarity" pairs in label order.
     """
-    task = Task(task)
     if task == Task.ATE:
         return "; ".join(l.term for l in sample.labels)
     if task == Task.ATSC:
@@ -206,7 +209,6 @@ def parse_output(text, task):
 
 def parse_output_with_diagnostics(text, task):
     """Like parse_output but also returns the count of dropped segments."""
-    task = Task(task)
     text = text.strip()
     if not text:
         return [], 0

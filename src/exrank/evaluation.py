@@ -57,7 +57,10 @@ class AblationMode(str, Enum):
     runs of ``FULL``: no example is k=0, a frozen LM is the warmed-up
     ``scorer_0.ckpt.npz``, and no alternation is a t=1 schedule.  The untrained
     ``scorer_init.ckpt.npz`` has a zero output layer: it decodes ``<pad>`` at
-    every step, so every answer is empty and F1 is 0 by construction."""
+    every step, so every answer is empty and F1 is 0 by construction.
+
+    A mode is checked once, where it enters: ``prompt_builder`` and the CLI's
+    ``evaluate`` convert it, and ``most_examples`` only compares it."""
 
     FULL = "full"
     NO_RETRIEVER = "no_retriever"
@@ -82,7 +85,6 @@ def _keys(labels, task):
 
 def tuple_f1(preds, golds, task):
     """Micro-averaged exact-match F1 over per-sample label lists."""
-    task = Task(task)
     if len(preds) != len(golds):
         raise ValueError(f"length mismatch: {len(preds)} vs {len(golds)}")
     num_pred = num_gold = num_correct = 0
@@ -123,7 +125,6 @@ def most_examples(queries, pool, k, mode):
     """The most examples a prompt of ``prompt_builder(..., queries, pool, k,
     mode, ...)`` carries, found without building an index, so that the prompts
     can be checked before any work."""
-    mode = AblationMode(mode)
     n = len(pool.samples)
     if mode == AblationMode.NO_INSTRUCTION:
         return 0

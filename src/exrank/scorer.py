@@ -8,12 +8,24 @@ generation is greedy.
 
 Greedy decoding picks the argmax of the softmax-normalised distribution, but
 it normalises only when that could change the winner.  Each step takes the
-argmax ``i`` of the raw logits and shifts them by ``z[i]``, the same value the
-softmax subtracts.  If every other shifted logit is at most -_ARGMAX_MARGIN,
-its exp is below exp(0) = 1 by a relative 1e-9, far more than the 2**-53 that
-rounding after the divide can close, so ``i`` is also the argmax after
-normalising.  Otherwise (near-ties, exact ties, NaN, +-inf) the step finishes
-the softmax on the same array and takes its argmax, exactly as before.
+argmax ``i`` of the raw logits ``z`` and the cut ``c = z[i] - _ARGMAX_MARGIN``,
+which rounds once.  ``c`` lies within ulp(z[i]) / 2 of the exact difference, so
+when it lies below ``z[i]`` at all, it lies at least half a margin below.  If
+no logit but ``z[i]`` lies above ``c``, every shifted logit ``z[j] - z[i]``,
+the value the softmax exponentiates, is then at most about -_ARGMAX_MARGIN / 2:
+its exp is below exp(0) = 1 by a relative 5e-10, far more than the 2**-53
+that rounding after the divide can close, so ``i`` is also the argmax after
+normalising.  Once ulp(z[i]) nears the margin, ``c`` may round up to ``z[i]``
+itself; then no logit lies above it and the step normalises.  So wherever
+the step skips the softmax, its token is the normalised argmax, the token the
+earlier test on the shifted logits returned (a seeded fuzz in the tests
+compares the two rules).  Otherwise (near-ties, exact ties, NaN, +-inf) the
+step shifts the logits by ``z[i]``, the same value the softmax subtracts,
+finishes the softmax on the same array and takes its argmax.
+
+A decoder reads position codes from one ``position_codes`` table, which it
+doubles, up to its ``max_len``, only when decoding reaches the table's end; so
+a large ``max_len`` costs nothing until an answer runs that long.
 """
 
 import functools
@@ -30,6 +42,8 @@ CHECKPOINT_FORMAT = "exrank-scorer-v1"
 # A greedy step skips the softmax when every logit but the top one lies at
 # least this far below it (see the module docstring); closer calls normalise.
 _ARGMAX_MARGIN = 1e-9
+# The position codes a decoder holds before its first answer runs longer
+_FIRST_POSITIONS = 64
 
 
 @dataclass
@@ -137,18 +151,22 @@ def _decoder(state, prompt, max_len):
     """The next-token logits of decoding from ``prompt``: a function of a
     target prefix of fewer than ``max_len`` ids that returns the raw logits
     after it, in one array that each call overwrites.  The prompt is encoded,
-    and the parameters are looked up, once per decoder.
+    and the parameters are looked up, once per decoder; the position codes
+    grow with the longest prefix seen.
     """
     p = state.params
     emb, w_out, b_out, d = p["emb"], p["w_out"], p["b_out"], state.d
-    codes = position_codes(max_len)
+    codes = position_codes(min(max_len, _FIRST_POSITIONS))
     f = np.empty(2 * d + POS_DIM)  # [h ; emb[prev token] ; pos]
     f[:d] = _encode_prompt(state, prompt)[0]
     prev, pos = f[d:2 * d], f[2 * d:]
     z = np.empty(len(b_out))
 
     def logits(prefix):
+        nonlocal codes
         n = len(prefix)
+        if n >= len(codes):  # a longer table starts with the same rows
+            codes = position_codes(min(2 * n, max_len))
         prev[...] = emb[prefix[-1] if n else BOS_ID]
         pos[...] = codes[n]  # equal bit for bit to position_codes(n + 1)[n]
         np.dot(w_out, f, out=z)  # the BLAS call of `w_out @ f`, into z
@@ -165,11 +183,11 @@ def _normalise(shift):
 
 
 def _greedy_token(z):
-    """argmax of the softmax of logits ``z``, which it overwrites."""
+    """argmax of the softmax of logits ``z``, which it may overwrite."""
     i = int(z.argmax())
-    z -= z[i]  # for NaN-free z, the same value as z.max()
-    if np.count_nonzero(z > -_ARGMAX_MARGIN) == 1:
+    if np.count_nonzero(z > z[i] - _ARGMAX_MARGIN) == 1:
         return i
+    z -= z[i]  # for NaN-free z, the same value as z.max()
     return int(_normalise(z).argmax())
 
 

@@ -76,10 +76,7 @@ def render(templates, task, examples, input_text):
     """Render the full instruction prompt for ``task`` with every example, in
     order, from the definition and blocks of ``templates``, as a ``Prompt``
     whose blocks are the definition, each example block and the target block."""
-    definition = templates.definitions.get(task)  # a Task, or its value
-    if definition is None:
-        definition = templates.definitions[Task(task)]  # raises for an unknown task
-    parts = [f"Definition: {definition}"]
+    parts = [f"Definition: {templates.definitions[task]}"]
     for i, ex in enumerate(examples):
         parts.append(
             templates.example_block.format(index=i + 1, input=ex.input, output=ex.output)
@@ -151,7 +148,7 @@ def query_text(input_text):
 
 def task_input(sample, task):
     """The prompt-side input string for a sample under one subtask."""
-    if Task(task) == Task.ATSC:
+    if task == Task.ATSC:
         return atsc_input(sample.text, sample.aspect)
     return sample.text
 

@@ -1,8 +1,12 @@
+import ast
 import re
+from pathlib import Path
 
 import pytest
 
+from exrank import config
 from exrank.config import Config, read_config_file
+from exrank.corpus import generate_synthetic, load_dataset, with_task
 
 
 @pytest.mark.parametrize("key, value, message", [
@@ -65,3 +69,42 @@ def test_config_file_error_counts_lines_from_one(tmp_path):
     path.write_text("# a comment\nk = 2\nnot a setting\n")
     with pytest.raises(ValueError, match="bad config line 3:"):
         read_config_file(path)
+
+
+@pytest.mark.parametrize("entry", ["Config", "config file", "load_dataset", "with_task"])
+def test_an_unknown_task_is_refused_where_it_enters(entry, tmp_path):
+    path = tmp_path / "input"
+    if entry == "config file":
+        path.write_text("task = bogus\n")
+    else:
+        path.write_text('{"text": "The food was good .", "labels": [["food", "positive"]]}\n')
+    enter = {
+        "Config": lambda: Config(task="bogus"),
+        "config file": lambda: Config.from_dict(read_config_file(path)),
+        "load_dataset": lambda: load_dataset(path, "bogus"),
+        "with_task": lambda: with_task(generate_synthetic(20, 1, 0)[0], "bogus"),
+    }[entry]
+    with pytest.raises(ValueError, match="'bogus'"):
+        enter()
+
+
+def test_tasks_and_modes_are_converted_only_where_they_enter():
+    # the helpers in the labeling and inference loops take the value as given;
+    # a conversion anywhere else would be a second check of a checked value
+    sites = {"Task": set(), "AblationMode": set()}
+    for path in sorted(Path(config.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            units = ([(f"{top.name}.{getattr(node, 'name', '<body>')}", node)
+                      for node in top.body]
+                     if isinstance(top, ast.ClassDef)
+                     else [(getattr(top, "name", "<module>"), top)])
+            for where, unit in units:
+                for node in ast.walk(unit):
+                    name = isinstance(node, ast.Call) and (
+                        getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+                    if name in sites:
+                        sites[name].add(f"{path.stem}.{where}")
+    assert sites == {
+        "Task": {"config.Config.__post_init__", "corpus.load_dataset", "corpus.with_task"},
+        "AblationMode": {"evaluation.prompt_builder", "cli._cmd_evaluate"},
+    }

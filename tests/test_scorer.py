@@ -9,8 +9,12 @@ from exrank.alternating import build_vocabulary
 from exrank.config import Config
 from exrank.corpus import Task, generate_synthetic, serialize_label, to_atsc
 from exrank.optim import AdamW
+from exrank import scorer as scorer_mod
 from exrank.scorer import (
+    _ARGMAX_MARGIN,
     LogLikelihood,
+    _greedy_token,
+    _normalise,
     finetune_step,
     generate,
     init_scorer,
@@ -503,6 +507,34 @@ class TestBitExactAgainstOracle:
                 if len(table) >= n:
                     assert table[:n].tobytes() == rows.tobytes(), (n, len(table))
 
+    def test_generate_builds_position_codes_only_for_the_positions_it_decodes(
+            self, monkeypatch):
+        # the end token wins the first step, so a 10**7-token budget decodes
+        # one position and needs no table of 10**7 rows
+        state = _oracle_scorer(3)
+        state.params["b_out"][EOS_ID] = 100.0
+        built = scorer_mod.position_codes
+
+        def bounded(n):
+            assert n <= 64, f"asked for {n} position codes"
+            return built(n)
+
+        monkeypatch.setattr(scorer_mod, "position_codes", bounded)
+        assert generate(state, "w1 w2", 10**7) == ""
+
+    def test_the_position_codes_grow_with_the_answer(self, monkeypatch):
+        # no end token: the decoder doubles its table up to max_len, and every
+        # token is the oracle's, which reads position_codes(n + 1)
+        state = _oracle_scorer(3)
+        state.params["b_out"][EOS_ID] = -100.0
+        asked, built = [], scorer_mod.position_codes
+        monkeypatch.setattr(scorer_mod, "position_codes",
+                            lambda n: asked.append(n) or built(n))
+        got = generate(state, "w1 w2", 300)
+        assert asked == [64, 128, 256, 300]
+        monkeypatch.undo()
+        assert got == _reference_generate(state, "w1 w2", 300)
+
     def test_untrained_zero_output_weights(self, small_scorer):
         _assert_matches_oracle(small_scorer)
 
@@ -579,3 +611,43 @@ def test_generate_matches_the_oracle_on_near_ties(seed, levels, quantum, w_scale
     state.params["b_out"][:] = np.array(levels) * quantum
     state.params["w_out"] *= w_scale
     assert generate(state, prompt, 6) == _reference_generate(state, prompt, 6)
+
+
+def _greedy_token_on_shifted_logits(z):
+    """The greedy step as it was before it tested the raw logits: it shifts the
+    whole vector by its top logit, then tests the margin.  The fuzz's oracle."""
+    i = int(z.argmax())
+    z -= z[i]
+    if np.count_nonzero(z > -_ARGMAX_MARGIN) == 1:
+        return i
+    return int(_normalise(z).argmax())
+
+
+def _adversarial_logits(rng, n, V=12):
+    """n logit vectors at the edges of the margin test.  The top logit is
+    1e-3 to 1e11 in size, of either sign, and one runner-up lies 0 to 4
+    margins, a whole number of margins or 0 to 3 ulp below it, or ties it; the
+    other logits spread below.  One vector in 20 holds a NaN or +-inf."""
+    top = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 11, n)
+    spread = np.abs(top) * 10.0 ** rng.uniform(-12, 1, n)
+    z = top[:, None] - spread[:, None] * rng.uniform(0, 1, (n, V))
+    z[:, 0] = top
+    kind = rng.integers(0, 4, n)
+    gap = np.select(
+        [kind == 0, kind == 1, kind == 2],
+        [rng.uniform(0, 4, n) * _ARGMAX_MARGIN, rng.integers(0, 5, n) * _ARGMAX_MARGIN,
+         rng.integers(0, 4, n) * np.spacing(np.abs(top))],
+        0.0)
+    z[np.arange(n), rng.integers(1, V, n)] = top - gap
+    bad = rng.random(n) < 0.05
+    z[bad, rng.integers(0, V, bad.sum())] = rng.choice([np.nan, np.inf, -np.inf], bad.sum())
+    return rng.permuted(z, axis=1)
+
+
+def test_greedy_on_raw_logits_picks_the_token_of_the_test_on_shifted_logits():
+    # the raw test and the shifted one may disagree on skipping the softmax,
+    # but never on the token (see the scorer's module docstring)
+    rng = np.random.default_rng(34)
+    with np.errstate(invalid="ignore"):
+        for z in _adversarial_logits(rng, 50_000):
+            assert _greedy_token(z.copy()) == _greedy_token_on_shifted_logits(z.copy()), z
