@@ -274,8 +274,8 @@ def test_the_session_writes_the_avx2_bytes_under_the_emulated_signature():
         cwd=here, capture_output=True, text=True,
         env={**env, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])})
     if probe.stdout.strip() != AVX2:
-        pytest.skip(f"this box cannot emulate {AVX2}: it runs {probe.stdout.strip()}"
-                    f"{probe.stderr[-300:]}")
+        pytest.skip(f"this box cannot emulate {AVX2}; under AVX2_ENV a probe reports "
+                    f"{(probe.stdout or probe.stderr).strip()[-300:]!r}")
     run = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{Path(__file__).name}::test_the_session_writes_its_recorded_bytes"],
